@@ -193,7 +193,7 @@ def _cmd_probe_card(args: argparse.Namespace) -> int:
         catalog = estimator.refresh(store, label=args.label, columns=needed)
     if args.save_catalog:
         estimator.save_catalog(catalog, args.save_catalog)
-    points = evaluate_state(args.label, store, subqueries, catalog, args.policy)
+    points = evaluate_state(args.label, store, subqueries, {args.policy: catalog})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reports.write_jsonl(points, out / "qerror_points.jsonl")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import estimator, memstore
 from .memstore import SPJQuery, Store
@@ -111,25 +111,63 @@ def evaluate_state(
     label: str,
     store: Store,
     subqueries: Sequence[SPJQuery],
-    catalog: estimator.StatsCatalog,
-    policy: str,
+    catalogs: Mapping[str, estimator.StatsCatalog],
 ) -> list[QErrorPoint]:
-    """Estimate vs exact count for each subquery on one frozen state."""
-    points = []
+    """The probe: estimate vs exact count for each subquery on one frozen
+    state, under each policy's catalog (``{policy: catalog}``).
+
+    Points come per policy, in ``catalogs`` order, then per subquery. The
+    exact count does not depend on the policy, so each distinct subquery is
+    counted once; the counts share base relations, each filtered once for
+    this call and dropped when it returns.
+    """
+    relations: dict = {}
+    actual: dict[SPJQuery, int] = {}
     for sub in subqueries:
-        est = estimator.estimate(catalog, sub)
-        actual = memstore.count(store, sub)
-        points.append(
-            QErrorPoint(
-                state=label,
-                subquery=sub.label(),
-                estimated=est,
-                actual=actual,
-                qerror=qerror(est, actual),
-                policy=policy,
+        if sub not in actual:
+            actual[sub] = memstore.count(store, sub, relations)
+    points = []
+    for policy, catalog in catalogs.items():
+        for sub in subqueries:
+            est = estimator.estimate(catalog, sub)
+            points.append(
+                QErrorPoint(
+                    state=label,
+                    subquery=sub.label(),
+                    estimated=est,
+                    actual=actual[sub],
+                    qerror=qerror(est, actual[sub]),
+                    policy=policy,
+                )
             )
-        )
     return points
+
+
+def policy_catalogs(
+    policies: Iterable[str],
+    label: str,
+    store: Store,
+    initial: estimator.StatsCatalog | None,
+    n_buckets: int,
+    columns: set[tuple[str, str]],
+) -> dict[str, estimator.StatsCatalog]:
+    """The catalog each policy probes one state with.
+
+    ``refreshed`` rebuilds on this state; ``initial`` keeps ``initial``, the
+    first state's catalog, and is given None on the first state. There one
+    build serves both policies, since a rebuild on an unchanged store is
+    identical.
+    """
+    catalogs: dict[str, estimator.StatsCatalog] = {}
+    built = None
+    for policy in policies:
+        if policy == "initial" and initial is not None:
+            catalogs[policy] = initial
+            continue
+        if built is None:
+            built = estimator.refresh(store, label=label, n_buckets=n_buckets, columns=columns)
+        catalogs[policy] = built
+    return catalogs
 
 
 def drift_experiment(
@@ -152,13 +190,11 @@ def drift_experiment(
     subqueries = enumerate_subqueries(q, max_tables)
     needed = set().union(*(subquery_columns(s) for s in subqueries))
     points: list[QErrorPoint] = []
-    catalog = None
+    initial = None
     for label, store in states:
-        if policy == "refreshed" or catalog is None:
-            built_on = label if policy == "refreshed" else states[0][0]
-            source = store if policy == "refreshed" else states[0][1]
-            catalog = estimator.refresh(source, label=built_on, n_buckets=n_buckets, columns=needed)
-        points.extend(evaluate_state(label, store, subqueries, catalog, policy))
+        catalogs = policy_catalogs((policy,), label, store, initial, n_buckets, needed)
+        initial = catalogs.get("initial")
+        points.extend(evaluate_state(label, store, subqueries, catalogs))
     return points
 
 

@@ -10,7 +10,7 @@ model. One writer at a time; readers must not overlap a mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .chain_model import AddressRow, ChainDataset, SCHEMA, WEI_MAX, encode_hex
 
@@ -575,23 +575,35 @@ def snapshot_blocks(store: Store) -> list[int]:
     return sorted(store.block_by_number)
 
 
-def count(store: Store, q: SPJQuery) -> int:
-    """Exact result cardinality of the join+filter, via hash joins."""
-    q.check()
-    amap = q.alias_map
-    filters_by_alias: dict[str, list[Filter]] = {}
-    for f in q.filters:
-        filters_by_alias.setdefault(f.alias, []).append(f)
+def base_relation(store: Store, table: str, filters: Sequence[Filter]) -> list:
+    """Rows of ``table`` that satisfy every filter: one alias's input to a join."""
+    if not filters:
+        return list(store.rows(table))
+    return [row for row in store.rows(table) if all(p.matches(getattr(row, p.column)) for p in filters)]
 
+
+def count(store: Store, q: SPJQuery, relations: dict | None = None) -> int:
+    """Exact result cardinality of the join+filter, via hash joins.
+
+    Each alias reads its base relation (``base_relation``). ``relations``
+    lets the counts of one probe call share them: it maps ``(table,
+    filters)``, the filters taken without their alias, to the relation, and
+    a relation missing from it is built and added. It must last for one
+    probe call (``eval_harness.evaluate_state``) on one frozen state and no
+    longer. Relations are never cached on the ``Store``: any mutation would
+    make them stale, and ``run-queries --median`` times repeated calls to
+    measure a full count.
+    """
+    q.check()
+    if relations is None:
+        relations = {}
     filtered: dict[str, list] = {}
-    for alias, table in amap.items():
-        preds = filters_by_alias.get(alias, [])
-        if preds:
-            filtered[alias] = [
-                row for row in store.rows(table) if all(p.matches(getattr(row, p.column)) for p in preds)
-            ]
-        else:
-            filtered[alias] = list(store.rows(table))
+    for alias, table in q.tables:
+        preds = tuple(f for f in q.filters if f.alias == alias)
+        key = (table, tuple((f.column, f.op, f.value) for f in preds))
+        if key not in relations:
+            relations[key] = base_relation(store, table, preds)
+        filtered[alias] = relations[key]
 
     aliases = [a for a, _ in q.tables]
     if len(aliases) == 1:

@@ -19,9 +19,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import estimator, memstore, reports
+from . import memstore, reports
 from .chain_model import SliceSpec
-from .eval_harness import QErrorPoint, enumerate_subqueries, evaluate_state, subquery_columns
+from .eval_harness import QErrorPoint, enumerate_subqueries, evaluate_state, policy_catalogs, subquery_columns
 from .ingest_slice import extract_slice, read_export
 from .memstore import SPJQuery, Store
 from .query_assets import load_workload
@@ -149,14 +149,14 @@ def run_scenario(manifest: ExperimentManifest, out_dir: str | Path) -> ScenarioR
     result = ScenarioResult()
     ds = dataset_from_source(manifest.source)
 
-    def probe(label: str, store: Store, initial_catalog) -> None:
+    initial_catalog = None
+
+    def probe(label: str, store: Store) -> None:
+        nonlocal initial_catalog
         result.state_labels.append(label)
-        for policy in manifest.policies:
-            if policy == "refreshed":
-                catalog = estimator.refresh(store, label=label, n_buckets=manifest.n_buckets, columns=needed)
-            else:
-                catalog = initial_catalog
-            result.points.extend(evaluate_state(label, store, subqueries, catalog, policy))
+        catalogs = policy_catalogs(manifest.policies, label, store, initial_catalog, manifest.n_buckets, needed)
+        initial_catalog = catalogs.get("initial")
+        result.points.extend(evaluate_state(label, store, subqueries, catalogs))
 
     if manifest.kind == "window-drift":
         cfg = WorkloadConfig(
@@ -170,26 +170,19 @@ def run_scenario(manifest: ExperimentManifest, out_dir: str | Path) -> ScenarioR
         start = time.perf_counter()
         memstore.apply(store, load)
         result.timings.append({"batch": 0, "ms": (time.perf_counter() - start) * 1000.0})
-        initial_catalog = None
-        if "initial" in manifest.policies:
-            initial_catalog = estimator.refresh(store, label="W1", n_buckets=manifest.n_buckets, columns=needed)
-        probe("W1", store, initial_catalog)
+        probe("W1", store)
         for i, pair in enumerate(pairs, start=1):
             start = time.perf_counter()
             if pair.expire is not None:
                 memstore.apply(store, pair.expire)
             memstore.apply(store, pair.upsert)
             result.timings.append({"batch": i, "ms": (time.perf_counter() - start) * 1000.0})
-            probe(f"W{i + 1}", store, initial_catalog)
+            probe(f"W{i + 1}", store)
     else:  # slice-compare
-        initial_catalog = None
         for i, entry in enumerate(manifest.slices):
             spec = SliceSpec(int(entry["lo"]), int(entry["hi"]), entry.get("label") or f"S{i + 1}")
             state = extract_slice(ds, spec.lo, spec.hi)
-            store = Store.from_dataset(state)
-            if initial_catalog is None and "initial" in manifest.policies:
-                initial_catalog = estimator.refresh(store, label=spec.label, n_buckets=manifest.n_buckets, columns=needed)
-            probe(spec.label, store, initial_catalog)
+            probe(spec.label, Store.from_dataset(state))
 
     reports.write_jsonl(result.points, report_dir / "qerror_points.jsonl")
     reports.write_series_csv(result.points, report_dir / "qerror_series.csv", omit_accurate=manifest.omit_accurate)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -105,6 +106,24 @@ def test_probe_card_point_count(tmp_path):
     assert len(lines) == 13
     point = json.loads(lines[0])
     assert point["policy"] == "initial"
+
+
+@pytest.mark.parametrize(
+    "policy, digest",
+    [
+        ("initial", "8e6854d52ac690640d77be2e372a104404e5f66361d0546bd17358b6217e13a4"),
+        ("refreshed", "55692545eef64f532067c1a5e784087cffb1a24b6cb1c215286951251b24d2af"),
+    ],
+)
+def test_probe_card_points_are_pinned(tmp_path, policy, digest):
+    # sha256 recorded before the probe loops were merged into evaluate_state.
+    out = tmp_path / "export"
+    assert main(["synth", "--seed", "5", "--blocks", "80", "--tx-per-block", "8", "--pool", "40", "--tokens", "4", "--out", str(out)]) == 0
+    probe = tmp_path / "probe"
+    rc = main(["probe-card", "--export", str(out), "--lo", "10", "--hi", "69", "--policy", policy, "--out", str(probe)])
+    assert rc == 0
+    points = probe / "qerror_points.jsonl"
+    assert hashlib.sha256(points.read_bytes()).hexdigest() == digest
 
 
 def test_plan_matrix_reproduces_recorded_cells(tmp_path, capsys):

@@ -1,12 +1,18 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from chainbench import estimator, memstore
 from chainbench.eval_harness import (
     LatencyError,
     PlanMeasurement,
+    QErrorPoint,
     drift_experiment,
     enumerate_subqueries,
+    evaluate_state,
     measure_latency,
     qerror,
     regret_matrix,
@@ -15,8 +21,9 @@ from chainbench.eval_harness import (
 from chainbench.memstore import Filter, SPJQuery, Store
 from chainbench.query_assets import q1_spj
 from chainbench.synth_chain import SynthConfig, generate
+from chainbench.workload_gen import WorkloadConfig, gen_batches, gen_initial
 
-from util import brute_force_connected_subsets
+from util import brute_force_connected_subsets, nested_loop_count, random_spj
 
 
 def test_q1_enumeration_counts():
@@ -218,3 +225,80 @@ def test_drift_unchanged_store_series_constant():
     for policy in ("refreshed", "initial"):
         points = drift_experiment(states, q, 1, policy)
         assert len({(p.estimated, p.actual, p.qerror) for p in points}) == 1
+
+
+def _self_join(kind: str, first: int, second: int) -> SPJQuery:
+    """Two aliases on one table, with equal filters when ``first == second``."""
+    if kind == "addresses":
+        return SPJQuery.build(
+            tables={"tx": "transactions", "a1": "addresses", "a2": "addresses"},
+            joins=[("tx", "from_address", "a1", "address"), ("tx", "to_address", "a2", "address")],
+            filters=[
+                Filter("a1", "eth_balance", "ge", 10 ** (16 + first)),
+                Filter("a2", "eth_balance", "ge", 10 ** (16 + second)),
+            ],
+        )
+    return SPJQuery.build(
+        tables={"b1": "blocks", "b2": "blocks"},
+        joins=[("b1", "hash", "b2", "hash")],
+        filters=[
+            Filter("b1", "number", "range", (0, 5 * first + 4)),
+            Filter("b2", "number", "range", (0, 5 * second + 4)),
+        ],
+    )
+
+
+def _per_policy_points(label, store, subqueries, catalogs) -> list[QErrorPoint]:
+    """The probe as a plain loop: every policy estimates and counts every subquery."""
+    points = []
+    for policy, catalog in catalogs.items():
+        for sub in subqueries:
+            est = estimator.estimate(catalog, sub)
+            actual = memstore.count(store, sub)
+            points.append(QErrorPoint(label, sub.label(), est, actual, qerror(est, actual), policy))
+    return points
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**16),
+    granularity=st.integers(1, 6),
+    expire=st.booleans(),
+    prefix=st.integers(0, 20),
+    query_seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=5),
+    self_joins=st.lists(
+        st.tuples(st.sampled_from(("addresses", "blocks")), st.integers(0, 5), st.integers(0, 5) | st.none()),
+        max_size=3,
+    ),
+    repeat_first=st.booleans(),
+    initial_first=st.booleans(),
+)
+def test_probe_counts_once_and_matches_the_per_policy_loop(
+    seed, granularity, expire, prefix, query_seeds, self_joins, repeat_first, initial_first
+):
+    ds = generate(SynthConfig(seed=seed, n_blocks=30, mean_tx_per_block=6, address_pool=30, n_tokens=4))
+    cfg = WorkloadConfig(init_blocks=15, granularity=granularity, expire=expire)
+    store = Store()
+    memstore.apply(store, gen_initial(ds, cfg))
+    initial = estimator.refresh(store, label="W1")
+    pairs, _ = gen_batches(ds, cfg)
+    for pair in pairs[:prefix]:
+        if pair.expire is not None:
+            memstore.apply(store, pair.expire)
+        memstore.apply(store, pair.upsert)
+
+    # A second draw of None gives the same filter on both aliases.
+    subqueries = [random_spj(random.Random(s)) for s in query_seeds]
+    subqueries += [_self_join(kind, a, a if b is None else b) for kind, a, b in self_joins]
+    if repeat_first:
+        subqueries.append(subqueries[0])
+    catalogs = {"initial": initial, "refreshed": estimator.refresh(store, label="Wn")}
+    if not initial_first:
+        catalogs = dict(reversed(catalogs.items()))
+
+    with mock.patch.object(memstore, "count", wraps=memstore.count) as counted:
+        points = evaluate_state("Wn", store, subqueries, catalogs)
+    assert counted.call_count == len(set(subqueries))
+    assert points == _per_policy_points("Wn", store, subqueries, catalogs)
+    for point, sub in zip(points, subqueries * len(catalogs)):
+        assert point.actual == memstore.count(store, sub) == nested_loop_count(store, sub), sub

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,33 @@ def test_slice_compare_scenario(tmp_path):
     assert all(p.policy == "refreshed" for p in result.points)
     lines = (tmp_path / "out" / "report" / "qerror_points.jsonl").read_text().strip().splitlines()
     assert len(lines) == len(result.points)
+
+
+def test_slice_compare_points_are_pinned(tmp_path):
+    # sha256 recorded before the probe loops were merged into evaluate_state;
+    # "initial" listed first checks that points keep the manifest's policy order.
+    manifest = ExperimentManifest.from_dict(
+        {
+            "kind": "slice-compare",
+            "source": {
+                "kind": "synth",
+                "config": {"seed": 31, "n_blocks": 120, "mean_tx_per_block": 8, "address_pool": 50, "n_tokens": 5},
+            },
+            "slices": [
+                {"lo": 0, "hi": 39, "label": "S1"},
+                {"lo": 40, "hi": 79, "label": "S2"},
+                {"lo": 70, "hi": 119, "label": "S3"},
+            ],
+            "policies": ["initial", "refreshed"],
+            "queries": ["Q1"],
+            "max_tables": 3,
+        }
+    )
+    result = run_scenario(manifest, tmp_path / "out")
+    assert len(result.points) == 3 * 2 * 13
+    assert any(p.actual > 0 for p in result.points if len(p.subquery.split("⨝")) > 1)
+    digest = hashlib.sha256((tmp_path / "out" / "report" / "qerror_points.jsonl").read_bytes()).hexdigest()
+    assert digest == "45b2781a9c3b25c572534aafaf811ae043ec9114ea9db0717ff527fe4e110948"
 
 
 def test_window_drift_scenario_policies(tmp_path):

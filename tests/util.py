@@ -48,10 +48,28 @@ def _oracle_matches(f: Filter, row) -> bool:
     raise AssertionError(f.op)
 
 
+def _connected_order(aliases: list[str], joins) -> list[str]:
+    """Breadth-first alias order from the first alias; unreached aliases last."""
+    neighbours = {a: set() for a in aliases}
+    for e in joins:
+        neighbours[e.left_alias].add(e.right_alias)
+        neighbours[e.right_alias].add(e.left_alias)
+    order = aliases[:1]
+    for alias in order:  # grows while it is walked
+        order.extend(n for n in sorted(neighbours[alias]) if n not in order)
+    return order + [a for a in aliases if a not in order]
+
+
 def nested_loop_count(store: Store, q: SPJQuery) -> int:
-    """Naive nested-loop evaluation of a select-project-join count."""
+    """Naive nested-loop evaluation of a select-project-join count.
+
+    Aliases are bound in breadth-first order over the join edges, so each
+    alias after the first is checked against an already bound neighbour as
+    soon as it is bound, rather than forming a cross product with unjoined
+    tables first.
+    """
     amap = q.alias_map
-    aliases = sorted(amap)
+    aliases = _connected_order(sorted(amap), q.joins)
     rows = {
         alias: [
             r
