@@ -237,6 +237,18 @@ PRIMARY_KEYS: dict[str, tuple[str, ...]] = {
     "withdrawals": ("hash", "withdrawal_index"),
 }
 
+# Table name as written in rendered SQL text. The SQL stub engine reads it back
+# case-insensitively.
+SQL_TABLE_NAMES: dict[str, str] = {
+    "blocks": "Blocks",
+    "addresses": "Addresses",
+    "transactions": "Transactions",
+    "contracts": "Contracts",
+    "tokens": "Tokens",
+    "token_transactions": "Token_Transactions",
+    "withdrawals": "Withdrawals",
+}
+
 ROW_TYPES = {
     "blocks": Block,
     "addresses": AddressRow,

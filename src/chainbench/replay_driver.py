@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .memstore import BatchRejected, Store, apply_ops
-from .sqlstub import SqlStubEngine, parse_script, to_mutations
+from .sqlstub import SqlParseError, SqlStubEngine, parse_script, to_mutations
 from .workload_gen import Manifest
 
 
@@ -58,7 +58,10 @@ class MemstoreTarget:
         self._cap_overrides = cap_overrides or {}
 
     def apply_script(self, name: str, text: str) -> None:
-        ops = to_mutations(parse_script(text))
+        try:
+            ops = to_mutations(parse_script(text))
+        except SqlParseError as exc:
+            raise ReplayError(f"{name}: {exc}") from exc
         try:
             apply_ops(self.store, ops)
         except BatchRejected as exc:

@@ -5,6 +5,11 @@ balance UPDATE, block_hash NULL-out, keyed DELETE, BEGIN/COMMIT) and applies
 them to plain column-tuple tables. It shares no table or index code with the
 in-memory store, which is what makes SQL-text replay a meaningful independent
 check against structured replay. Each script is applied atomically.
+
+Keyed DELETE and NULL-out must name exactly the table's primary key, so each
+resolves with one lookup in the table's key dict; a write to a missing row is
+refused. Scripts are cut into tokens (string literals, comments, separators
+and runs of other text) by one compiled regex, not by a per-character loop.
 """
 
 from __future__ import annotations
@@ -12,18 +17,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .chain_model import PRIMARY_KEYS, ROW_TYPES, SCHEMA
+from .chain_model import PRIMARY_KEYS, ROW_TYPES, SCHEMA, SQL_TABLE_NAMES
 from .memstore import DeleteRow, InsertRow, Mutation, NullBlockHash, UpdateBalance
 
-_TABLE_BY_SQL_NAME = {
-    "blocks": "blocks",
-    "addresses": "addresses",
-    "transactions": "transactions",
-    "contracts": "contracts",
-    "tokens": "tokens",
-    "token_transactions": "token_transactions",
-    "withdrawals": "withdrawals",
-}
+_TABLE_BY_SQL_NAME = {sql.lower(): table for table, sql in SQL_TABLE_NAMES.items()}
 
 
 class SqlParseError(ValueError):
@@ -45,130 +42,106 @@ class ParsedBalanceUpdate:
 @dataclass(frozen=True)
 class ParsedNullOut:
     table: str
-    conditions: dict[str, object]
+    key: tuple
 
 
 @dataclass(frozen=True)
 class ParsedDelete:
     table: str
-    conditions: dict[str, object]
+    key: tuple
 
 
 ParsedStatement = ParsedInsert | ParsedBalanceUpdate | ParsedNullOut | ParsedDelete
 
+# One token per match: a whole single-quoted literal (with '' escapes), a --
+# comment, a separator or bracket, or a run of anything else. A lone quote is
+# a literal that never closes. The (?!') keeps a literal from ending between
+# the two quotes of an escape.
+_TOKEN_RE = re.compile(r"'[^']*(?:''[^']*)*'(?!')|--[^\n]*|[;,()\[\]]|[^';,()\[\]-]+|-|'")
+
 
 def split_statements(script: str) -> list[str]:
-    """Split on top-level semicolons, honoring single-quoted strings."""
-    body = "\n".join(line for line in script.splitlines() if not line.lstrip().startswith("--"))
+    """Split on top-level semicolons; ``--`` starts a comment only outside
+    string literals."""
     statements: list[str] = []
-    buf: list[str] = []
-    in_string = False
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if in_string:
-            buf.append(ch)
-            if ch == "'":
-                if i + 1 < len(body) and body[i + 1] == "'":
-                    buf.append("'")
-                    i += 1
-                else:
-                    in_string = False
-        elif ch == "'":
-            in_string = True
-            buf.append(ch)
-        elif ch == ";":
-            stmt = "".join(buf).strip()
+    parts: list[str] = []
+    for tok in _TOKEN_RE.findall(script):
+        if tok == ";":
+            stmt = "".join(parts).strip()
             if stmt:
                 statements.append(stmt)
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    trailing = "".join(buf).strip()
+            parts = []
+        elif tok[0] != "-" or tok == "-":  # anything but a comment
+            if tok == "'":
+                stmt = "".join(parts).strip()
+                raise SqlParseError(f"unterminated statement: string literal never closes in {stmt[:60]!r}")
+            parts.append(tok)
+    trailing = "".join(parts).strip()
     if trailing:
         raise SqlParseError(f"unterminated statement: {trailing[:60]!r}")
     return statements
 
 
-def _split_top_level(text: str, separator: str = ",") -> list[str]:
+_OPEN = frozenset("([")
+_CLOSE = frozenset(")]")
+
+
+def _split_top_level(text: str) -> list[str]:
+    """Split on commas outside string literals and brackets."""
     parts: list[str] = []
     buf: list[str] = []
     depth = 0
-    in_string = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_string:
-            buf.append(ch)
-            if ch == "'":
-                if i + 1 < len(text) and text[i + 1] == "'":
-                    buf.append("'")
-                    i += 1
-                else:
-                    in_string = False
-        elif ch == "'":
-            in_string = True
-            buf.append(ch)
-        elif ch in "([":
+    for tok in _TOKEN_RE.findall(text):
+        if tok == ",":
+            if depth == 0:
+                parts.append("".join(buf).strip())
+                buf = []
+                continue
+        elif tok in _OPEN:
             depth += 1
-            buf.append(ch)
-        elif ch in ")]":
+        elif tok in _CLOSE:
             depth -= 1
-            buf.append(ch)
-        elif ch == separator and depth == 0:
-            parts.append("".join(buf).strip())
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
+        buf.append(tok)
     last = "".join(buf).strip()
     if last:
         parts.append(last)
     return parts
 
 
-_INT_RE = re.compile(r"^-?\d+$")
+_INT_RE = re.compile(r"-?\d+")
+# A quoted literal and its suffix. The (?!') makes "'a''" unterminated rather
+# than "'a'" followed by a stray quote.
+_STRING_RE = re.compile(r"'([^']*(?:''[^']*)*)'(?!')(.*)", re.S)
+_KEYWORDS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 
 def parse_literal(token: str):
     token = token.strip()
-    if token == "NULL":
-        return None
-    if token == "TRUE":
-        return True
-    if token == "FALSE":
-        return False
-    if _INT_RE.match(token):
+    if token[:1] == "'":
+        m = _STRING_RE.fullmatch(token)
+        if m is None:
+            raise SqlParseError(f"unterminated string literal: {token!r}")
+        text = m.group(1).replace("''", "'")
+        suffix = m.group(2).strip()
+        if suffix == "::bytea":
+            if text.startswith("\\x"):
+                try:
+                    return bytes.fromhex(text[2:])
+                except ValueError:
+                    pass
+            raise SqlParseError(f"bad bytea literal: {token!r}")
+        if suffix:
+            raise SqlParseError(f"unexpected literal suffix: {suffix!r}")
+        return text
+    if _INT_RE.fullmatch(token):
         return int(token)
+    if token in _KEYWORDS:
+        return _KEYWORDS[token]
     if token.startswith("ARRAY"):
         if token == "ARRAY[]::bytea[]":
             return ()
         inner = token[token.index("[") + 1 : token.rindex("]")]
         return tuple(parse_literal(item) for item in _split_top_level(inner))
-    if token.startswith("'"):
-        end = 1
-        chars: list[str] = []
-        while end < len(token):
-            if token[end] == "'":
-                if end + 1 < len(token) and token[end + 1] == "'":
-                    chars.append("'")
-                    end += 2
-                    continue
-                break
-            chars.append(token[end])
-            end += 1
-        else:
-            raise SqlParseError(f"unterminated string literal: {token!r}")
-        text = "".join(chars)
-        suffix = token[end + 1 :].strip()
-        if suffix == "::bytea":
-            if not text.startswith("\\x"):
-                raise SqlParseError(f"bad bytea literal: {token!r}")
-            return bytes.fromhex(text[2:])
-        if suffix:
-            raise SqlParseError(f"unexpected literal suffix: {suffix!r}")
-        return text
     raise SqlParseError(f"cannot parse literal: {token!r}")
 
 
@@ -188,16 +161,31 @@ def _table_of(sql_name: str) -> str:
     return table
 
 
+_AND_RE = re.compile(r"\s+AND\s+")
+
+
 def _parse_conditions(text: str) -> dict[str, object]:
-    # Key columns are bytes or integers, so " AND " can never appear inside a
-    # condition literal.
+    # Only key columns may be named, and they hold bytes or integers, so
+    # " AND " never appears inside a literal of a WHERE clause that is accepted.
     conditions: dict[str, object] = {}
-    for clause in re.split(r"\s+AND\s+", text.strip()):
-        if "=" not in clause:
+    for clause in _AND_RE.split(text.strip()):
+        col, eq, lit = clause.partition("=")
+        col = col.strip()
+        if not eq or col in conditions:
             raise SqlParseError(f"cannot parse condition {clause!r}")
-        col, _, lit = clause.partition("=")
-        conditions[col.strip()] = parse_literal(lit.strip())
+        conditions[col] = parse_literal(lit)
     return conditions
+
+
+def primary_key(table: str, conditions: dict[str, object]) -> tuple:
+    """The key tuple a keyed write names, in ``PRIMARY_KEYS`` order; the WHERE
+    clause must name exactly the table's primary-key columns."""
+    columns = PRIMARY_KEYS[table]
+    if conditions.keys() != set(columns):
+        raise SqlParseError(
+            f"{table}: WHERE must name exactly the primary key {columns}, got {tuple(conditions)}"
+        )
+    return tuple(conditions[col] for col in columns)
 
 
 def parse_statement(stmt: str) -> ParsedStatement | None:
@@ -216,16 +204,16 @@ def parse_statement(stmt: str) -> ParsedStatement | None:
     m = _BALANCE_RE.match(flat)
     if m:
         sign = -1 if m.group(1) == "-" else 1
-        conditions = _parse_conditions(m.group(3))
-        if set(conditions) != {"address"}:
-            raise SqlParseError(f"balance update must key on address: {flat[:60]!r}")
-        return ParsedBalanceUpdate(conditions["address"], sign * int(m.group(2)))
+        (address,) = primary_key("addresses", _parse_conditions(m.group(3)))
+        return ParsedBalanceUpdate(address, sign * int(m.group(2)))
     m = _NULLOUT_RE.match(flat)
     if m:
-        return ParsedNullOut(_table_of(m.group(1)), _parse_conditions(m.group(2)))
+        table = _table_of(m.group(1))
+        return ParsedNullOut(table, primary_key(table, _parse_conditions(m.group(2))))
     m = _DELETE_RE.match(flat)
     if m:
-        return ParsedDelete(_table_of(m.group(1)), _parse_conditions(m.group(2)))
+        table = _table_of(m.group(1))
+        return ParsedDelete(table, primary_key(table, _parse_conditions(m.group(2))))
     raise SqlParseError(f"unsupported statement: {flat[:80]!r}")
 
 
@@ -247,13 +235,9 @@ def to_mutations(statements: list[ParsedStatement]) -> list[Mutation]:
         elif isinstance(s, ParsedBalanceUpdate):
             ops.append(UpdateBalance(s.address, s.delta))
         elif isinstance(s, ParsedNullOut):
-            key = tuple(s.conditions[col] for col in PRIMARY_KEYS[s.table])
-            ops.append(NullBlockHash(s.table, key))
+            ops.append(NullBlockHash(s.table, s.key))
         elif isinstance(s, ParsedDelete):
-            if set(s.conditions) != set(PRIMARY_KEYS[s.table]):
-                raise SqlParseError(f"delete on {s.table} must key on the primary key")
-            key = tuple(s.conditions[col] for col in PRIMARY_KEYS[s.table])
-            ops.append(DeleteRow(s.table, key))
+            ops.append(DeleteRow(s.table, s.key))
     return ops
 
 
@@ -265,6 +249,14 @@ class SqlStubEngine:
         self._columns = {t: [name for name, _ in cols] for t, cols in SCHEMA.items()}
         self._key_pos = {
             t: [self._columns[t].index(c) for c in PRIMARY_KEYS[t]] for t in SCHEMA
+        }
+        # Tables whose rows may lose their creating block: position of the
+        # nullable block_hash column.
+        self._nullable_block_hash = {
+            t: i
+            for t, cols in SCHEMA.items()
+            for i, (name, kind) in enumerate(cols)
+            if (name, kind) == ("block_hash", "hash?")
         }
 
     def execute(self, script: str) -> None:
@@ -307,26 +299,21 @@ class SqlStubEngine:
             return undo_balance
         if isinstance(s, (ParsedNullOut, ParsedDelete)):
             table = self.tables[s.table]
-            cols = self._columns[s.table]
-            pos = {c: cols.index(c) for c in s.conditions}
-            matches = [k for k, row in table.items() if all(row[pos[c]] == v for c, v in s.conditions.items())]
+            old = table.get(s.key)
+            if old is None:
+                raise SqlParseError(f"{s.table}: no such row {s.key!r}")
             if isinstance(s, ParsedDelete):
-                removed = {k: table.pop(k) for k in matches}
+                del table[s.key]
+            else:
+                bh = self._nullable_block_hash.get(s.table)
+                if bh is None:
+                    raise SqlParseError(f"{s.table}: block_hash is not nullable")
+                table[s.key] = old[:bh] + (None,) + old[bh + 1 :]
 
-                def undo_delete(removed=removed, table=table):
-                    table.update(removed)
+            def undo_keyed(old=old, key=s.key, table=table):
+                table[key] = old
 
-                return undo_delete
-            bh = cols.index("block_hash")
-            before = {k: table[k] for k in matches}
-            for k in matches:
-                row = table[k]
-                table[k] = row[:bh] + (None,) + row[bh + 1 :]
-
-            def undo_null(before=before, table=table):
-                table.update(before)
-
-            return undo_null
+            return undo_keyed
         raise SqlParseError(f"unknown statement type {type(s).__name__}")
 
     def table_multisets(self) -> dict[str, dict[tuple, int]]:

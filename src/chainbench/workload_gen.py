@@ -29,6 +29,7 @@ from .chain_model import (
     ChainDataset,
     PRIMARY_KEYS,
     SCHEMA,
+    SQL_TABLE_NAMES,
     encode_hex,
     referenced_addresses,
 )
@@ -36,16 +37,6 @@ from .ingest_slice import build_ledger, extract_slice
 from .memstore import DeleteRow, InsertRow, Mutation, NullBlockHash, UpdateBalance
 
 log = logging.getLogger(__name__)
-
-SQL_TABLE_NAMES = {
-    "blocks": "Blocks",
-    "addresses": "Addresses",
-    "transactions": "Transactions",
-    "contracts": "Contracts",
-    "tokens": "Tokens",
-    "token_transactions": "Token_Transactions",
-    "withdrawals": "Withdrawals",
-}
 
 
 class WorkloadError(ValueError):

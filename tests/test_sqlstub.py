@@ -1,7 +1,14 @@
+import dataclasses
+import tempfile
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chainbench import memstore
-from chainbench.memstore import Store
+from chainbench.chain_model import AddressRow
+from chainbench.memstore import BatchRejected, DeleteRow, InsertRow, NullBlockHash, Store
+from chainbench.replay_driver import MemstoreTarget, ReplayError, SqlStubTarget, replay
 from chainbench.sqlstub import (
     SqlParseError,
     SqlStubEngine,
@@ -11,7 +18,14 @@ from chainbench.sqlstub import (
     to_mutations,
 )
 from chainbench.synth_chain import SynthConfig, generate
-from chainbench.workload_gen import WorkloadConfig, gen_batches, gen_initial, render_sql
+from chainbench.workload_gen import (
+    Batch,
+    WorkloadConfig,
+    gen_batches,
+    gen_initial,
+    render_sql,
+    write_workload,
+)
 
 
 def test_parse_literals():
@@ -96,3 +110,211 @@ def test_to_mutations_round_trip():
         memstore.apply_ops(via_sql, to_mutations(parse_script(render_sql(batch))))
     assert direct.table_multisets() == via_sql.table_multisets()
     assert direct.balances == via_sql.balances
+
+
+ADDR = "'\\x" + "ab" * 20 + "'::bytea"
+HASH = "'\\x" + "cd" * 32 + "'::bytea"
+
+
+@pytest.mark.parametrize(
+    "fn,text,match",
+    [
+        (split_statements, "BEGIN;\nCOMMIT", "unterminated statement"),
+        (split_statements, "INSERT INTO Tokens (name) VALUES ('a;b);\n", "unterminated statement"),
+        (parse_literal, "'abc", "unterminated string literal"),
+        (parse_literal, "'a''", "unterminated string literal"),
+        (parse_literal, "'01'::bytea", "bad bytea"),
+        (parse_literal, "'\\xzz'::bytea", "bad bytea"),
+        (parse_literal, "'abc'::text", "unexpected literal suffix"),
+        (parse_literal, "abc", "cannot parse literal"),
+        (parse_script, "INSERT INTO Addresses (address) VALUES (" + ADDR + ", 5);", "arity mismatch"),
+        (parse_script, "INSERT INTO Nowhere (a) VALUES (1);", "unknown table"),
+        (parse_script, "SELECT 1;", "unsupported statement"),
+    ],
+)
+def test_parse_errors(fn, text, match):
+    with pytest.raises(SqlParseError, match=match):
+        fn(text)
+
+
+def test_comment_marker_inside_a_string_literal_is_text():
+    script = (
+        "-- header; with semicolon\n"
+        "BEGIN;\n"
+        "INSERT INTO Tokens (symbol) VALUES ('a\n-- b;');\n"
+        "COMMIT; -- trailing\n"
+    )
+    stmts = split_statements(script)
+    assert stmts == ["BEGIN", "INSERT INTO Tokens (symbol) VALUES ('a\n-- b;')", "COMMIT"]
+
+    ds = generate(SynthConfig(seed=104, n_blocks=10, mean_tx_per_block=4, address_pool=20, n_tokens=3))
+    load = gen_initial(ds, WorkloadConfig(init_blocks=10, granularity=1))
+    ops = tuple(
+        InsertRow(op.table, dataclasses.replace(op.row, symbol="a\n-- b")) if op.table == "tokens" else op
+        for op in load.ops
+    )
+    assert any(op.table == "tokens" for op in ops if isinstance(op, InsertRow))
+    batch = dataclasses.replace(load, ops=ops)
+    assert to_mutations(parse_script(render_sql(batch))) == list(ops)
+    SqlStubEngine().execute(render_sql(batch))
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "UPDATE Tokens SET block_hash = NULL WHERE name = 'x';",
+        "UPDATE Contracts SET block_hash = NULL WHERE address = " + ADDR + ";",
+        "UPDATE Tokens SET block_hash = NULL WHERE address = " + ADDR + " AND name = 'x';",
+        "DELETE FROM Withdrawals WHERE hash = " + HASH + ";",
+        "DELETE FROM Blocks WHERE hash = " + HASH + " AND hash = " + HASH + ";",
+        "DELETE FROM Blocks WHERE number = 3;",
+        "UPDATE Addresses SET eth_balance = eth_balance + 1 WHERE eth_balance = 0;",
+    ],
+)
+def test_keyed_writes_must_name_exactly_the_primary_key(script):
+    with pytest.raises(SqlParseError, match="exactly the primary key|cannot parse condition"):
+        parse_script(script)
+    with pytest.raises(SqlParseError):
+        SqlStubEngine().execute(script)
+    with pytest.raises(ReplayError):
+        MemstoreTarget().apply_script("bad.sql", script)
+
+
+@pytest.fixture(scope="module")
+def loaded_workload():
+    ds = generate(SynthConfig(seed=105, n_blocks=30, mean_tx_per_block=8, address_pool=30, n_tokens=4))
+    cfg = WorkloadConfig(init_blocks=15, granularity=5, expire=True)
+    return gen_initial(ds, cfg), gen_batches(ds, cfg)[0]
+
+
+_MISSING_KEYS = {
+    "blocks": (b"\xee" * 32,),
+    "transactions": (b"\xee" * 32,),
+    "token_transactions": (b"\xee" * 32, 0),
+    "withdrawals": (b"\xee" * 32, 0),
+    "tokens": (b"\xee" * 20,),
+    "contracts": (b"\xee" * 20, 0),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_MISSING_KEYS))
+def test_both_routes_refuse_a_keyed_write_to_a_missing_row_at_the_same_index(loaded_workload, table):
+    load, _ = loaded_workload
+    op = NullBlockHash if table in ("tokens", "contracts") else DeleteRow
+    ops = (InsertRow("addresses", AddressRow(b"\xee" * 20, 0)), op(table, _MISSING_KEYS[table]))
+    script = render_sql(Batch(1, "expire", 0, 0, ops))
+
+    engine = SqlStubEngine()
+    engine.execute(render_sql(load))
+    before = engine.table_multisets()
+    with pytest.raises(SqlParseError, match=f"statement 1: {table}: no such row"):
+        engine.execute(script)
+    assert engine.table_multisets() == before
+
+    store = Store()
+    memstore.apply(store, load)
+    with pytest.raises(BatchRejected) as rejected:
+        memstore.apply_ops(store, to_mutations(parse_script(script)))
+    assert rejected.value.op_index == 1
+    assert store.table_multisets() == before
+
+
+def test_both_routes_refuse_a_null_out_of_a_required_block_hash(loaded_workload):
+    load, _ = loaded_workload
+    tx = next(op.row for op in load.ops if isinstance(op, InsertRow) and op.table == "transactions")
+    script = render_sql(Batch(1, "expire", 0, 0, (NullBlockHash("transactions", (tx.hash,)),)))
+
+    engine = SqlStubEngine()
+    engine.execute(render_sql(load))
+    with pytest.raises(SqlParseError, match="statement 0: transactions: block_hash is not nullable"):
+        engine.execute(script)
+    store = Store()
+    memstore.apply(store, load)
+    with pytest.raises(BatchRejected) as rejected:
+        memstore.apply_ops(store, to_mutations(parse_script(script)))
+    assert rejected.value.op_index == 0
+
+
+def test_stub_refuses_a_delete_on_an_empty_engine():
+    with pytest.raises(SqlParseError, match="no such row"):
+        SqlStubEngine().execute("DELETE FROM Blocks WHERE hash = '\\x01'::bytea;")
+
+
+# Text that the renderer must quote and the tokenizer must keep inside one literal.
+_TRICKY_TEXT = st.lists(
+    st.sampled_from(["'", "''", ";", ",", "(", ")", "[", "]", " AND ", "--", "\n", "\r", "a", " ", "\\x", "é"]),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pick=st.integers(0, 2**16), texts=st.lists(st.tuples(_TRICKY_TEXT, _TRICKY_TEXT), min_size=1, max_size=8))
+def test_render_parse_round_trip_with_tricky_text(loaded_workload, pick, texts):
+    load, pairs = loaded_workload
+    batches = [load] + [b for p in pairs for b in (p.expire, p.upsert) if b is not None]
+    batch = batches[pick % len(batches)]
+    ops = []
+    for op in batch.ops:
+        if isinstance(op, InsertRow) and op.table == "tokens":
+            symbol, name = texts[len(ops) % len(texts)]
+            op = InsertRow("tokens", dataclasses.replace(op.row, symbol=symbol, name=name))
+        ops.append(op)
+    batch = dataclasses.replace(batch, ops=tuple(ops))
+    assert to_mutations(parse_script(render_sql(batch))) == list(batch.ops)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    init_blocks=st.integers(1, 10),
+    granularity=st.integers(1, 40),
+    expire=st.booleans(),
+)
+def test_stub_text_and_structured_replay_agree_on_every_workload_shape(seed, init_blocks, granularity, expire):
+    ds = generate(SynthConfig(seed=seed, n_blocks=45, mean_tx_per_block=4, address_pool=25, n_tokens=4))
+    cfg = WorkloadConfig(init_blocks=init_blocks, granularity=granularity, expire=expire)
+    structured = Store()
+    memstore.apply(structured, gen_initial(ds, cfg))
+    for pair in gen_batches(ds, cfg)[0]:
+        if pair.expire is not None:
+            memstore.apply(structured, pair.expire)
+        memstore.apply(structured, pair.upsert)
+
+    stub, text = SqlStubTarget(), MemstoreTarget()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_workload(ds, cfg, tmp)
+        replay(stub, tmp)
+        replay(text, tmp)
+    expected = structured.table_multisets()
+    assert stub.engine.table_multisets() == expected
+    assert text.store.table_multisets() == expected
+
+
+class _NoScan(dict):
+    """A table that fails any attempt to iterate it."""
+
+    def _scan(self, *args):
+        raise AssertionError("table scanned")
+
+    items = values = keys = __iter__ = _scan
+
+
+def test_keyed_delete_and_null_out_never_iterate_the_table(loaded_workload):
+    load, pairs = loaded_workload
+    engine = SqlStubEngine()
+    engine.execute(render_sql(load))
+    expected = Store()
+    memstore.apply(expected, load)
+    engine.tables = {name: _NoScan(rows) for name, rows in engine.tables.items()}
+
+    expire = pairs[0].expire
+    assert {type(op) for op in expire.ops} >= {DeleteRow, NullBlockHash}
+    # A failing final statement rolls the keyed writes back, also without a scan.
+    failing = dataclasses.replace(expire, ops=expire.ops + (DeleteRow("blocks", (b"\xee" * 32,)),))
+    with pytest.raises(SqlParseError, match="no such row"):
+        engine.execute(render_sql(failing))
+    engine.execute(render_sql(expire))
+    memstore.apply(expected, expire)
+
+    engine.tables = {name: dict(dict.items(rows)) for name, rows in engine.tables.items()}
+    assert engine.table_multisets() == expected.table_multisets()
