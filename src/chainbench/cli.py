@@ -29,7 +29,7 @@ from .eval_harness import (
 )
 from .ingest_slice import extract_slice, read_export, write_export
 from .query_assets import load_workload, schema_sql
-from .replay_driver import connect_target, load_target_config, manifest_hash, replay
+from .replay_driver import ReplayError, connect_target, load_target_config, manifest_hash, replay
 from .scenario import load_manifest, run_scenario
 from .synth_chain import SynthConfig, generate
 from .workload_gen import WorkloadConfig, write_workload
@@ -111,6 +111,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         target = connect_target(load_target_config(args.target_config))
     else:
         target = connect_target({"kind": args.target})
+    if args.resume and not target.durable:
+        raise ReplayError(
+            f"cannot resume on target {target.kind}: it keeps no state between processes, "
+            "so this process would start from an empty store; replay from the start instead"
+        )
     mode = "realtime" if args.realtime is not None else "max-speed"
     report = replay(
         target,
@@ -289,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("memstore", "sqlstub"), default="memstore")
     p.add_argument("--target-config", help="JSON connection config (overrides --target)")
     p.add_argument("--realtime", type=float, metavar="SCALE", help="pace by timestamp gaps divided by SCALE")
-    p.add_argument("--resume", action="store_true", help="resume from the checkpoint")
+    p.add_argument("--resume", action="store_true", help="resume from the checkpoint (durable targets only)")
     p.add_argument("--report", help="where to write the replay report JSON")
     p.set_defaults(func=_cmd_replay)
 

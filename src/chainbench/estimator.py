@@ -16,8 +16,13 @@ contains / 0.995 not-contains) so their failure mode stays transparent.
 
 from __future__ import annotations
 
+import heapq
 import json
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import attrgetter
 from pathlib import Path
 
 from .chain_model import SCHEMA
@@ -48,34 +53,36 @@ class ColumnStats:
 
 def build_column_stats(values: list, n_buckets: int = 100, mcv_k: int = 10) -> ColumnStats:
     n_rows = len(values)
-    non_null = [v for v in values if v is not None]
-    null_fraction = 1.0 - len(non_null) / n_rows if n_rows else 0.0
+    counts = Counter(values)
+    n_null = counts.pop(None, 0)
+    n = n_rows - n_null  # non-null values
+    null_fraction = 1.0 - n / n_rows if n_rows else 0.0
+    ndv = len(counts)
 
-    freq: dict = {}
-    for v in non_null:
-        freq[v] = freq.get(v, 0) + 1
-    ndv = len(freq)
+    if counts and all(isinstance(v, bool) for v in counts):
+        return ColumnStats(n_rows, null_fraction, ndv, (), (), counts[True] / n)
+    if not counts:
+        return ColumnStats(n_rows, null_fraction, 0)
 
-    bool_true_fraction = None
-    if non_null and all(isinstance(v, bool) for v in non_null):
-        bool_true_fraction = sum(1 for v in non_null if v) / len(non_null)
-        return ColumnStats(n_rows, null_fraction, ndv, (), (), bool_true_fraction)
-
-    boundaries: tuple = ()
-    if non_null:
-        ordered = sorted(non_null)
-        n = len(ordered)
-        buckets = min(n_buckets, n)
-        # Upper bound at each bucket's last rank: populations are equal to
-        # within one row by construction.
-        bounds = [ordered[0]]
-        for j in range(1, buckets + 1):
-            bounds.append(ordered[(j * n) // buckets - 1])
-        boundaries = tuple(bounds)
-
-    top = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:mcv_k]
-    mcv = tuple((v, c / len(non_null)) for v, c in top) if non_null else ()
-    return ColumnStats(n_rows, null_fraction, ndv, boundaries, mcv, bool_true_fraction)
+    # Upper bound at each bucket's last rank: populations are equal to
+    # within one row by construction. Only the ndv distinct values are sorted;
+    # rank r of the sorted column is the first of them whose cumulative count
+    # exceeds r.
+    keys = sorted(counts)
+    buckets = min(n_buckets, n)
+    ranks = [(j * n) // buckets - 1 for j in range(1, buckets + 1)]
+    if ndv == n:  # every value distinct (hash columns): rank r is keys[r]
+        bounds = [keys[r] for r in ranks]
+        top = range(min(mcv_k, ndv))
+    else:
+        freq = [counts[k] for k in keys]
+        cumulative = list(accumulate(freq))
+        bounds = [keys[bisect_right(cumulative, r)] for r in ranks]
+        # nlargest is stable, so tied counts keep ascending value order.
+        top = heapq.nlargest(mcv_k, range(ndv), key=freq.__getitem__)
+    boundaries = (keys[0], *bounds)
+    mcv = tuple((keys[i], counts[keys[i]] / n) for i in top)
+    return ColumnStats(n_rows, null_fraction, ndv, boundaries, mcv)
 
 
 @dataclass
@@ -99,8 +106,9 @@ def refresh(
 ) -> StatsCatalog:
     """Build a catalog from full column scans of the current store state.
 
-    ``columns`` restricts the scan; by default every schema column is covered.
-    Rebuilding on an unchanged store yields an identical catalog.
+    Each table is read once, and every wanted column of it is taken from that
+    one scan. ``columns`` restricts the scan; by default every schema column
+    is covered. Rebuilding on an unchanged store yields an identical catalog.
     """
     wanted = columns if columns is not None else {
         (table, name) for table, cols in SCHEMA.items() for name, _ in cols
@@ -109,9 +117,14 @@ def refresh(
         built_at=label,
         row_counts={table: store.row_count(table) for table in SCHEMA},
     )
+    by_table: dict[str, list[str]] = defaultdict(list)
     for table, name in sorted(wanted):
-        values = [getattr(row, name) for row in store.rows(table)]
-        cat.columns[(table, name)] = build_column_stats(values, n_buckets=n_buckets)
+        by_table[table].append(name)
+    for table, names in by_table.items():
+        rows = list(store.rows(table))  # one scan per table, shared by its columns
+        for name in names:
+            values = list(map(attrgetter(name), rows))
+            cat.columns[(table, name)] = build_column_stats(values, n_buckets=n_buckets)
     return cat
 
 

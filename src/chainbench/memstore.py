@@ -10,6 +10,7 @@ model. One writer at a time; readers must not overlap a mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .chain_model import AddressRow, ChainDataset, SCHEMA, WEI_MAX, encode_hex
@@ -95,29 +96,6 @@ class Filter:
     def __post_init__(self) -> None:
         if self.op not in self._OPS:
             raise ValueError(f"unknown filter op {self.op!r}")
-
-    def matches(self, cell) -> bool:
-        if cell is None:
-            return False  # SQL semantics: NULL satisfies no predicate
-        if self.op == "range":
-            lo, hi = self.value
-            return lo <= cell <= hi
-        if self.op == "eq":
-            return cell == self.value
-        if self.op == "ne":
-            return cell != self.value
-        if self.op == "is_true":
-            return cell is True
-        if self.op == "is_false":
-            return cell is False
-        if self.op == "contains":
-            return self.value in cell
-        if self.op == "not_contains":
-            return self.value not in cell
-        if self.op == "ge":
-            return cell >= self.value
-        return cell <= self.value  # le
-
 
 @dataclass(frozen=True)
 class SPJQuery:
@@ -575,11 +553,43 @@ def snapshot_blocks(store: Store) -> list[int]:
     return sorted(store.block_by_number)
 
 
+def _cell_test(f: Filter) -> Callable[[object], bool]:
+    """``f`` as a one-argument test on a cell. SQL semantics: NULL satisfies
+    no predicate."""
+    op, value = f.op, f.value
+    if op == "range":
+        lo, hi = value
+        return lambda cell: cell is not None and lo <= cell <= hi
+    if op == "eq":
+        return lambda cell: cell is not None and cell == value
+    if op == "ne":
+        return lambda cell: cell is not None and cell != value
+    if op == "is_true":
+        return lambda cell: cell is True
+    if op == "is_false":
+        return lambda cell: cell is False
+    if op == "contains":
+        return lambda cell: cell is not None and value in cell
+    if op == "not_contains":
+        return lambda cell: cell is not None and value not in cell
+    if op == "ge":
+        return lambda cell: cell is not None and cell >= value
+    return lambda cell: cell is not None and cell <= value  # le
+
+
 def base_relation(store: Store, table: str, filters: Sequence[Filter]) -> list:
-    """Rows of ``table`` that satisfy every filter: one alias's input to a join."""
+    """Rows of ``table`` that satisfy every filter: one alias's input to a join.
+
+    The filters run one after another, each over the rows the previous one
+    kept.
+    """
     if not filters:
         return list(store.rows(table))
-    return [row for row in store.rows(table) if all(p.matches(getattr(row, p.column)) for p in filters)]
+    rows = store.rows(table)
+    for f in filters:
+        column, test = attrgetter(f.column), _cell_test(f)
+        rows = [row for row in rows if test(column(row))]
+    return rows
 
 
 def count(store: Store, q: SPJQuery, relations: dict | None = None) -> int:

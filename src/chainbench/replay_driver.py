@@ -7,8 +7,9 @@ target, and a checkpoint is written after every batch, so a halted replay can
 resume without re-applying completed batches. The crash window between a
 target commit and the checkpoint write is the target's concern: durable
 targets should bind the checkpoint into the same transaction or tolerate
-replayed duplicates; the bundled in-process targets never expose it because
-they die with the process.
+replayed duplicates. The bundled targets are in-process (``durable`` is
+False): their state dies with the process, so only the same target object
+can resume, and the CLI refuses ``--resume`` for them.
 
 Between batches, registered hooks run synchronously on the replay thread;
 that is where drift probes and other experiments observe each state.
@@ -52,6 +53,7 @@ class MemstoreTarget:
     """Replay target that recovers structured mutations from the SQL text."""
 
     kind = "memstore"
+    durable = False  # in-process: a new process starts from an empty store
 
     def __init__(self, store: Store | None = None, cap_overrides: dict | None = None):
         self.store = store if store is not None else Store()
@@ -76,6 +78,7 @@ class SqlStubTarget:
     """Replay target executing the SQL text against the stub engine."""
 
     kind = "sqlstub"
+    durable = False  # in-process: a new process starts from an empty engine
 
     def __init__(self, engine: SqlStubEngine | None = None, cap_overrides: dict | None = None):
         self.engine = engine if engine is not None else SqlStubEngine()
@@ -243,7 +246,8 @@ def replay(
     def run_unit(index: int, names: list[str]) -> None:
         # A batch may span two files (expire + upserts). Each file is one
         # target transaction, so the checkpoint tracks file progress: a crash
-        # between the files resumes with the remaining file only.
+        # between the files resumes with the remaining file only. After the
+        # last file, the batch-complete write below is the next write.
         nonlocal completed, partial
         for name in names:
             if name in partial:
@@ -255,7 +259,8 @@ def replay(
                 raise ReplayError(str(exc), batch_index=index, statement=exc.statement) from exc
             elapsed = (time.perf_counter() - start) * 1000.0
             partial.add(name)
-            _write_checkpoint(wdir, ReplayCheckpoint(digest, completed, sorted(partial), time.time()))
+            if name != names[-1]:
+                _write_checkpoint(wdir, ReplayCheckpoint(digest, completed, sorted(partial), time.time()))
             report.applied.append({"index": index, "file": name, "ms": elapsed})
         completed = index
         partial = set()

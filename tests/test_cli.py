@@ -77,6 +77,28 @@ def test_replay_subcommand(tmp_path):
     assert [entry["index"] for entry in report["applied"]] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("last_batch", [None, 1])
+@pytest.mark.parametrize("target", ["memstore", "sqlstub"])
+def test_replay_resume_refuses_in_process_targets(tmp_path, capsys, target, last_batch):
+    out = _synth(tmp_path)
+    wl = tmp_path / "workload"
+    main(["gen-updates", "--export", str(out), "--init", "20", "--granularity", "5", "--expire", "--out", str(wl)])
+    assert main(["replay", "--workload", str(wl), "--target", target]) == 0
+    ckpt_path = wl / "replay.ckpt.json"
+    if last_batch is not None:  # a replay halted after batch 1
+        ckpt = json.loads(ckpt_path.read_text())
+        ckpt["last_batch"] = last_batch
+        ckpt_path.write_text(json.dumps(ckpt))
+    before = ckpt_path.read_bytes()
+    (wl / "replay_report.json").unlink()
+    capsys.readouterr()
+    assert main(["replay", "--workload", str(wl), "--target", target, "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert f"target {target}" in err and "keeps no state between processes" in err
+    assert ckpt_path.read_bytes() == before
+    assert not (wl / "replay_report.json").exists()
+
+
 def test_run_queries_counts_q1(tmp_path, capsys):
     out = _synth(tmp_path)
     assert main(["run-queries", "--export", str(out), "--ids", "Q1,Q2"]) == 0

@@ -1,6 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainbench import memstore
 from chainbench.chain_model import AddressRow
@@ -14,8 +18,9 @@ from chainbench.estimator import (
 )
 from chainbench.memstore import Filter, InsertRow, SPJQuery, Store, apply_ops
 from chainbench.synth_chain import SynthConfig, generate
+from chainbench.workload_gen import WorkloadConfig, gen_batches, gen_initial
 
-from util import addr, make_block, make_tx
+from util import addr, make_block, make_tx, naive_column_stats
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +181,51 @@ def test_catalog_json_round_trip(store):
         filters=[Filter("a", "eth_balance", "ge", 10**18)],
     )
     assert estimate(clone, q) == estimate(cat, q)
+
+
+# One column type per list, as in a table column: few distinct values so that
+# duplicates and tied counts are common, plus wide ints for hash-like columns.
+_CELLS = (
+    st.integers(-4, 4) | st.integers(-(2**256), 2**256),
+    st.binary(max_size=2),
+    st.text(alphabet="abc", max_size=2),
+    st.booleans(),
+    st.lists(st.binary(max_size=1), max_size=2).map(tuple),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=st.sampled_from(_CELLS).flatmap(lambda cells: st.lists(st.none() | cells, max_size=250)),
+    n_buckets=st.sampled_from((1, 2, 3, 100)),
+    mcv_k=st.sampled_from((1, 3, 10)),
+)
+@example(values=[], n_buckets=1, mcv_k=10)
+@example(values=[None] * 7, n_buckets=3, mcv_k=10)
+@example(values=[3, None, 1], n_buckets=100, mcv_k=10)
+@example(values=[b"b", b"a", b"b", b"a", b"c"], n_buckets=2, mcv_k=1)
+def test_column_stats_match_the_naive_oracle(values, n_buckets, mcv_k):
+    assert build_column_stats(values, n_buckets, mcv_k) == naive_column_stats(values, n_buckets, mcv_k)
+
+
+def _catalog_digest(store) -> str:
+    return hashlib.sha256(json.dumps(catalog_to_dict(refresh(store)), sort_keys=True).encode()).hexdigest()
+
+
+def test_full_catalog_is_pinned():
+    # sha256 of every schema column's statistics, recorded before refresh read
+    # each table once and counted distinct values only.
+    ds = generate(SynthConfig(seed=23, n_blocks=60, mean_tx_per_block=12, address_pool=60, n_tokens=6))
+    cfg = WorkloadConfig(init_blocks=30, granularity=5, expire=True)
+    store = Store()
+    memstore.apply(store, gen_initial(ds, cfg))
+    digests = [_catalog_digest(store)]
+    pairs, _ = gen_batches(ds, cfg)
+    for pair in pairs[:3]:
+        memstore.apply(store, pair.expire)
+        memstore.apply(store, pair.upsert)
+    digests.append(_catalog_digest(store))
+    assert digests == [
+        "8c91df3f50b758c686352bffb9da6f9f89e37bb5ea3349d4819b8203551b6b05",
+        "70f594f2642c5092386976685dc7d5e57939446362ec3e86be77805bb2c48e9b",
+    ]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chainbench import memstore
+from chainbench import memstore, replay_driver
 from chainbench.memstore import Store
 from chainbench.replay_driver import (
     CheckpointMismatch,
@@ -151,6 +151,31 @@ def test_mid_batch_failure_keeps_target_consistent(workload):
     assert [entry["index"] for entry in report.applied] == [3, 3]
     expected = _expected_store(ds, cfg)
     assert target.store.table_multisets() == expected.table_multisets()
+
+
+def test_checkpoint_written_after_each_file_but_a_units_last(workload, monkeypatch):
+    _, _, wdir = workload
+    writes = []
+    original = replay_driver._write_checkpoint
+
+    def counted(path, ckpt):
+        writes.append((ckpt.last_batch, ckpt.partial_files))
+        original(path, ckpt)
+
+    monkeypatch.setattr(replay_driver, "_write_checkpoint", counted)
+    replay(MemstoreTarget(), wdir)
+    # The load writes once, each expire+upsert batch twice: after its expire
+    # file and when it completes.
+    assert writes == [
+        (0, []),
+        (0, ["expire-000001.sql"]),
+        (1, []),
+        (1, ["expire-000002.sql"]),
+        (2, []),
+        (2, ["expire-000003.sql"]),
+        (3, []),
+    ]
+    assert read_checkpoint(wdir).last_batch == 3
 
 
 def test_checkpoint_mismatch_refuses(workload, tmp_path):

@@ -20,6 +20,7 @@ from chainbench.chain_model import (
     Transaction,
     Withdrawal,
 )
+from chainbench.estimator import ColumnStats
 from chainbench.memstore import Filter, SPJQuery, Store
 
 
@@ -46,6 +47,38 @@ def _oracle_matches(f: Filter, row) -> bool:
     if f.op == "le":
         return v <= f.value
     raise AssertionError(f.op)
+
+
+def naive_column_stats(values: list, n_buckets: int = 100, mcv_k: int = 10) -> ColumnStats:
+    """Column statistics the plain way: sort every value, count with a dict,
+    and rank the most common values by (-count, value)."""
+    n_rows = len(values)
+    non_null = [v for v in values if v is not None]
+    null_fraction = 1.0 - len(non_null) / n_rows if n_rows else 0.0
+
+    freq: dict = {}
+    for v in non_null:
+        freq[v] = freq.get(v, 0) + 1
+    ndv = len(freq)
+
+    bool_true_fraction = None
+    if non_null and all(isinstance(v, bool) for v in non_null):
+        bool_true_fraction = sum(1 for v in non_null if v) / len(non_null)
+        return ColumnStats(n_rows, null_fraction, ndv, (), (), bool_true_fraction)
+
+    boundaries: tuple = ()
+    if non_null:
+        ordered = sorted(non_null)
+        n = len(ordered)
+        buckets = min(n_buckets, n)
+        bounds = [ordered[0]]
+        for j in range(1, buckets + 1):
+            bounds.append(ordered[(j * n) // buckets - 1])
+        boundaries = tuple(bounds)
+
+    top = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:mcv_k]
+    mcv = tuple((v, c / len(non_null)) for v, c in top) if non_null else ()
+    return ColumnStats(n_rows, null_fraction, ndv, boundaries, mcv, bool_true_fraction)
 
 
 def _connected_order(aliases: list[str], joins) -> list[str]:
