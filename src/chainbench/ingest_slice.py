@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -331,12 +332,24 @@ class BalanceLedger:
     transfer value plus withdrawal credits. Addresses absent from the snapshot
     start from 0 before deltas. Gas and fee flows are not in the schema and
     are deliberately not modelled.
+
+    The deltas are also indexed by block, so ``touched_in_range`` costs the
+    blocks in the range rather than every address.
     """
 
     final_balances: dict[bytes, int]
     final_block: int
     first_block: int
     deltas: dict[bytes, list[tuple[int, int]]]  # address -> sorted (block, delta)
+    _blocks: list[int] = field(init=False, repr=False, compare=False)  # sorted blocks with a delta
+    _by_block: dict[int, list[tuple[bytes, int]]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_block = {}
+        for addr, entries in self.deltas.items():
+            for blk, delta in entries:
+                self._by_block.setdefault(blk, []).append((addr, delta))
+        self._blocks = sorted(self._by_block)
 
     def balance_at(self, address: bytes, block: int) -> int:
         bal = self.final_balances.get(address, 0)
@@ -350,12 +363,12 @@ class BalanceLedger:
 
     def touched_in_range(self, lo: int, hi: int) -> dict[bytes, int]:
         """Net nonzero per-address delta over blocks [lo, hi]."""
-        out: dict[bytes, int] = {}
-        for addr, entries in self.deltas.items():
-            net = sum(d for blk, d in entries if lo <= blk <= hi)
-            if net:
-                out[addr] = net
-        return out
+        net: dict[bytes, int] = {}
+        blocks = self._blocks
+        for i in range(bisect_left(blocks, lo), bisect_right(blocks, hi)):
+            for addr, delta in self._by_block[blocks[i]]:
+                net[addr] = net.get(addr, 0) + delta
+        return {addr: d for addr, d in net.items() if d}
 
     def consistency_warnings(self) -> list[tuple[bytes, int]]:
         """(address, block) pairs where the derived balance dips below zero."""

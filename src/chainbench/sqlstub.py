@@ -7,17 +7,30 @@ in-memory store, which is what makes SQL-text replay a meaningful independent
 check against structured replay. Each script is applied atomically.
 
 Keyed DELETE and NULL-out must name exactly the table's primary key, so each
-resolves with one lookup in the table's key dict; a write to a missing row is
-refused. Scripts are cut into tokens (string literals, comments, separators
-and runs of other text) by one compiled regex, not by a per-character loop.
+resolves with one lookup in the table's key dict; a write to a missing row,
+and a balance UPDATE that leaves ``[0, WEI_MAX)``, are refused.
+
+Parsing takes one regex pass per statement. One compiled statement regex
+cuts the script at top-level semicolons (string literals with ``''``
+escapes and ``--`` comments, which start only outside literals, are matched
+whole), and one ``findall`` of a value regex turns an INSERT's VALUES list
+into typed values. A list not in the form the renderer writes is parsed
+again item by item with ``parse_literal``, which gives the same result or
+error as the earlier two-pass parser. That path also accepts a few value
+shapes the renderer never writes, such as whitespace before ``::bytea`` or
+inside ARRAY brackets, and ARRAY items that are not bytea. The patterns are
+written unrolled, without the possessive quantifiers and atomic groups that
+need Python 3.11, and no input makes them backtrack through alternative
+splits.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
-from .chain_model import PRIMARY_KEYS, ROW_TYPES, SCHEMA, SQL_TABLE_NAMES
+from .chain_model import PRIMARY_KEYS, ROW_TYPES, SCHEMA, SQL_TABLE_NAMES, WEI_MAX
 from .memstore import DeleteRow, InsertRow, Mutation, NullBlockHash, UpdateBalance
 
 _TABLE_BY_SQL_NAME = {sql.lower(): table for table, sql in SQL_TABLE_NAMES.items()}
@@ -56,29 +69,42 @@ ParsedStatement = ParsedInsert | ParsedBalanceUpdate | ParsedNullOut | ParsedDel
 # One token per match: a whole single-quoted literal (with '' escapes), a --
 # comment, a separator or bracket, or a run of anything else. A lone quote is
 # a literal that never closes. The (?!') keeps a literal from ending between
-# the two quotes of an escape.
+# the two quotes of an escape. Only the item-by-item parse of values outside
+# the rendered form (``_split_top_level``) still tokenizes.
 _TOKEN_RE = re.compile(r"'[^']*(?:''[^']*)*'(?!')|--[^\n]*|[;,()\[\]]|[^';,()\[\]-]+|-|'")
+
+# A string literal with '' escapes; (?!') makes its end unique, so "'a''b'"
+# is one literal and never two adjacent ones.
+_LITERAL = r"'[^']*(?:''[^']*)*'(?!')"
+# A comment runs to the end of its line; a lone - is text.
+_COMMENT = r"--[^\n]*(?![^\n])"
+# One statement body, then what ended it: ';', a quote that opens no literal,
+# or the end of the script. Written unrolled (text, then any number of
+# literal/comment/dash items each followed by text): every item starts with a
+# character the text runs exclude, so each body has one match and a failure
+# cannot backtrack through alternative splits.
+_STATEMENT_RE = re.compile(
+    rf"([^';-]*(?:(?:{_LITERAL}|{_COMMENT}|-(?!-))[^';-]*)*)(;|'|\Z)"
+)
+# Literals (kept) and comments (dropped) in a statement body.
+_COMMENT_RE = re.compile(rf"({_LITERAL})|{_COMMENT}")
 
 
 def split_statements(script: str) -> list[str]:
     """Split on top-level semicolons; ``--`` starts a comment only outside
     string literals."""
     statements: list[str] = []
-    parts: list[str] = []
-    for tok in _TOKEN_RE.findall(script):
-        if tok == ";":
-            stmt = "".join(parts).strip()
+    for body, end in _STATEMENT_RE.findall(script):
+        if "--" in body:
+            body = _COMMENT_RE.sub(r"\1", body)
+        stmt = body.strip()
+        if end == ";":
             if stmt:
                 statements.append(stmt)
-            parts = []
-        elif tok[0] != "-" or tok == "-":  # anything but a comment
-            if tok == "'":
-                stmt = "".join(parts).strip()
-                raise SqlParseError(f"unterminated statement: string literal never closes in {stmt[:60]!r}")
-            parts.append(tok)
-    trailing = "".join(parts).strip()
-    if trailing:
-        raise SqlParseError(f"unterminated statement: {trailing[:60]!r}")
+        elif end:
+            raise SqlParseError(f"unterminated statement: string literal never closes in {stmt[:60]!r}")
+        elif stmt:
+            raise SqlParseError(f"unterminated statement: {stmt[:60]!r}")
     return statements
 
 
@@ -137,12 +163,55 @@ def parse_literal(token: str):
         return int(token)
     if token in _KEYWORDS:
         return _KEYWORDS[token]
-    if token.startswith("ARRAY"):
+    if token.startswith("ARRAY") and "[" in token and "]" in token:
         if token == "ARRAY[]::bytea[]":
             return ()
         inner = token[token.index("[") + 1 : token.rindex("]")]
         return tuple(parse_literal(item) for item in _split_top_level(inner))
     raise SqlParseError(f"cannot parse literal: {token!r}")
+
+
+_BYTEA = r"'\\x[0-9a-fA-F]*'::bytea"
+# One VALUES item in the form the renderer writes, with the comma after it:
+# bytea, text, integer, keyword, or a bytea ARRAY. The bytea and text groups
+# keep their quotes, so an empty value still reads as matched. Anything else
+# matches the last group, which sends the whole list to the item-by-item
+# parse and its error messages.
+_VALUE_RE = re.compile(
+    rf"""\s*(?:
+        ({_BYTEA})
+      | ({_LITERAL})
+      | (-?\d+)
+      | (NULL|TRUE|FALSE)
+      | (ARRAY\[\](?:::bytea\[\])? | ARRAY\[{_BYTEA}(?:\s*,\s*{_BYTEA})*\])
+    )\s*(?:,|\Z)
+    | (.+)""",
+    re.S | re.X,
+)
+_ARRAY_ITEM_RE = re.compile(r"'\\x([0-9a-fA-F]*)'")
+
+
+def _insert_values(text: str) -> list | None:
+    """Typed values of an INSERT's VALUES list in one regex pass, or None when
+    the list is not in the form the renderer writes."""
+    values: list = []
+    try:
+        for bytea, string, number, keyword, array, other in _VALUE_RE.findall(text):
+            if bytea:
+                values.append(bytes.fromhex(bytea[3:-8]))
+            elif number:
+                values.append(int(number))
+            elif string:
+                values.append(string[1:-1].replace("''", "'"))
+            elif keyword:
+                values.append(_KEYWORDS[keyword])
+            elif array:
+                values.append(tuple(bytes.fromhex(h) for h in _ARRAY_ITEM_RE.findall(array)))
+            else:
+                return None
+    except ValueError:  # an odd number of hex digits, or an int too long to convert
+        return None
+    return values
 
 
 _INSERT_RE = re.compile(r"^INSERT\s+INTO\s+(\w+)\s*\(([^)]*)\)\s*VALUES\s*\((.*)\)$", re.S)
@@ -188,19 +257,29 @@ def primary_key(table: str, conditions: dict[str, object]) -> tuple:
     return tuple(conditions[col] for col in columns)
 
 
+@functools.lru_cache(maxsize=64)
+def _column_names(text: str) -> tuple[str, ...]:
+    # Every INSERT into a table names the same columns, so this is a lookup.
+    return tuple(c.strip() for c in text.split(","))
+
+
 def parse_statement(stmt: str) -> ParsedStatement | None:
     """Parse one statement; BEGIN/COMMIT yield None."""
     flat = stmt.strip()
-    if flat.upper() in ("BEGIN", "COMMIT"):
-        return None
     m = _INSERT_RE.match(flat)
     if m:
         table = _table_of(m.group(1))
-        names = [c.strip() for c in m.group(2).split(",")]
-        literals = _split_top_level(m.group(3))
-        if len(names) != len(literals):
+        names = _column_names(m.group(2))
+        values = _insert_values(m.group(3))
+        if values is None:  # not the rendered form: item by item, for the errors
+            values = _split_top_level(m.group(3))
+            if len(names) == len(values):
+                values = [parse_literal(v) for v in values]
+        if len(names) != len(values):
             raise SqlParseError(f"column/value arity mismatch in {flat[:60]!r}")
-        return ParsedInsert(table, {n: parse_literal(v) for n, v in zip(names, literals)})
+        return ParsedInsert(table, dict(zip(names, values)))
+    if flat.upper() in ("BEGIN", "COMMIT"):
+        return None
     m = _BALANCE_RE.match(flat)
     if m:
         sign = -1 if m.group(1) == "-" else 1
@@ -290,8 +369,10 @@ class SqlStubEngine:
             old = self.tables["addresses"].get(key)
             if old is None:
                 raise SqlParseError("addresses: no row to update")
-            new = (old[0], old[1] + s.delta)
-            self.tables["addresses"][key] = new
+            balance = old[1] + s.delta
+            if not 0 <= balance < WEI_MAX:
+                raise SqlParseError("addresses: balance out of range")
+            self.tables["addresses"][key] = (old[0], balance)
 
             def undo_balance(old=old, key=key):
                 self.tables["addresses"][key] = old

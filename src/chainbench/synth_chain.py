@@ -24,7 +24,6 @@ from .chain_model import (
     Transaction,
     Withdrawal,
 )
-from .ingest_slice import write_export  # noqa: F401  (re-exported: generator output format)
 
 _SYLLABLES = (
     "vel", "mor", "tan", "qui", "zor", "lim", "pax", "dru",

@@ -229,7 +229,9 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
     ledger = build_ledger(ds)
     initial_state = extract_slice(ds, first, init_hi)
     seen = _SeenTracker(ds, initial_state)
-    window = set(range(first, init_hi + 1))
+    # The window is always the contiguous block range [window_lo, window_hi]:
+    # expiry drops its oldest blocks and each batch appends the next ones.
+    window_lo, window_hi = first, init_hi
 
     pairs: list[BatchPair] = []
     infos: list[BatchInfo] = []
@@ -245,10 +247,10 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
         expire_batch = None
         expire_lo = expire_hi = None
         if cfg.expire:
-            expire_lo = min(window)
+            expire_lo = window_lo
             expire_hi = expire_lo + size - 1
             exp_ops: list[Mutation] = []
-            exp_nums = [n for n in range(expire_lo, expire_hi + 1) if n in window]
+            exp_nums = range(expire_lo, min(expire_hi, window_hi) + 1)
             for n in exp_nums:
                 for t in txs_by_block.get(n, ()):
                     for tt in ttx_by_tx.get(t.hash, ()):
@@ -269,11 +271,12 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
                 seen.contracts[key] = None
             for n in exp_nums:
                 exp_ops.append(DeleteRow("blocks", (blocks_by_number[n].hash,)))
-                window.discard(n)
+            window_lo = expire_hi + 1
             expire_batch = Batch(index=index, kind="expire", block_lo=expire_lo, block_hi=expire_hi, ops=tuple(exp_ops))
 
-        batch_nums = list(range(lo, hi + 1))
-        window.update(batch_nums)
+        batch_nums = range(lo, hi + 1)
+        # An expire wider than the window empties it; the batch then starts it anew.
+        window_lo, window_hi = min(window_lo, lo), hi
         batch_blocks = [blocks_by_number[n] for n in batch_nums if n in blocks_by_number]
         batch_txs = [t for n in batch_nums for t in txs_by_block.get(n, ())]
         batch_wds = [w for n in batch_nums for w in wds_by_block.get(n, ())]
@@ -306,7 +309,7 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
         # cannot be referenced, so the link is nulled at insert time.
         def place(row, kind: str, key):
             num = None if row.block_hash is None else number_of[row.block_hash]
-            if num is not None and num not in window:
+            if num is not None and not window_lo <= num <= window_hi:
                 row = dc_replace(row, block_hash=None)
                 num = None
             if kind == "token":

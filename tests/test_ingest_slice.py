@@ -1,9 +1,12 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainbench.chain_model import ChainDataset, validate_dataset
 from chainbench.ingest_slice import (
+    BalanceLedger,
     ExportError,
     as_raw,
     build_ledger,
@@ -157,3 +160,43 @@ def test_ledger_warns_on_inconsistent_snapshot():
     ledger = build_ledger(bad)
     warnings = ledger.consistency_warnings()
     assert any(a == addr(1) for a, _ in warnings)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), n_blocks=st.integers(1, 25), start=st.integers(0, 5))
+def test_ledger_lookups_equal_a_naive_scan(seed, n_blocks, start):
+    ds = generate(
+        SynthConfig(seed=seed, n_blocks=n_blocks, start_number=start, mean_tx_per_block=4, address_pool=12, n_tokens=2)
+    )
+    ledger = build_ledger(ds)
+    first, last = ds.block_range
+    blocks = range(first - 2, last + 3)
+    addresses = sorted(set(ledger.deltas) | set(ds.final_balances)) + [b"\xee" * 20]
+    for lo in blocks:
+        for a in addresses:
+            naive = ledger.final_balances.get(a, 0) - sum(d for b, d in ledger.deltas.get(a, ()) if b > lo)
+            assert ledger.balance_at(a, lo) == naive
+        for hi in blocks:
+            in_range = {a: sum(d for b, d in e if lo <= b <= hi) for a, e in ledger.deltas.items()}
+            assert ledger.touched_in_range(lo, hi) == {a: d for a, d in in_range.items() if d}
+            for a in addresses:
+                assert ledger.delta_in_range(a, lo, hi) == in_range.get(a, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    deltas=st.dictionaries(
+        st.binary(min_size=1, max_size=1),
+        st.dictionaries(st.integers(0, 12), st.integers(-3, 3).filter(bool), min_size=1),
+        max_size=6,
+    ),
+    lo=st.integers(-1, 13),
+    hi=st.integers(-1, 13),
+)
+def test_touched_in_range_drops_addresses_whose_deltas_cancel(deltas, lo, hi):
+    ledger = BalanceLedger({}, 12, 0, {a: sorted(per_block.items()) for a, per_block in deltas.items()})
+    in_range = {a: sum(d for b, d in per_block.items() if lo <= b <= hi) for a, per_block in deltas.items()}
+    assert ledger.touched_in_range(lo, hi) == {a: d for a, d in in_range.items() if d}
+    for a in deltas:
+        assert ledger.delta_in_range(a, lo, hi) == in_range[a]
+        assert ledger.balance_at(a, lo) == -sum(d for b, d in deltas[a].items() if b > lo)

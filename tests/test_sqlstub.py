@@ -1,13 +1,16 @@
 import dataclasses
+import re
 import tempfile
+import time
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from chainbench import memstore
-from chainbench.chain_model import AddressRow
-from chainbench.memstore import BatchRejected, DeleteRow, InsertRow, NullBlockHash, Store
+from chainbench import memstore, sqlstub
+from chainbench.chain_model import PRIMARY_KEYS, SQL_TABLE_NAMES, WEI_MAX, AddressRow
+from chainbench.memstore import BatchRejected, DeleteRow, InsertRow, NullBlockHash, Store, UpdateBalance
 from chainbench.replay_driver import MemstoreTarget, ReplayError, SqlStubTarget, replay
 from chainbench.sqlstub import (
     SqlParseError,
@@ -26,6 +29,7 @@ from chainbench.workload_gen import (
     render_sql,
     write_workload,
 )
+from util import two_pass_parse_script, two_pass_split_statements
 
 
 def test_parse_literals():
@@ -235,6 +239,39 @@ def test_both_routes_refuse_a_null_out_of_a_required_block_hash(loaded_workload)
     assert rejected.value.op_index == 0
 
 
+@pytest.mark.parametrize("overshoot", ["below zero", "at WEI_MAX"])
+def test_both_routes_refuse_a_balance_out_of_range_at_the_same_index(loaded_workload, overshoot):
+    load, _ = loaded_workload
+    row = next(op.row for op in load.ops if isinstance(op, InsertRow) and op.table == "addresses")
+    balance = row.eth_balance + 5
+    delta = -(balance + 1) if overshoot == "below zero" else WEI_MAX - balance
+    ops = (
+        InsertRow("addresses", AddressRow(b"\xee" * 20, 0)),
+        UpdateBalance(row.address, 5),
+        UpdateBalance(row.address, delta),
+    )
+    script = render_sql(Batch(1, "upsert", 0, 0, ops))
+
+    engine = SqlStubEngine()
+    engine.execute(render_sql(load))
+    before = engine.table_multisets()
+    with pytest.raises(SqlParseError, match="statement 2: addresses: balance out of range"):
+        engine.execute(script)
+    assert engine.table_multisets() == before
+
+    store = Store()
+    memstore.apply(store, load)
+    with pytest.raises(BatchRejected) as rejected:
+        memstore.apply_ops(store, to_mutations(parse_script(script)))
+    assert rejected.value.op_index == 2
+    assert store.table_multisets() == before
+
+    # One step back inside the range, the balance lands on the bound.
+    edge = UpdateBalance(row.address, delta + 1 if delta < 0 else delta - 1)
+    engine.execute(render_sql(Batch(1, "upsert", 0, 0, ops[:2] + (edge,))))
+    assert engine.tables["addresses"][(row.address,)][1] == (0 if delta < 0 else WEI_MAX - 1)
+
+
 def test_stub_refuses_a_delete_on_an_empty_engine():
     with pytest.raises(SqlParseError, match="no such row"):
         SqlStubEngine().execute("DELETE FROM Blocks WHERE hash = '\\x01'::bytea;")
@@ -318,3 +355,246 @@ def test_keyed_delete_and_null_out_never_iterate_the_table(loaded_workload):
 
     engine.tables = {name: dict(dict.items(rows)) for name, rows in engine.tables.items()}
     assert engine.table_multisets() == expected.table_multisets()
+
+
+# ---------------------------------------------------------------------------
+# The one-pass parser against the two-pass oracle in tests/util.py
+
+
+def _quote(text: str) -> str:
+    return "'" + text.replace("'", "''") + "'"
+
+
+_BYTEA = st.builds(
+    lambda raw, upper: "'\\x" + (raw.hex().upper() if upper else raw.hex()) + "'::bytea",
+    st.binary(max_size=8),
+    st.booleans(),
+)
+_INT = st.integers(-(2**80), 2**80).map(str)
+
+
+def _value(text):
+    return st.one_of(
+        _BYTEA,
+        text.map(_quote),
+        _INT,
+        st.sampled_from(["NULL", "TRUE", "FALSE"]),
+        st.lists(_BYTEA, max_size=3).map(lambda xs: f"ARRAY[{', '.join(xs)}]" if xs else "ARRAY[]::bytea[]"),
+    )
+
+
+# A comment holding every character that means something outside it.
+_COMMENT = st.sampled_from(["-- note\n", "-- it's; a, (b) [c] -- d ''\n", "--\n", "--;\n"])
+_SPACE = st.sampled_from(["", " ", "\n", " \t "])
+
+
+@st.composite
+def _insert(draw, text, comments):
+    values = draw(st.lists(_value(text), min_size=1, max_size=6))
+    gap = st.one_of(_SPACE, _COMMENT) if comments else _SPACE
+    body = values[0] + "".join(f"{draw(_SPACE)},{draw(gap)}{v}" for v in values[1:])
+    names = ", ".join(f"c{i}" for i in range(len(values)))
+    table = draw(st.sampled_from(sorted(SQL_TABLE_NAMES.values())))
+    before_values = draw(st.sampled_from([" ", " -- VALUES (x);\n"])) if comments else " "
+    return f"INSERT INTO {table} ({names}){before_values}VALUES ({body}{draw(_SPACE)})"
+
+
+@st.composite
+def _keyed_write(draw):
+    kind = draw(st.sampled_from(["delete", "null-out", "balance"]))
+    if kind == "balance":
+        sign, amount = draw(st.sampled_from("+-")), draw(st.integers(0, 2**70))
+        return f"UPDATE Addresses SET eth_balance = eth_balance {sign} {amount} WHERE address = {draw(_BYTEA)}"
+    table = draw(st.sampled_from(sorted(PRIMARY_KEYS)))
+    where = " AND ".join(f"{col} = {draw(st.one_of(_BYTEA, _INT))}" for col in PRIMARY_KEYS[table])
+    if kind == "delete":
+        return f"DELETE FROM {SQL_TABLE_NAMES[table]} WHERE {where}"
+    return f"UPDATE {SQL_TABLE_NAMES[table]} SET block_hash = NULL WHERE {where}"
+
+
+def _statements(text, comments):
+    return st.lists(
+        st.one_of(_insert(text, comments), _keyed_write(), st.sampled_from(["BEGIN", "COMMIT"])),
+        max_size=6,
+    )
+
+
+@st.composite
+def _script(draw, text=_TRICKY_TEXT, comments=True):
+    gap = st.one_of(_SPACE, _COMMENT) if comments else _SPACE
+    return draw(gap) + "".join(f"{s};{draw(gap)}" for s in draw(_statements(text, comments)))
+
+
+def _both(script):
+    """(one-pass result, two-pass result); an error stands as its type and message."""
+    out = []
+    for parse in (parse_script, two_pass_parse_script):
+        try:
+            out.append(parse(script))
+        except ValueError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(script=_script())
+def test_one_pass_parse_equals_the_two_pass_oracle(script):
+    assert split_statements(script) == two_pass_split_statements(script)
+    # Every generated VALUES list is in the rendered form, so none may take the
+    # item-by-item path.
+    with mock.patch.object(sqlstub, "_split_top_level", side_effect=AssertionError("item-by-item parse")):
+        one_pass = parse_script(script)
+    assert one_pass == two_pass_parse_script(script)
+
+
+# Values just outside the rendered form, some of which the two-pass parser
+# takes: both parsers must agree on each.
+_NEAR_MISS = st.sampled_from(
+    [
+        "ARRAY['\\x01'::bytea]::bytea[]",
+        "ARRAY[]",
+        "ARRAY [ '\\x01'::bytea ]",
+        "ARRAY[1, 'x', NULL]",
+        "ARRAY'\\x01'::bytea]",
+        "'\\x01' ::bytea",
+        "'\\x01 02'::bytea",
+        "'\\x0'::bytea",
+        "'\\xzz'::bytea",
+        "'01'::bytea",
+        "'\\x01'::BYTEA",
+        "'a'::text",
+        "'a' 'b'",
+        "'a''",
+        "1 2",
+        "- 1",
+        "+1",
+        "1.5",
+        "NULLx",
+        "null",
+        "true",
+        "",
+    ]
+)
+
+
+@st.composite
+def _near_miss_insert(draw):
+    values = draw(st.lists(st.one_of(_value(_TRICKY_TEXT), _NEAR_MISS), min_size=1, max_size=4))
+    names = ", ".join(f"c{i}" for i in range(len(values) + draw(st.sampled_from([0, 0, 1, -1]))))
+    return f"INSERT INTO Tokens ({names}) VALUES ({', '.join(values)}{draw(st.sampled_from(['', ',', ', ']))});"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    script=st.one_of(
+        _script(),
+        _near_miss_insert(),
+        st.text(alphabet="'-;,()[] \nxNUL0\\", max_size=40),
+    )
+)
+def test_one_pass_parse_equals_the_two_pass_oracle_on_any_text(script):
+    # Mostly invalid text: both parsers must take it, or refuse it the same way.
+    one_pass, two_pass = _both(script)
+    if isinstance(two_pass, str) and two_pass.startswith("ValueError: "):
+        # The two-pass parser let a bare ValueError out of an ARRAY literal
+        # that lacks a bracket; the one-pass parser refuses it.
+        assert isinstance(one_pass, str) and one_pass.startswith("SqlParseError: ")
+    else:
+        assert one_pass == two_pass
+
+
+# Text without a dash, a backslash or a bracket: dropping a quote cannot turn
+# text into a comment, and every backslash and bracket belongs to the syntax.
+_PLAIN_TEXT = st.lists(st.sampled_from(["a", " ", ";", ",", "''", "é"]), max_size=8).map("".join)
+_EMPTY_ARRAY = "ARRAY[]::bytea[]"
+
+
+def _corrupt(script: str, kind: str, at: int) -> str | None:
+    """``script`` with one defect of ``kind``, or None when it has no place for one."""
+    if kind == "trailing":
+        return script + "DELETE FROM Blocks WHERE hash = 1"
+    if kind == "quote":
+        spots, cut, insert = [i for i, ch in enumerate(script) if ch == "'"], 1, ""
+    elif kind == "bracket":  # an empty ARRAY stays valid without some of its brackets
+        masked = script.replace(_EMPTY_ARRAY, "#" * len(_EMPTY_ARRAY))
+        spots, cut, insert = [i for i, ch in enumerate(masked) if ch in "()[]"], 1, ""
+    else:
+        spots = [m.end() for m in re.finditer(r"'\\x", script)]
+        cut, insert = 0, {"odd-hex": "a", "non-hex": "zz"}[kind]
+    if not spots:
+        return None
+    i = spots[at % len(spots)]
+    return script[:i] + insert + script[i + cut :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    statements=_statements(_PLAIN_TEXT, comments=False),
+    kind=st.sampled_from(["quote", "bracket", "odd-hex", "non-hex", "trailing"]),
+    at=st.integers(0, 2**16),
+)
+def test_both_parsers_refuse_a_corrupted_script(statements, kind, at):
+    script = "".join(f"{s};\n" for s in statements)
+    bad = _corrupt(script, kind, at)
+    assume(bad is not None)
+    with pytest.raises(SqlParseError) as one_pass:
+        parse_script(bad)
+    # The two-pass parser let a bare ValueError out of an ARRAY literal that
+    # lacks a bracket; the one-pass parser refuses it as a SqlParseError.
+    with pytest.raises(ValueError) as two_pass:
+        two_pass_parse_script(bad)
+    if type(two_pass.value) is SqlParseError:
+        assert str(one_pass.value) == str(two_pass.value)
+
+
+_HUGE = 200_000
+
+
+def _seconds(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def valid_parse_seconds():
+    """Best of three parses of a valid script of the same size: the linear
+    cost that a malformed statement is held to, on whatever host runs this."""
+    valid = "INSERT INTO Tokens (name) VALUES ('a');\n" * (_HUGE // 40)
+    return min(_seconds(lambda: parse_script(valid)) for _ in range(3))
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "INSERT INTO Tokens (name) VALUES ('" + "a''" * (_HUGE // 3),
+        "'" + "''" * (_HUGE // 2),
+        "'a" * (_HUGE // 2),
+        "- " * (_HUGE // 2),
+        "INSERT INTO Tokens (name) VALUES ('" + "x" * _HUGE + "' junk);",
+        "INSERT INTO Tokens (name) VALUES (" + "'a', " * (_HUGE // 5) + "'b' 'c');",
+        "INSERT INTO Blocks (hash) VALUES ('\\x" + "ab" * (_HUGE // 2) + "a'::bytea);",
+        "INSERT INTO Tokens (name) VALUES (ARRAY[" + "'\\x01'::bytea, " * (_HUGE // 16) + ");",
+        "UPDATE Addresses SET eth_balance = eth_balance + 1 WHERE " + "x = 1 AND " * (_HUGE // 10) + "y;",
+    ],
+    ids=["open-literal", "open-escapes", "quote-runs", "dashes", "literal-suffix", "bad-last-value",
+         "odd-hex", "open-array", "where-clause"],
+)
+def test_a_huge_malformed_statement_is_refused_quickly(script, valid_parse_seconds):
+    def refuse():
+        with pytest.raises(SqlParseError):
+            parse_script(script)
+
+    # Every case takes at most a few times the valid parse; a regex that
+    # backtracks over 200 kB would take thousands of times as long.
+    assert _seconds(refuse) < 20 * valid_parse_seconds
+
+
+def test_no_sqlstub_pattern_needs_python_3_11():
+    # Possessive quantifiers and atomic groups arrived in Python 3.11; the
+    # package supports 3.10.
+    patterns = [v.pattern for v in vars(sqlstub).values() if isinstance(v, re.Pattern)]
+    assert len(patterns) >= 8
+    for pattern in patterns:
+        for construct in ("(?>", "*+", "++", "?+"):
+            assert construct not in pattern, (construct, pattern)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from chainbench import memstore
@@ -103,6 +106,39 @@ def test_moving_window_and_overlap_small():
         assert current == set(range(10 * i, 10 * i + 100))
         assert len(previous & current) == 90
         previous = current
+
+
+def test_window_narrower_than_a_batch_widens_to_the_batch():
+    # The first expire empties the 3-block window, so from then on the window
+    # holds 10 blocks; the short last batch moves it by 2.
+    ds = generate(SynthConfig(seed=9, n_blocks=45, mean_tx_per_block=3, address_pool=20, n_tokens=3))
+    cfg = WorkloadConfig(init_blocks=3, granularity=10, expire=True)
+    store = Store()
+    memstore.apply(store, gen_initial(ds, cfg))
+    pairs, manifest = gen_batches(ds, cfg)
+    for pair, info in zip(pairs, manifest.batches):
+        memstore.apply(store, pair.expire)
+        memstore.apply(store, pair.upsert)
+        assert memstore.snapshot_blocks(store) == list(range(info.hi - 9, info.hi + 1))
+
+
+# sha256 of the manifest JSON and every rendered batch, recorded before the
+# window became an int range.
+_PINNED_BATCHES = {
+    (3, 10, True): "59deb5a1b76d47e47a95da13b20eba99b4f1e5b4038cf695290756b8a091862e",
+    (20, 7, True): "287b461d693a2261144ed643bf3c0ab8b77570f20fedf36818c9f8358565b2fb",
+    (5, 9, False): "4a8821461463363172e34cd0a084e310ad4d0d417f902e53073f108fab4f4fb7",
+}
+
+
+@pytest.mark.parametrize("init_blocks,granularity,expire", sorted(_PINNED_BATCHES))
+def test_batches_and_manifest_are_pinned(init_blocks, granularity, expire):
+    ds = generate(SynthConfig(seed=31, n_blocks=80, mean_tx_per_block=4, address_pool=25, n_tokens=4))
+    pairs, manifest = gen_batches(ds, WorkloadConfig(init_blocks, granularity, expire))
+    digest = hashlib.sha256(json.dumps(manifest.to_dict(), sort_keys=True).encode())
+    for batch in (b for pair in pairs for b in (pair.expire, pair.upsert) if b is not None):
+        digest.update(render_sql(batch).encode())
+    assert digest.hexdigest() == _PINNED_BATCHES[init_blocks, granularity, expire]
 
 
 def test_monotone_growth_without_expire():

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from chainbench.chain_model import (
+    PRIMARY_KEYS,
+    SQL_TABLE_NAMES,
     AddressRow,
     Block,
     ChainDataset,
@@ -22,6 +25,14 @@ from chainbench.chain_model import (
 )
 from chainbench.estimator import ColumnStats
 from chainbench.memstore import Filter, SPJQuery, Store
+from chainbench.sqlstub import (
+    ParsedBalanceUpdate,
+    ParsedDelete,
+    ParsedInsert,
+    ParsedNullOut,
+    ParsedStatement,
+    SqlParseError,
+)
 
 
 def _oracle_matches(f: Filter, row) -> bool:
@@ -248,6 +259,188 @@ def random_spj(rng: random.Random, max_tables: int = 3) -> SPJQuery:
         joins=[(e[0], e[1], e[2], e[3]) for e in joins],
         filters=filters,
     )
+
+
+# ---------------------------------------------------------------------------
+# The SQL-text parser as it was before statements were parsed in one pass,
+# kept as an oracle: split_statements tokenizes the script and joins the
+# tokens back, then each INSERT's VALUES list is tokenized again and every
+# value goes through parse_literal. Copied unchanged but for the two_pass_
+# prefix on the public names.
+
+_TABLE_BY_SQL_NAME = {sql.lower(): table for table, sql in SQL_TABLE_NAMES.items()}
+
+# One token per match: a whole single-quoted literal (with '' escapes), a --
+# comment, a separator or bracket, or a run of anything else. A lone quote is
+# a literal that never closes. The (?!') keeps a literal from ending between
+# the two quotes of an escape.
+_TOKEN_RE = re.compile(r"'[^']*(?:''[^']*)*'(?!')|--[^\n]*|[;,()\[\]]|[^';,()\[\]-]+|-|'")
+
+
+def two_pass_split_statements(script: str) -> list[str]:
+    """Split on top-level semicolons; ``--`` starts a comment only outside
+    string literals."""
+    statements: list[str] = []
+    parts: list[str] = []
+    for tok in _TOKEN_RE.findall(script):
+        if tok == ";":
+            stmt = "".join(parts).strip()
+            if stmt:
+                statements.append(stmt)
+            parts = []
+        elif tok[0] != "-" or tok == "-":  # anything but a comment
+            if tok == "'":
+                stmt = "".join(parts).strip()
+                raise SqlParseError(f"unterminated statement: string literal never closes in {stmt[:60]!r}")
+            parts.append(tok)
+    trailing = "".join(parts).strip()
+    if trailing:
+        raise SqlParseError(f"unterminated statement: {trailing[:60]!r}")
+    return statements
+
+
+_OPEN = frozenset("([")
+_CLOSE = frozenset(")]")
+
+
+def _split_top_level(text: str) -> list[str]:
+    """Split on commas outside string literals and brackets."""
+    parts: list[str] = []
+    buf: list[str] = []
+    depth = 0
+    for tok in _TOKEN_RE.findall(text):
+        if tok == ",":
+            if depth == 0:
+                parts.append("".join(buf).strip())
+                buf = []
+                continue
+        elif tok in _OPEN:
+            depth += 1
+        elif tok in _CLOSE:
+            depth -= 1
+        buf.append(tok)
+    last = "".join(buf).strip()
+    if last:
+        parts.append(last)
+    return parts
+
+
+_INT_RE = re.compile(r"-?\d+")
+# A quoted literal and its suffix. The (?!') makes "'a''" unterminated rather
+# than "'a'" followed by a stray quote.
+_STRING_RE = re.compile(r"'([^']*(?:''[^']*)*)'(?!')(.*)", re.S)
+_KEYWORDS = {"NULL": None, "TRUE": True, "FALSE": False}
+
+
+def two_pass_parse_literal(token: str):
+    token = token.strip()
+    if token[:1] == "'":
+        m = _STRING_RE.fullmatch(token)
+        if m is None:
+            raise SqlParseError(f"unterminated string literal: {token!r}")
+        text = m.group(1).replace("''", "'")
+        suffix = m.group(2).strip()
+        if suffix == "::bytea":
+            if text.startswith("\\x"):
+                try:
+                    return bytes.fromhex(text[2:])
+                except ValueError:
+                    pass
+            raise SqlParseError(f"bad bytea literal: {token!r}")
+        if suffix:
+            raise SqlParseError(f"unexpected literal suffix: {suffix!r}")
+        return text
+    if _INT_RE.fullmatch(token):
+        return int(token)
+    if token in _KEYWORDS:
+        return _KEYWORDS[token]
+    if token.startswith("ARRAY"):
+        if token == "ARRAY[]::bytea[]":
+            return ()
+        inner = token[token.index("[") + 1 : token.rindex("]")]
+        return tuple(two_pass_parse_literal(item) for item in _split_top_level(inner))
+    raise SqlParseError(f"cannot parse literal: {token!r}")
+
+
+_INSERT_RE = re.compile(r"^INSERT\s+INTO\s+(\w+)\s*\(([^)]*)\)\s*VALUES\s*\((.*)\)$", re.S)
+_BALANCE_RE = re.compile(
+    r"^UPDATE\s+Addresses\s+SET\s+eth_balance\s*=\s*eth_balance\s*([+-])\s*(\d+)\s+WHERE\s+(.*)$",
+    re.S,
+)
+_NULLOUT_RE = re.compile(r"^UPDATE\s+(\w+)\s+SET\s+block_hash\s*=\s*NULL\s+WHERE\s+(.*)$", re.S)
+_DELETE_RE = re.compile(r"^DELETE\s+FROM\s+(\w+)\s+WHERE\s+(.*)$", re.S)
+
+
+def _table_of(sql_name: str) -> str:
+    table = _TABLE_BY_SQL_NAME.get(sql_name.lower())
+    if table is None:
+        raise SqlParseError(f"unknown table {sql_name!r}")
+    return table
+
+
+_AND_RE = re.compile(r"\s+AND\s+")
+
+
+def _parse_conditions(text: str) -> dict[str, object]:
+    # Only key columns may be named, and they hold bytes or integers, so
+    # " AND " never appears inside a literal of a WHERE clause that is accepted.
+    conditions: dict[str, object] = {}
+    for clause in _AND_RE.split(text.strip()):
+        col, eq, lit = clause.partition("=")
+        col = col.strip()
+        if not eq or col in conditions:
+            raise SqlParseError(f"cannot parse condition {clause!r}")
+        conditions[col] = two_pass_parse_literal(lit)
+    return conditions
+
+
+def two_pass_primary_key(table: str, conditions: dict[str, object]) -> tuple:
+    """The key tuple a keyed write names, in ``PRIMARY_KEYS`` order; the WHERE
+    clause must name exactly the table's primary-key columns."""
+    columns = PRIMARY_KEYS[table]
+    if conditions.keys() != set(columns):
+        raise SqlParseError(
+            f"{table}: WHERE must name exactly the primary key {columns}, got {tuple(conditions)}"
+        )
+    return tuple(conditions[col] for col in columns)
+
+
+def two_pass_parse_statement(stmt: str) -> ParsedStatement | None:
+    """Parse one statement; BEGIN/COMMIT yield None."""
+    flat = stmt.strip()
+    if flat.upper() in ("BEGIN", "COMMIT"):
+        return None
+    m = _INSERT_RE.match(flat)
+    if m:
+        table = _table_of(m.group(1))
+        names = [c.strip() for c in m.group(2).split(",")]
+        literals = _split_top_level(m.group(3))
+        if len(names) != len(literals):
+            raise SqlParseError(f"column/value arity mismatch in {flat[:60]!r}")
+        return ParsedInsert(table, {n: two_pass_parse_literal(v) for n, v in zip(names, literals)})
+    m = _BALANCE_RE.match(flat)
+    if m:
+        sign = -1 if m.group(1) == "-" else 1
+        (address,) = two_pass_primary_key("addresses", _parse_conditions(m.group(3)))
+        return ParsedBalanceUpdate(address, sign * int(m.group(2)))
+    m = _NULLOUT_RE.match(flat)
+    if m:
+        table = _table_of(m.group(1))
+        return ParsedNullOut(table, two_pass_primary_key(table, _parse_conditions(m.group(2))))
+    m = _DELETE_RE.match(flat)
+    if m:
+        table = _table_of(m.group(1))
+        return ParsedDelete(table, two_pass_primary_key(table, _parse_conditions(m.group(2))))
+    raise SqlParseError(f"unsupported statement: {flat[:80]!r}")
+
+
+def two_pass_parse_script(script: str) -> list[ParsedStatement]:
+    parsed = []
+    for stmt in two_pass_split_statements(script):
+        p = two_pass_parse_statement(stmt)
+        if p is not None:
+            parsed.append(p)
+    return parsed
 
 
 # ---------------------------------------------------------------------------
