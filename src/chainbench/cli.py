@@ -27,6 +27,7 @@ from .eval_harness import (
     regret_matrix,
     subquery_columns,
 )
+from .gcpause import collector_paused
 from .ingest_slice import extract_slice, read_export, write_export
 from .query_assets import load_workload, schema_sql
 from .replay_driver import ReplayError, connect_target, load_target_config, manifest_hash, replay
@@ -333,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@collector_paused
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import estimator, memstore
+from .gcpause import collector_paused
 from .memstore import SPJQuery, Store
 
 
@@ -170,6 +171,7 @@ def policy_catalogs(
     return catalogs
 
 
+@collector_paused
 def drift_experiment(
     states: Sequence[tuple[str, Store]],
     q: SPJQuery,

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .gcpause import collector_paused
 from .memstore import BatchRejected, Store, apply_ops
 from .sqlstub import SqlParseError, SqlStubEngine, parse_script, to_mutations
 from .workload_gen import Manifest
@@ -40,24 +41,14 @@ class CheckpointMismatch(ReplayError):
     pass
 
 
-@dataclass(frozen=True)
-class SqlExecutorCaps:
-    can_execute: bool = True
-    can_estimate_cardinality: bool = False
-    can_report_cost: bool = False
-    can_refresh_stats: bool = False
-    can_pin_plan: bool = False
-
-
 class MemstoreTarget:
     """Replay target that recovers structured mutations from the SQL text."""
 
     kind = "memstore"
     durable = False  # in-process: a new process starts from an empty store
 
-    def __init__(self, store: Store | None = None, cap_overrides: dict | None = None):
+    def __init__(self, store: Store | None = None):
         self.store = store if store is not None else Store()
-        self._cap_overrides = cap_overrides or {}
 
     def apply_script(self, name: str, text: str) -> None:
         try:
@@ -69,10 +60,6 @@ class MemstoreTarget:
         except BatchRejected as exc:
             raise ReplayError(f"{name}: {exc}", statement=exc.op_index) from exc
 
-    def capabilities(self) -> SqlExecutorCaps:
-        base = SqlExecutorCaps(can_execute=True, can_estimate_cardinality=True, can_refresh_stats=True)
-        return replace_caps(base, self._cap_overrides)
-
 
 class SqlStubTarget:
     """Replay target executing the SQL text against the stub engine."""
@@ -80,9 +67,8 @@ class SqlStubTarget:
     kind = "sqlstub"
     durable = False  # in-process: a new process starts from an empty engine
 
-    def __init__(self, engine: SqlStubEngine | None = None, cap_overrides: dict | None = None):
+    def __init__(self, engine: SqlStubEngine | None = None):
         self.engine = engine if engine is not None else SqlStubEngine()
-        self._cap_overrides = cap_overrides or {}
 
     def apply_script(self, name: str, text: str) -> None:
         try:
@@ -90,31 +76,16 @@ class SqlStubTarget:
         except Exception as exc:
             raise ReplayError(f"{name}: {exc}") from exc
 
-    def capabilities(self) -> SqlExecutorCaps:
-        return replace_caps(SqlExecutorCaps(can_execute=True), self._cap_overrides)
-
-
-def replace_caps(caps: SqlExecutorCaps, overrides: dict) -> SqlExecutorCaps:
-    """Apply config-file capability overrides; only downgrades are honest, but
-    the declared surface is the operator's call."""
-    if not overrides:
-        return caps
-    fields = {k: getattr(caps, k) for k in SqlExecutorCaps.__dataclass_fields__}
-    for key, value in overrides.items():
-        if key not in fields:
-            raise ReplayError(f"unknown capability {key!r}")
-        fields[key] = bool(value)
-    return SqlExecutorCaps(**fields)
-
 
 def connect_target(config: dict):
-    """Build a target from a connection config: {"kind": ..., "capabilities": {...}}."""
+    """Build a target from a connection config: {"kind": ...}."""
+    if "capabilities" in config:
+        raise ReplayError("target config key 'capabilities' is not supported: a config names only the target 'kind'")
     kind = config.get("kind")
-    overrides = config.get("capabilities")
     if kind == "memstore":
-        return MemstoreTarget(cap_overrides=overrides)
+        return MemstoreTarget()
     if kind == "sqlstub":
-        return SqlStubTarget(cap_overrides=overrides)
+        return SqlStubTarget()
     raise ReplayError(f"no driver for target kind {kind!r}")
 
 
@@ -208,6 +179,7 @@ def _run_hooks(hooks: Sequence[Hook], index: int, target, report: ReplayReport) 
                 raise ReplayError(f"hook failed after batch {index}: {exc}", batch_index=index) from exc
 
 
+@collector_paused
 def replay(
     target,
     workload_dir: str | Path,

@@ -22,6 +22,7 @@ from pathlib import Path
 from . import memstore, reports
 from .chain_model import SliceSpec
 from .eval_harness import QErrorPoint, enumerate_subqueries, evaluate_state, policy_catalogs, subquery_columns
+from .gcpause import collector_paused
 from .ingest_slice import extract_slice, read_export
 from .memstore import SPJQuery, Store
 from .query_assets import load_workload
@@ -131,6 +132,7 @@ class ScenarioResult:
     timings: list[dict] = field(default_factory=list)
 
 
+@collector_paused
 def run_scenario(manifest: ExperimentManifest, out_dir: str | Path) -> ScenarioResult:
     out = Path(out_dir)
     report_dir = out / "report"

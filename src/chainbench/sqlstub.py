@@ -141,6 +141,13 @@ _STRING_RE = re.compile(r"'([^']*(?:''[^']*)*)'(?!')(.*)", re.S)
 _KEYWORDS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts (sys.get_int_max_str_digits)
+        raise SqlParseError(f"integer literal of {len(digits)} characters is too long") from None
+
+
 def parse_literal(token: str):
     token = token.strip()
     if token[:1] == "'":
@@ -160,7 +167,7 @@ def parse_literal(token: str):
             raise SqlParseError(f"unexpected literal suffix: {suffix!r}")
         return text
     if _INT_RE.fullmatch(token):
-        return int(token)
+        return _parse_int(token)
     if token in _KEYWORDS:
         return _KEYWORDS[token]
     if token.startswith("ARRAY") and "[" in token and "]" in token:
@@ -284,7 +291,7 @@ def parse_statement(stmt: str) -> ParsedStatement | None:
     if m:
         sign = -1 if m.group(1) == "-" else 1
         (address,) = primary_key("addresses", _parse_conditions(m.group(3)))
-        return ParsedBalanceUpdate(address, sign * int(m.group(2)))
+        return ParsedBalanceUpdate(address, sign * _parse_int(m.group(2)))
     m = _NULLOUT_RE.match(flat)
     if m:
         table = _table_of(m.group(1))

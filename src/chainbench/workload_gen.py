@@ -33,6 +33,7 @@ from .chain_model import (
     encode_hex,
     referenced_addresses,
 )
+from .gcpause import collector_paused
 from .ingest_slice import build_ledger, extract_slice
 from .memstore import DeleteRow, InsertRow, Mutation, NullBlockHash, UpdateBalance
 
@@ -432,6 +433,7 @@ def render_sql(batch: Batch, dialect: str = "postgres") -> str:
     return "\n".join(lines) + "\n"
 
 
+@collector_paused
 def write_workload(ds: ChainDataset, cfg: WorkloadConfig, out_dir: str | Path, dialect: str = "postgres") -> Manifest:
     """Render load + batches to ``out_dir`` and write ``manifest.json``."""
     out = Path(out_dir)

@@ -277,6 +277,26 @@ def test_stub_refuses_a_delete_on_an_empty_engine():
         SqlStubEngine().execute("DELETE FROM Blocks WHERE hash = '\\x01'::bytea;")
 
 
+
+# More digits than int() converts by default (sys.get_int_max_str_digits() is 4300).
+_HUGE_INT = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        f"INSERT INTO Addresses (address, eth_balance) VALUES ('\\x00'::bytea, {_HUGE_INT});",
+        f"DELETE FROM Blocks WHERE hash = {_HUGE_INT};",
+        f"UPDATE Addresses SET eth_balance = eth_balance + {_HUGE_INT} WHERE address = '\\x00'::bytea;",
+    ],
+    ids=["values", "where", "balance-amount"],
+)
+@pytest.mark.parametrize("target", [MemstoreTarget, SqlStubTarget])
+def test_an_integer_literal_too_long_to_convert_is_a_replay_error(target, statement):
+    with pytest.raises(ReplayError, match="integer literal of 5000 characters is too long") as failed:
+        target().apply_script("huge.sql", statement)
+    assert isinstance(failed.value.__cause__, SqlParseError)
+
 # Text that the renderer must quote and the tokenizer must keep inside one literal.
 _TRICKY_TEXT = st.lists(
     st.sampled_from(["'", "''", ";", ",", "(", ")", "[", "]", " AND ", "--", "\n", "\r", "a", " ", "\\x", "é"]),
