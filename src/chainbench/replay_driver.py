@@ -11,6 +11,18 @@ replayed duplicates. The bundled targets are in-process (``durable`` is
 False): their state dies with the process, so only the same target object
 can resume, and the CLI refuses ``--resume`` for them.
 
+The checkpoint is an append-only log of JSON lines in ``replay.ckpt.json``:
+one ``json.dumps(..., sort_keys=True)`` record and a newline per checkpoint,
+written with one ``os.write`` to a descriptor that stays open for the whole
+replay. The last complete record wins. A final fragment without its newline
+is a torn write: the reader ignores it (no proper prefix of a JSON object
+parses), and a resume truncates it away before appending. A complete line
+that is not a record raises ``ReplayError``. A fresh replay truncates the log
+when it opens it, so a checkpoint from an earlier run never outlives the run
+it describes. A one-record log is byte for byte the single-object file that
+earlier versions wrote, so those still read. Nothing is fsynced: a
+checkpoint is as durable as the page cache.
+
 Between batches, registered hooks run synchronously on the replay thread;
 that is where drift probes and other experiments observe each state.
 """
@@ -19,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -151,21 +164,33 @@ def _checkpoint_path(workload_dir: Path) -> Path:
     return workload_dir / "replay.ckpt.json"
 
 
-def _write_checkpoint(workload_dir: Path, ckpt: ReplayCheckpoint) -> None:
-    path = _checkpoint_path(workload_dir)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(ckpt.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(path)
+def _parse_log(data: bytes) -> tuple[ReplayCheckpoint | None, int]:
+    """The last complete record of a checkpoint log, and the length in bytes
+    of the complete records; a final fragment without its newline is ignored."""
+    end = data.rfind(b"\n") + 1
+    last = None
+    for number, line in enumerate(data[:end].split(b"\n")[:-1], 1):
+        try:
+            record = json.loads(line)
+            last = ReplayCheckpoint(
+                record["manifest_hash"], record["last_batch"], record.get("partial_files", []), record["wall_clock"]
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ReplayError(f"checkpoint log line {number} is corrupt: {exc!r}") from exc
+    return last, end
 
 
 def read_checkpoint(workload_dir: str | Path) -> ReplayCheckpoint | None:
     path = _checkpoint_path(Path(workload_dir))
     if not path.exists():
         return None
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return ReplayCheckpoint(
-        data["manifest_hash"], data["last_batch"], data.get("partial_files", []), data["wall_clock"]
-    )
+    return _parse_log(path.read_bytes())[0]
+
+
+def _append_checkpoint(fd: int, ckpt: ReplayCheckpoint) -> None:
+    line = (json.dumps(ckpt.to_dict(), sort_keys=True) + "\n").encode("ascii")
+    if os.write(fd, line) != len(line):
+        raise ReplayError("short write to the replay checkpoint log")
 
 
 def _run_hooks(hooks: Sequence[Hook], index: int, target, report: ReplayReport) -> None:
@@ -203,55 +228,64 @@ def replay(
     completed = -1
     partial: set[str] = set()
     resumed_from = None
-    if from_checkpoint:
-        ckpt = read_checkpoint(wdir)
-        if ckpt is not None:
-            if ckpt.manifest_hash != digest:
-                raise CheckpointMismatch("checkpoint does not match this workload manifest; refusing to resume")
-            completed = ckpt.last_batch
-            partial = set(ckpt.partial_files)
-            resumed_from = ckpt.last_batch
+    # One descriptor for the whole replay: a fresh run truncates the log, a
+    # resume trims a torn tail and appends after the last complete record.
+    flags = os.O_RDWR | os.O_CREAT | os.O_APPEND | (0 if from_checkpoint else os.O_TRUNC)
+    fd = os.open(_checkpoint_path(wdir), flags, 0o666)
+    try:
+        if from_checkpoint:
+            with open(fd, "rb", closefd=False) as fh:
+                ckpt, end = _parse_log(fh.read())
+            if ckpt is not None:
+                if ckpt.manifest_hash != digest:
+                    raise CheckpointMismatch("checkpoint does not match this workload manifest; refusing to resume")
+                completed = ckpt.last_batch
+                partial = set(ckpt.partial_files)
+                resumed_from = ckpt.last_batch
+            os.ftruncate(fd, end)
 
-    report = ReplayReport(resumed_from=resumed_from)
-    delays = pacing_delays(manifest, scale) if mode == "realtime" else None
+        report = ReplayReport(resumed_from=resumed_from)
+        delays = pacing_delays(manifest, scale) if mode == "realtime" else None
 
-    def run_unit(index: int, names: list[str]) -> None:
-        # A batch may span two files (expire + upserts). Each file is one
-        # target transaction, so the checkpoint tracks file progress: a crash
-        # between the files resumes with the remaining file only. After the
-        # last file, the batch-complete write below is the next write.
-        nonlocal completed, partial
-        for name in names:
-            if name in partial:
+        def run_unit(index: int, names: list[str]) -> None:
+            # A batch may span two files (expire + upserts). Each file is one
+            # target transaction, so the checkpoint tracks file progress: a
+            # crash between the files resumes with the remaining file only.
+            # After the last file, the batch-complete record below is the next.
+            nonlocal completed, partial
+            for name in names:
+                if name in partial:
+                    continue
+                start = time.perf_counter()
+                try:
+                    target.apply_script(name, (wdir / name).read_text(encoding="utf-8"))
+                except ReplayError as exc:
+                    raise ReplayError(str(exc), batch_index=index, statement=exc.statement) from exc
+                elapsed = (time.perf_counter() - start) * 1000.0
+                partial.add(name)
+                if name != names[-1]:
+                    _append_checkpoint(fd, ReplayCheckpoint(digest, completed, sorted(partial), time.time()))
+                report.applied.append({"index": index, "file": name, "ms": elapsed})
+            completed = index
+            partial = set()
+            _append_checkpoint(fd, ReplayCheckpoint(digest, completed, [], time.time()))
+
+        if completed < 0:
+            run_unit(0, ["load.sql"])
+            _run_hooks(hooks, 0, target, report)
+
+        for pos, info in enumerate(manifest.batches):
+            if info.index <= completed:
                 continue
-            start = time.perf_counter()
-            try:
-                target.apply_script(name, (wdir / name).read_text(encoding="utf-8"))
-            except ReplayError as exc:
-                raise ReplayError(str(exc), batch_index=index, statement=exc.statement) from exc
-            elapsed = (time.perf_counter() - start) * 1000.0
-            partial.add(name)
-            if name != names[-1]:
-                _write_checkpoint(wdir, ReplayCheckpoint(digest, completed, sorted(partial), time.time()))
-            report.applied.append({"index": index, "file": name, "ms": elapsed})
-        completed = index
-        partial = set()
-        _write_checkpoint(wdir, ReplayCheckpoint(digest, completed, [], time.time()))
-
-    if completed < 0:
-        run_unit(0, ["load.sql"])
-        _run_hooks(hooks, 0, target, report)
-
-    for pos, info in enumerate(manifest.batches):
-        if info.index <= completed:
-            continue
-        if delays is not None and delays[pos] > 0:
-            sleep(delays[pos])
-        names = []
-        if manifest.expire:
-            names.append(f"expire-{info.index:06d}.sql")
-        names.append(f"upserts-{info.index:06d}.sql")
-        run_unit(info.index, names)
-        _run_hooks(hooks, info.index, target, report)
+            if delays is not None and delays[pos] > 0:
+                sleep(delays[pos])
+            names = []
+            if manifest.expire:
+                names.append(f"expire-{info.index:06d}.sql")
+            names.append(f"upserts-{info.index:06d}.sql")
+            run_unit(info.index, names)
+            _run_hooks(hooks, info.index, target, report)
+    finally:
+        os.close(fd)
 
     return report

@@ -16,12 +16,15 @@ escapes and ``--`` comments, which start only outside literals, are matched
 whole), and one ``findall`` of a value regex turns an INSERT's VALUES list
 into typed values. A list not in the form the renderer writes is parsed
 again item by item with ``parse_literal``, which gives the same result or
-error as the earlier two-pass parser. That path also accepts a few value
-shapes the renderer never writes, such as whitespace before ``::bytea`` or
-inside ARRAY brackets, and ARRAY items that are not bytea. The patterns are
-written unrolled, without the possessive quantifiers and atomic groups that
-need Python 3.11, and no input makes them backtrack through alternative
-splits.
+error as the earlier two-pass parser, but for ARRAY literals. That path also
+accepts a few value shapes the renderer never writes, such as whitespace
+before ``::bytea`` or inside ARRAY brackets. An ARRAY is either the empty
+``ARRAY[]::bytea[]`` or a non-empty list of bytea items with nothing after
+its closing bracket; a bare ``ARRAY[]``, a non-bytea item, a trailing comma
+or trailing text is refused, where the two-pass parser took them. The
+patterns are written unrolled, without the possessive quantifiers and atomic
+groups that need Python 3.11, and no input makes them backtrack through
+alternative splits.
 """
 
 from __future__ import annotations
@@ -173,8 +176,15 @@ def parse_literal(token: str):
     if token.startswith("ARRAY") and "[" in token and "]" in token:
         if token == "ARRAY[]::bytea[]":
             return ()
-        inner = token[token.index("[") + 1 : token.rindex("]")]
-        return tuple(parse_literal(item) for item in _split_top_level(inner))
+        # Items first, so an item's error reads as the two-pass parser's did;
+        # then the shape: ARRAY [ one or more bytea items ], with no comma
+        # after the last item and nothing after the closing bracket.
+        head, inner = token[: token.index("[")], token[token.index("[") + 1 : token.rindex("]")]
+        items = tuple(parse_literal(item) for item in _split_top_level(inner))
+        shaped = head.rstrip() == "ARRAY" and token[-1] == "]" and not inner.rstrip().endswith(",")
+        if not shaped or not items or any(type(item) is not bytes for item in items):
+            raise SqlParseError(f"bad bytea array literal: {token!r}")
+        return items
     raise SqlParseError(f"cannot parse literal: {token!r}")
 
 
@@ -190,7 +200,7 @@ _VALUE_RE = re.compile(
       | ({_LITERAL})
       | (-?\d+)
       | (NULL|TRUE|FALSE)
-      | (ARRAY\[\](?:::bytea\[\])? | ARRAY\[{_BYTEA}(?:\s*,\s*{_BYTEA})*\])
+      | (ARRAY\[\]::bytea\[\] | ARRAY\[{_BYTEA}(?:\s*,\s*{_BYTEA})*\])
     )\s*(?:,|\Z)
     | (.+)""",
     re.S | re.X,

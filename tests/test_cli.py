@@ -85,10 +85,11 @@ def test_replay_resume_refuses_in_process_targets(tmp_path, capsys, target, last
     main(["gen-updates", "--export", str(out), "--init", "20", "--granularity", "5", "--expire", "--out", str(wl)])
     assert main(["replay", "--workload", str(wl), "--target", target]) == 0
     ckpt_path = wl / "replay.ckpt.json"
-    if last_batch is not None:  # a replay halted after batch 1
-        ckpt = json.loads(ckpt_path.read_text())
+    if last_batch is not None:  # a replay halted after batch 1: its last record names it
+        ckpt = json.loads(ckpt_path.read_text().splitlines()[-1])
         ckpt["last_batch"] = last_batch
-        ckpt_path.write_text(json.dumps(ckpt))
+        with open(ckpt_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(ckpt, sort_keys=True) + "\n")
     before = ckpt_path.read_bytes()
     (wl / "replay_report.json").unlink()
     capsys.readouterr()

@@ -1,6 +1,11 @@
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainbench import memstore, replay_driver
 from chainbench.memstore import Store
@@ -8,6 +13,7 @@ from chainbench.replay_driver import (
     CheckpointMismatch,
     Hook,
     MemstoreTarget,
+    ReplayCheckpoint,
     ReplayError,
     SqlStubTarget,
     connect_target,
@@ -21,12 +27,16 @@ from chainbench.synth_chain import SynthConfig, generate
 from chainbench.workload_gen import WorkloadConfig, gen_batches, gen_initial, write_workload
 
 
-@pytest.fixture()
-def workload(tmp_path):
+def _write_test_workload(path):
     ds = generate(SynthConfig(seed=61, n_blocks=40, mean_tx_per_block=6, address_pool=40, n_tokens=4))
     cfg = WorkloadConfig(init_blocks=25, granularity=5, expire=True)
-    write_workload(ds, cfg, tmp_path)
-    return ds, cfg, tmp_path
+    write_workload(ds, cfg, path)
+    return ds, cfg, path
+
+
+@pytest.fixture()
+def workload(tmp_path):
+    return _write_test_workload(tmp_path)
 
 
 def _expected_store(ds, cfg):
@@ -153,20 +163,17 @@ def test_mid_batch_failure_keeps_target_consistent(workload):
     assert target.store.table_multisets() == expected.table_multisets()
 
 
-def test_checkpoint_written_after_each_file_but_a_units_last(workload, monkeypatch):
+def _log_records(wdir) -> list[tuple[int, list[str]]]:
+    lines = (wdir / "replay.ckpt.json").read_text(encoding="utf-8").splitlines()
+    return [(record["last_batch"], record["partial_files"]) for record in map(json.loads, lines)]
+
+
+def test_checkpoint_written_after_each_file_but_a_units_last(workload):
     _, _, wdir = workload
-    writes = []
-    original = replay_driver._write_checkpoint
-
-    def counted(path, ckpt):
-        writes.append((ckpt.last_batch, ckpt.partial_files))
-        original(path, ckpt)
-
-    monkeypatch.setattr(replay_driver, "_write_checkpoint", counted)
     replay(MemstoreTarget(), wdir)
     # The load writes once, each expire+upsert batch twice: after its expire
     # file and when it completes.
-    assert writes == [
+    assert _log_records(wdir) == [
         (0, []),
         (0, ["expire-000001.sql"]),
         (1, []),
@@ -176,6 +183,168 @@ def test_checkpoint_written_after_each_file_but_a_units_last(workload, monkeypat
         (3, []),
     ]
     assert read_checkpoint(wdir).last_batch == 3
+
+
+def test_fresh_replay_discards_the_previous_runs_checkpoint(workload):
+    ds, cfg, wdir = workload
+    replay(MemstoreTarget(), wdir)
+    assert read_checkpoint(wdir).last_batch == 3
+    # A new run on a new target fails in its load: the finished run's
+    # checkpoint must not survive it, or a resume would skip every file.
+    target = FailingTarget("load.sql")
+    with pytest.raises(ReplayError, match="injected failure"):
+        replay(target, wdir)
+    assert read_checkpoint(wdir) is None
+    report = replay(target, wdir, from_checkpoint=True)
+    assert report.resumed_from is None
+    assert [entry["file"] for entry in report.applied][0] == "load.sql"
+    assert len(report.applied) == 7
+    expected = _expected_store(ds, cfg)
+    assert target.store.table_multisets() == expected.table_multisets()
+
+
+def _spy_checkpoint_io(monkeypatch, wdir):
+    """Record the descriptors opened on and closed for the checkpoint log,
+    and every rename, while a replay runs."""
+    path = os.fspath(wdir / "replay.ckpt.json")
+    opened, closed, renamed = [], [], []
+    real_open, real_close = os.open, os.close
+
+    def spy_open(file, flags, *args, **kwargs):
+        fd = real_open(file, flags, *args, **kwargs)
+        if os.fspath(file) == path:
+            opened.append(fd)
+        return fd
+
+    def spy_close(fd):
+        if fd in opened:
+            closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "close", spy_close)
+    monkeypatch.setattr(os, "replace", lambda *args, **kwargs: renamed.append(args))
+    monkeypatch.setattr(Path, "replace", lambda self, target: renamed.append((self, target)))
+    return opened, closed, renamed
+
+
+def _explode_after_batch_1(index, target):
+    if index == 1:
+        raise RuntimeError("probe failed")
+
+
+@pytest.mark.parametrize("outcome", ["success", "target-error", "hook-failure", "resume"])
+def test_a_replay_opens_the_checkpoint_log_once_and_renames_nothing(workload, monkeypatch, outcome):
+    _, _, wdir = workload
+    target, hooks, resume = MemstoreTarget(), (), False
+    if outcome == "target-error":
+        target = FailingTarget("upserts-000002.sql")
+    elif outcome == "hook-failure":
+        hooks = [Hook(_explode_after_batch_1)]
+    elif outcome == "resume":
+        target = FailingTarget("upserts-000002.sql")
+        with pytest.raises(ReplayError):
+            replay(target, wdir)
+        resume = True
+    opened, closed, renamed = _spy_checkpoint_io(monkeypatch, wdir)
+    if outcome in ("target-error", "hook-failure"):
+        with pytest.raises(ReplayError):
+            replay(target, wdir, hooks=hooks)
+    else:
+        replay(target, wdir, from_checkpoint=resume)
+    assert len(opened) == 1
+    assert closed == opened
+    assert renamed == []
+
+
+def _write_log(path, records) -> list[int]:
+    """Write ``records`` as a checkpoint log; the offset where each one ends."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    ends = []
+    try:
+        for record in records:
+            replay_driver._append_checkpoint(fd, record)
+            ends.append(os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)
+    return ends
+
+
+_RECORDS = st.lists(
+    st.builds(
+        ReplayCheckpoint,
+        st.text(max_size=8),
+        st.integers(-1, 10**6),
+        st.lists(st.text(max_size=12), max_size=2),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=_RECORDS)
+def test_a_torn_log_reads_as_its_last_complete_record(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "replay.ckpt.json"
+        ends = _write_log(path, records)
+        for cut in range(path.stat().st_size, -1, -1):
+            os.truncate(path, cut)
+            complete = [record for record, end in zip(records, ends) if end <= cut]
+            assert read_checkpoint(tmp) == (complete[-1] if complete else None)
+
+
+class RecordingTarget:
+    """A durable target that only records the files it is given."""
+
+    kind = "recording"
+    durable = True
+
+    def __init__(self):
+        self.files = []
+
+    def apply_script(self, name, text):
+        self.files.append(name)
+
+
+@pytest.fixture(scope="module")
+def full_log(tmp_path_factory):
+    """A workload directory and the checkpoint log of one full replay of it."""
+    _, _, wdir = _write_test_workload(tmp_path_factory.mktemp("workload"))
+    target = RecordingTarget()
+    replay(target, wdir)
+    return wdir, (wdir / "replay.ckpt.json").read_bytes(), target.files
+
+
+@settings(max_examples=100, deadline=None)
+@given(fraction=st.floats(0, 1))
+def test_a_resume_trims_a_torn_tail_and_appends_in_order(full_log, fraction):
+    wdir, data, files = full_log
+    cut = round(fraction * len(data))
+    (wdir / "replay.ckpt.json").write_bytes(data[:cut])
+    target = RecordingTarget()
+    replay(target, wdir, from_checkpoint=True)
+    # One record follows each applied file: the resume applies the files after
+    # the last complete record, and the log reads as that of an unbroken replay.
+    assert target.files == files[data[:cut].count(b"\n") :]
+    assert _log_records(wdir) == [(rec["last_batch"], rec["partial_files"]) for rec in map(json.loads, data.splitlines())]
+
+
+@pytest.mark.parametrize("bad", [b"not json", b"[]", b"{}", b'{"last_batch": 1}', b"\xff", b""])
+@pytest.mark.parametrize("line", [0, 1, 2])
+def test_a_corrupt_complete_line_is_a_replay_error(workload, bad, line):
+    _, _, wdir = workload
+    replay(MemstoreTarget(), wdir)
+    path = wdir / "replay.ckpt.json"
+    lines = path.read_bytes().splitlines(keepends=True)[:3]
+    lines[line] = bad + b"\n"
+    path.write_bytes(b"".join(lines) + b'{"last_batch": 3')  # and a torn tail
+    before = path.read_bytes()
+    with pytest.raises(ReplayError, match=f"checkpoint log line {line + 1} is corrupt"):
+        read_checkpoint(wdir)
+    with pytest.raises(ReplayError, match=f"checkpoint log line {line + 1} is corrupt"):
+        replay(MemstoreTarget(), wdir, from_checkpoint=True)
+    assert path.read_bytes() == before
 
 
 def test_checkpoint_mismatch_refuses(workload, tmp_path):

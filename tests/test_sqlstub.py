@@ -297,6 +297,31 @@ def test_an_integer_literal_too_long_to_convert_is_a_replay_error(target, statem
         target().apply_script("huge.sql", statement)
     assert isinstance(failed.value.__cause__, SqlParseError)
 
+
+# ARRAY values the two-pass parser took and the one-pass parser refuses:
+# trailing text, items that are not bytea, an empty ARRAY without its
+# ::bytea[] cast, and a comma after the last item.
+_LOOSE_ARRAYS = ["ARRAY['\\x01'::bytea]junk", "ARRAY[1, 'x', NULL]", "ARRAY[]", "ARRAY['\\x01'::bytea, ]"]
+
+
+@pytest.mark.parametrize("shape", _LOOSE_ARRAYS)
+def test_parse_literal_accepts_only_the_rendered_arrays(shape):
+    with pytest.raises(SqlParseError, match="bad bytea array literal"):
+        parse_literal(shape)
+
+
+@pytest.mark.parametrize("shape", _LOOSE_ARRAYS)
+@pytest.mark.parametrize("target", [MemstoreTarget, SqlStubTarget])
+def test_a_loose_array_literal_is_a_replay_error(loaded_workload, target, shape):
+    load, _ = loaded_workload
+    rendered = next(line for line in render_sql(load).splitlines() if "ARRAY['" in line)
+    assert parse_script(rendered)  # the rendered statement parses
+    loose = re.sub(r"ARRAY\[[^\]]*\]", lambda _: shape, rendered, count=1)
+    with pytest.raises(ReplayError) as failed:
+        target().apply_script("loose.sql", loose)
+    assert isinstance(failed.value.__cause__, SqlParseError)
+
+
 # Text that the renderer must quote and the tokenizer must keep inside one literal.
 _TRICKY_TEXT = st.lists(
     st.sampled_from(["'", "''", ";", ",", "(", ")", "[", "]", " AND ", "--", "\n", "\r", "a", " ", "\\x", "é"]),
@@ -472,6 +497,8 @@ def test_one_pass_parse_equals_the_two_pass_oracle(script):
 _NEAR_MISS = st.sampled_from(
     [
         "ARRAY['\\x01'::bytea]::bytea[]",
+        "ARRAY['\\x01'::bytea]junk",
+        "ARRAY['\\x01'::bytea, ]",
         "ARRAY[]",
         "ARRAY [ '\\x01'::bytea ]",
         "ARRAY[1, 'x', NULL]",
@@ -497,6 +524,11 @@ _NEAR_MISS = st.sampled_from(
 )
 
 
+# The near misses above that the two-pass parser took as ARRAY values and the
+# one-pass parser refuses.
+_LOOSE_ARRAY_RE = re.compile("|".join(re.escape(shape) + r"(?!::)" for shape in _LOOSE_ARRAYS))
+
+
 @st.composite
 def _near_miss_insert(draw):
     values = draw(st.lists(st.one_of(_value(_TRICKY_TEXT), _NEAR_MISS), min_size=1, max_size=4))
@@ -518,6 +550,10 @@ def test_one_pass_parse_equals_the_two_pass_oracle_on_any_text(script):
     if isinstance(two_pass, str) and two_pass.startswith("ValueError: "):
         # The two-pass parser let a bare ValueError out of an ARRAY literal
         # that lacks a bracket; the one-pass parser refuses it.
+        assert isinstance(one_pass, str) and one_pass.startswith("SqlParseError: ")
+    elif _LOOSE_ARRAY_RE.search(script):
+        # The two-pass parser took these ARRAY shapes; the one-pass parser
+        # accepts only the rendered ones.
         assert isinstance(one_pass, str) and one_pass.startswith("SqlParseError: ")
     else:
         assert one_pass == two_pass
