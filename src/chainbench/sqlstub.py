@@ -10,8 +10,23 @@ Keyed DELETE and NULL-out must name exactly the table's primary key, so each
 resolves with one lookup in the table's key dict; a write to a missing row,
 and a balance UPDATE that leaves ``[0, WEI_MAX)``, are refused.
 
-Parsing takes one regex pass per statement. One compiled statement regex
-cuts the script at top-level semicolons (string literals with ``''``
+``parse_script`` reads a script in two tiers.
+
+The compiled tier takes the statements in the form the renderer writes, one
+anchored ``match`` each. Its patterns are built once, per table, from
+``SCHEMA``, ``PRIMARY_KEYS`` and ``SQL_TABLE_NAMES`` (never from the
+renderer's code, so the stub stays an independent check): the INSERT with the
+full column list, the keyed DELETE and block_hash NULL-out with the WHERE
+clause fixed by the primary key, the balance UPDATE, BEGIN, COMMIT and ``--``
+comment lines. Each pattern types its positions (hex digits in a bytea, an
+optional sign and digits in an integer, ``''`` escapes in text) and has one
+converter per position. The tier never raises: at the first position no
+pattern takes, or where a converter fails (an odd number of hex digits, an
+integer too long to convert), it stops.
+
+The general tier parses the rest of the script from there, and only it
+decides errors. It takes one regex pass per statement. One compiled statement
+regex cuts the text at top-level semicolons (string literals with ``''``
 escapes and ``--`` comments, which start only outside literals, are matched
 whole), and one ``findall`` of a value regex turns an INSERT's VALUES list
 into typed values. A list not in the form the renderer writes is parsed
@@ -21,17 +36,23 @@ accepts a few value shapes the renderer never writes, such as whitespace
 before ``::bytea`` or inside ARRAY brackets. An ARRAY is either the empty
 ``ARRAY[]::bytea[]`` or a non-empty list of bytea items with nothing after
 its closing bracket; a bare ``ARRAY[]``, a non-bytea item, a trailing comma
-or trailing text is refused, where the two-pass parser took them. The
-patterns are written unrolled, without the possessive quantifiers and atomic
-groups that need Python 3.11, and no input makes them backtrack through
-alternative splits.
-"""
+or trailing text is refused, where the two-pass parser took them.
 
+The compiled tier consumes only whole statements, each up to its top-level
+semicolon, and whole comment lines, and what it returns for a statement is
+what the general tier returns for it. So ``parse_script`` gives the general
+tier's result, or its error type and message, on every input.
+
+The patterns are written unrolled, without the possessive quantifiers and
+atomic groups that need Python 3.11, and no input makes them backtrack
+through alternative splits.
+"""
 from __future__ import annotations
 
 import functools
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .chain_model import PRIMARY_KEYS, ROW_TYPES, SCHEMA, SQL_TABLE_NAMES, WEI_MAX
 from .memstore import DeleteRow, InsertRow, Mutation, NullBlockHash, UpdateBalance
@@ -208,6 +229,14 @@ _VALUE_RE = re.compile(
 _ARRAY_ITEM_RE = re.compile(r"'\\x([0-9a-fA-F]*)'")
 
 
+def _unquote(text: str) -> str:
+    return text.replace("''", "'")
+
+
+def _bytea_array(text: str) -> tuple[bytes, ...]:
+    return tuple(bytes.fromhex(h) for h in _ARRAY_ITEM_RE.findall(text))
+
+
 def _insert_values(text: str) -> list | None:
     """Typed values of an INSERT's VALUES list in one regex pass, or None when
     the list is not in the form the renderer writes."""
@@ -219,11 +248,11 @@ def _insert_values(text: str) -> list | None:
             elif number:
                 values.append(int(number))
             elif string:
-                values.append(string[1:-1].replace("''", "'"))
+                values.append(_unquote(string[1:-1]))
             elif keyword:
                 values.append(_KEYWORDS[keyword])
             elif array:
-                values.append(tuple(bytes.fromhex(h) for h in _ARRAY_ITEM_RE.findall(array)))
+                values.append(_bytea_array(array))
             else:
                 return None
     except ValueError:  # an odd number of hex digits, or an int too long to convert
@@ -313,12 +342,146 @@ def parse_statement(stmt: str) -> ParsedStatement | None:
     raise SqlParseError(f"unsupported statement: {flat[:80]!r}")
 
 
+# ---------------------------------------------------------------------------
+# Compiled tier: the statement forms the renderer writes, built once from
+# SCHEMA, PRIMARY_KEYS and SQL_TABLE_NAMES (never from the renderer's code).
+
+_HEX = r"'\\x([0-9a-fA-F]*)'::bytea"
+
+
+# Column kind -> (pattern with one group, converter of the group's text).
+# Converters raise ValueError on an odd number of hex digits or an integer
+# too long to convert; the general tier then decides.
+_VALUE_FORMS = {
+    "hash": (_HEX, bytes.fromhex),
+    "address": (_HEX, bytes.fromhex),
+    "bytes": (_HEX, bytes.fromhex),
+    "int": (r"(-?[0-9]+)", int),
+    "bool": (r"(TRUE|FALSE)", {"TRUE": True, "FALSE": False}.__getitem__),
+    "text": (r"'([^']*(?:''[^']*)*)'", _unquote),
+    "sighashes": (rf"(ARRAY\[\]::bytea\[\]|ARRAY\[{_BYTEA}(?:, {_BYTEA})*\])", _bytea_array),
+}
+
+
+def _value_form(kind: str) -> tuple[str, Callable]:
+    pattern, convert = _VALUE_FORMS[kind.rstrip("?")]
+    if kind.endswith("?"):  # NULL leaves the group unmatched
+        return f"(?:NULL|{pattern})", lambda text: None if text is None else convert(text)
+    return pattern, convert
+
+
+@dataclass(frozen=True)
+class _Form:
+    """One statement form: its pattern after the head, one converter per
+    group, and what the converted values become (None: nothing, for BEGIN,
+    COMMIT and comment lines)."""
+
+    pattern: str
+    converters: tuple[Callable, ...] = ()
+    build: Callable[[list], ParsedStatement] | None = None
+
+
+def _insert(table: str, names: tuple[str, ...], values: list) -> ParsedInsert:
+    return ParsedInsert(table, dict(zip(names, values)))
+
+
+def _balance(values: list) -> ParsedBalanceUpdate:
+    sign, amount, address = values
+    return ParsedBalanceUpdate(address, sign * amount)
+
+
+def _forms() -> dict[str, list[_Form]]:
+    """Statement head -> the forms that start with it."""
+    inserts, deletes, updates = [], [], []
+    for table, columns in SCHEMA.items():
+        name = SQL_TABLE_NAMES[table]
+        names = tuple(col for col, _ in columns)
+        values = [_value_form(kind) for _, kind in columns]
+        inserts.append(
+            _Form(
+                re.escape(f"{name} ({', '.join(names)}) VALUES (") + ", ".join(p for p, _ in values) + r"\);",
+                tuple(c for _, c in values),
+                functools.partial(_insert, table, names),
+            )
+        )
+        kinds = dict(columns)
+        keys = [(col, *_value_form(kinds[col])) for col in PRIMARY_KEYS[table]]
+        where = " AND ".join(f"{col} = {p}" for col, p, _ in keys) + ";"
+        converters = tuple(c for _, _, c in keys)
+        deletes.append(
+            _Form(f"{name} WHERE {where}", converters, lambda values, table=table: ParsedDelete(table, tuple(values)))
+        )
+        updates.append(
+            _Form(
+                f"{name} SET block_hash = NULL WHERE {where}",
+                converters,
+                lambda values, table=table: ParsedNullOut(table, tuple(values)),
+            )
+        )
+    (key,) = PRIMARY_KEYS["addresses"]
+    key_pattern, key_converter = _value_form(dict(SCHEMA["addresses"])[key])
+    updates.append(
+        _Form(
+            f"{SQL_TABLE_NAMES['addresses']} SET eth_balance = eth_balance ([+-]) ([0-9]+) WHERE {key} = {key_pattern};",
+            ({"+": 1, "-": -1}.__getitem__, int, key_converter),
+            _balance,
+        )
+    )
+    return {
+        "INSERT INTO ": inserts,
+        "DELETE FROM ": deletes,
+        "UPDATE ": updates,
+        "": [_Form("BEGIN;"), _Form("COMMIT;"), _Form("--[^\n]*")],
+    }
+
+
+def _compile_forms() -> tuple[re.Pattern, dict[int, tuple[_Form, int, int]]]:
+    """One alternation of every form, each wrapped in a group, then the
+    whitespace up to the next statement. A match's ``lastindex`` is the
+    matched form's group (it closes after the groups inside it), which maps
+    to the form and the slice of ``groups()`` holding its values."""
+    alternatives = []
+    forms: dict[int, tuple[_Form, int, int]] = {}
+    group = 0
+    for head, members in _forms().items():
+        branches = []
+        for form in members:
+            group += 1
+            inner = re.compile(form.pattern).groups
+            assert inner == len(form.converters), form.pattern
+            forms[group] = (form, group, group + inner)
+            branches.append(f"({form.pattern})")
+            group += inner
+        alternatives.append(re.escape(head) + "(?:" + "|".join(branches) + ")")
+    return re.compile("(?:" + "|".join(alternatives) + r")[ \t\n\r\f\v]*"), forms
+
+
+_RENDERED_RE, _RENDERED_FORMS = _compile_forms()
+
+
 def parse_script(script: str) -> list[ParsedStatement]:
-    parsed = []
-    for stmt in split_statements(script):
-        p = parse_statement(stmt)
-        if p is not None:
-            parsed.append(p)
+    """Parsed statements of a script, BEGIN/COMMIT dropped: the compiled tier
+    takes rendered statements one match each, and the general tier parses
+    the rest of the script from the first position the compiled tier stops."""
+    parsed: list[ParsedStatement] = []
+    pos, end = 0, len(script)
+    while pos < end:
+        m = _RENDERED_RE.match(script, pos)
+        if m is None:
+            break
+        form, first, stop = _RENDERED_FORMS[m.lastindex]
+        if form.build is not None:
+            try:
+                values = [convert(text) for convert, text in zip(form.converters, m.groups()[first:stop])]
+            except ValueError:  # odd hex digits, or an int too long: the general tier decides
+                break
+            parsed.append(form.build(values))
+        pos = m.end()
+    if pos < end:
+        for stmt in split_statements(script[pos:]):
+            p = parse_statement(stmt)
+            if p is not None:
+                parsed.append(p)
     return parsed
 
 

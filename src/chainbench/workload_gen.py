@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace as dc_replace
+from operator import add, attrgetter
 from pathlib import Path
+from typing import Callable
 
 from .chain_model import (
     AddressRow,
@@ -374,49 +376,93 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
 # SQL rendering
 
 
-def _sql_literal(kind: str, value) -> str:
-    base = kind.rstrip("?")
-    if value is None:
-        return "NULL"
-    if base in ("hash", "address", "bytes"):
-        return f"'\\x{value.hex()}'::bytea"
-    if base == "int":
-        return str(value)
-    if base == "bool":
-        return "TRUE" if value else "FALSE"
-    if base == "text":
-        escaped = value.replace("'", "''")
-        return f"'{escaped}'"
-    if base == "sighashes":
-        if not value:
-            return "ARRAY[]::bytea[]"
-        items = ", ".join(f"'\\x{v.hex()}'::bytea" for v in value)
-        return f"ARRAY[{items}]"
-    raise ValueError(f"unknown column kind {kind}")
+def _bytea(value: bytes) -> str:
+    return f"'\\x{value.hex()}'::bytea"
+
+
+def _text(value: str) -> str:
+    escaped = value.replace("'", "''")
+    return f"'{escaped}'"
+
+
+def _boolean(value) -> str:
+    return "TRUE" if value else "FALSE"
+
+
+def _bytea_array(value) -> str:
+    if not value:
+        return "ARRAY[]::bytea[]"
+    return f"ARRAY[{', '.join(map(_bytea, value))}]"
+
+
+# Column kind (without the nullable "?") -> encoder of a non-None value.
+_ENCODERS = {
+    "hash": _bytea,
+    "address": _bytea,
+    "bytes": _bytea,
+    "int": str,
+    "bool": _boolean,
+    "text": _text,
+    "sighashes": _bytea_array,
+}
+
+
+def _literals(encoders, values) -> list[str]:
+    """One SQL literal per value; None is NULL in any column."""
+    return ["NULL" if v is None else encode(v) for encode, v in zip(encoders, values)]
+
+
+@dataclass(frozen=True)
+class _Template:
+    """One table's statement text, compiled once from ``SCHEMA`` and
+    ``PRIMARY_KEYS``: each statement's head, the row's values in column
+    order with an encoder each, and the WHERE clause's ``col = `` parts with
+    an encoder each."""
+
+    insert: str
+    values: Callable[[object], tuple]
+    encoders: tuple[Callable[[object], str], ...]
+    delete: str
+    null_out: str
+    key_columns: tuple[str, ...]
+    key_encoders: tuple[Callable[[object], str], ...]
+
+    def where(self, key: tuple) -> str:
+        return " AND ".join(map(add, self.key_columns, _literals(self.key_encoders, key)))
+
+
+def _template(table: str) -> _Template:
+    names = [name for name, _ in SCHEMA[table]]
+    encoders = {name: _ENCODERS[kind.rstrip("?")] for name, kind in SCHEMA[table]}
+    sql_name = SQL_TABLE_NAMES[table]
+    return _Template(
+        insert=f"INSERT INTO {sql_name} ({', '.join(names)}) VALUES (",
+        values=attrgetter(*names),
+        encoders=tuple(encoders.values()),
+        delete=f"DELETE FROM {sql_name} WHERE ",
+        null_out=f"UPDATE {sql_name} SET block_hash = NULL WHERE ",
+        key_columns=tuple(f"{col} = " for col in PRIMARY_KEYS[table]),
+        key_encoders=tuple(encoders[col] for col in PRIMARY_KEYS[table]),
+    )
+
+
+_TEMPLATES = {table: _template(table) for table in SCHEMA}
 
 
 def _render_op(op: Mutation) -> str:
     if isinstance(op, InsertRow):
-        cols = SCHEMA[op.table]
-        names = ", ".join(name for name, _ in cols)
-        values = ", ".join(_sql_literal(kind, getattr(op.row, name)) for name, kind in cols)
-        return f"INSERT INTO {SQL_TABLE_NAMES[op.table]} ({names}) VALUES ({values});"
+        t = _TEMPLATES[op.table]
+        return f"{t.insert}{', '.join(_literals(t.encoders, t.values(op.row)))});"
     if isinstance(op, UpdateBalance):
         sign, amount = ("+", op.delta) if op.delta >= 0 else ("-", -op.delta)
-        addr = _sql_literal("address", op.address)
-        return (
-            f"UPDATE Addresses SET eth_balance = eth_balance {sign} {amount} "
-            f"WHERE address = {addr};"
-        )
-    if isinstance(op, (DeleteRow, NullBlockHash)):
-        kinds = dict(SCHEMA[op.table])
-        where = " AND ".join(
-            f"{col} = {_sql_literal(kinds[col], val)}"
-            for col, val in zip(PRIMARY_KEYS[op.table], op.key)
-        )
-        if isinstance(op, DeleteRow):
-            return f"DELETE FROM {SQL_TABLE_NAMES[op.table]} WHERE {where};"
-        return f"UPDATE {SQL_TABLE_NAMES[op.table]} SET block_hash = NULL WHERE {where};"
+        address = "NULL" if op.address is None else _bytea(op.address)
+        return f"UPDATE Addresses SET eth_balance = eth_balance {sign} {amount} WHERE address = {address};"
+    if isinstance(op, DeleteRow):
+        t = _TEMPLATES[op.table]
+        return f"{t.delete}{t.where(op.key)};"
+    if isinstance(op, NullBlockHash):
+        t = _TEMPLATES[op.table]
+        return f"{t.null_out}{t.where(op.key)};"
     raise ValueError(f"unknown mutation {type(op).__name__}")
 
 

@@ -1,15 +1,19 @@
+import contextlib
 import dataclasses
+import functools
 import re
+import sys
 import tempfile
 import time
+import types
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from chainbench import memstore, sqlstub
-from chainbench.chain_model import PRIMARY_KEYS, SQL_TABLE_NAMES, WEI_MAX, AddressRow
+from chainbench import memstore, sqlstub, workload_gen
+from chainbench.chain_model import PRIMARY_KEYS, ROW_TYPES, SCHEMA, SQL_TABLE_NAMES, WEI_MAX, AddressRow
 from chainbench.memstore import BatchRejected, DeleteRow, InsertRow, NullBlockHash, Store, UpdateBalance
 from chainbench.replay_driver import MemstoreTarget, ReplayError, SqlStubTarget, replay
 from chainbench.sqlstub import (
@@ -29,6 +33,7 @@ from chainbench.workload_gen import (
     render_sql,
     write_workload,
 )
+import util
 from util import two_pass_parse_script, two_pass_split_statements
 
 
@@ -524,9 +529,32 @@ _NEAR_MISS = st.sampled_from(
 )
 
 
-# The near misses above that the two-pass parser took as ARRAY values and the
-# one-pass parser refuses.
-_LOOSE_ARRAY_RE = re.compile("|".join(re.escape(shape) + r"(?!::)" for shape in _LOOSE_ARRAYS))
+def _two_pass_took_a_loose_array(script: str) -> bool:
+    """Whether the two-pass parser took, on its way through ``script``, an
+    ARRAY literal that the one-pass ``parse_literal`` refuses as loose: such
+    as the four ``_LOOSE_ARRAYS``, or a near miss without its ``[`` that runs
+    on to a later ARRAY's bracket."""
+    taken = []
+
+    def record(token):
+        value = parse_two_pass(token)
+        if token.strip().startswith("ARRAY"):
+            taken.append(token)
+        return value
+
+    parse_two_pass = util.two_pass_parse_literal
+    with mock.patch.object(util, "two_pass_parse_literal", record):
+        try:
+            two_pass_parse_script(script)
+        except ValueError:
+            pass
+    for token in taken:
+        try:
+            parse_literal(token)
+        except SqlParseError as exc:
+            if str(exc).startswith("bad bytea array literal"):
+                return True
+    return False
 
 
 @st.composite
@@ -551,9 +579,8 @@ def test_one_pass_parse_equals_the_two_pass_oracle_on_any_text(script):
         # The two-pass parser let a bare ValueError out of an ARRAY literal
         # that lacks a bracket; the one-pass parser refuses it.
         assert isinstance(one_pass, str) and one_pass.startswith("SqlParseError: ")
-    elif _LOOSE_ARRAY_RE.search(script):
-        # The two-pass parser took these ARRAY shapes; the one-pass parser
-        # accepts only the rendered ones.
+    elif _two_pass_took_a_loose_array(script):
+        # The one-pass parser accepts only the rendered ARRAY shapes.
         assert isinstance(one_pass, str) and one_pass.startswith("SqlParseError: ")
     else:
         assert one_pass == two_pass
@@ -646,11 +673,249 @@ def test_a_huge_malformed_statement_is_refused_quickly(script, valid_parse_secon
     assert _seconds(refuse) < 20 * valid_parse_seconds
 
 
+def _compiled_patterns(module) -> list[str]:
+    """Every compiled pattern reachable from the module's globals: also one
+    kept in a dict, a sequence, a dataclass, a partial, a bound method, or a
+    default or closure of one of the module's functions."""
+    patterns, seen, todo = [], set(), list(vars(module).values())
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, re.Pattern):
+            patterns.append(obj.pattern)
+        elif isinstance(obj, dict):
+            todo.extend(obj.items())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo.extend(obj)
+        elif isinstance(obj, functools.partial):
+            todo.extend((obj.func, obj.args, obj.keywords))
+        elif isinstance(obj, (types.MethodType, types.BuiltinMethodType)):
+            todo.append(obj.__self__)
+        elif isinstance(obj, types.FunctionType) and obj.__module__ == module.__name__:
+            todo.extend(obj.__defaults__ or ())
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif dataclasses.is_dataclass(obj):
+            todo.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    return patterns
+
+
 def test_no_sqlstub_pattern_needs_python_3_11():
     # Possessive quantifiers and atomic groups arrived in Python 3.11; the
     # package supports 3.10.
-    patterns = [v.pattern for v in vars(sqlstub).values() if isinstance(v, re.Pattern)]
+    patterns = _compiled_patterns(sqlstub)
     assert len(patterns) >= 8
+    assert sqlstub._RENDERED_RE.pattern in patterns
     for pattern in patterns:
         for construct in ("(?>", "*+", "++", "?+"):
             assert construct not in pattern, (construct, pattern)
+
+
+def test_compiled_patterns_are_found_wherever_they_are_kept():
+    hidden = re.compile("hidden")
+    module = types.ModuleType(__name__)
+
+    def closure():
+        return hidden
+
+    module.table = {"t": [(dataclasses.make_dataclass("F", ["p"])(hidden),)]}
+    module.match = re.compile("bound").match
+    module.partial = functools.partial(print, re.compile("partial"))
+    module.closure = closure
+    assert sorted(_compiled_patterns(module)) == ["bound", "hidden", "partial"]
+
+
+# ---------------------------------------------------------------------------
+# The compiled tier against the general tier alone
+
+
+def _general(script):
+    """The general tier alone: split the script, then parse each statement."""
+    parsed = []
+    for stmt in split_statements(script):
+        p = sqlstub.parse_statement(stmt)
+        if p is not None:
+            parsed.append(p)
+    return parsed
+
+
+def _outcome(parse, script):
+    """A parse's result; an error stands as its type and message."""
+    try:
+        return parse(script)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@functools.lru_cache(maxsize=None)
+def _rendered_scripts(seed: int) -> tuple[str, ...]:
+    ds = generate(SynthConfig(seed=seed, n_blocks=16, mean_tx_per_block=3, address_pool=15, n_tokens=3))
+    cfg = WorkloadConfig(init_blocks=8, granularity=3, expire=True)
+    batches = [gen_initial(ds, cfg)] + [b for p in gen_batches(ds, cfg)[0] for b in (p.expire, p.upsert)]
+    return tuple(render_sql(b) for b in batches)
+
+
+_KEYWORD = r"\b(?:INSERT|INTO|VALUES|DELETE|FROM|UPDATE|SET|WHERE|AND|NULL|TRUE|FALSE|ARRAY|BEGIN|COMMIT)\b"
+_COLUMN_PAIR = r"(?<=\()(\w+), (\w+)(?=[,)])"
+_TRAILING = ["DELETE FROM Blocks WHERE hash = 1", " junk", "'", "-- note", "\n\t", ";"]
+
+# Defect kind -> (where it may go, what replaces the matched text there).
+_DEFECTS = {
+    "quote": ("'", lambda m: ""),
+    "bracket": (r"[()\[\]]", lambda m: ""),
+    "odd-hex": (r"(?<='\\x)", lambda m: "a"),
+    "non-hex": (r"(?<='\\x)", lambda m: "zz"),
+    "upper-hex": (r"(?<='\\x)[0-9a-f]+", lambda m: m.group().upper()),
+    "whitespace": (r"(?=[ ,;=()\[\]])|^", lambda m: " "),
+    "line-break": (r"(?=[ ,;=()\[\]])", lambda m: "\n"),
+    "lower-keyword": (_KEYWORD, lambda m: m.group().lower()),
+    "reordered-columns": (_COLUMN_PAIR, lambda m: f"{m.group(2)}, {m.group(1)}"),
+    "huge-int": (r"(?<=[ (])-?[0-9]+(?=[,);])", lambda m: "9" * 5000),
+}
+
+
+def _defect(script: str, kind: str, at: int) -> str | None:
+    """``script`` with one defect of ``kind``, or None when it has no place for one."""
+    if kind == "trailing":
+        return script + _TRAILING[at % len(_TRAILING)]
+    pattern, replace = _DEFECTS[kind]
+    spots = list(re.finditer(pattern, script))
+    if not spots:
+        return None
+    m = spots[at % len(spots)]
+    return script[: m.start()] + replace(m) + script[m.end() :]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 5),
+    pick=st.integers(0, 2**16),
+    kind=st.sampled_from(sorted(_DEFECTS) + ["trailing"]),
+    at=st.integers(0, 2**16),
+)
+def test_parse_script_equals_the_general_tier_on_a_defective_rendered_script(seed, pick, kind, at):
+    scripts = _rendered_scripts(seed)
+    script = _defect(scripts[pick % len(scripts)], kind, at)
+    assume(script is not None)
+    assert _outcome(parse_script, script) == _outcome(_general, script)
+
+
+def test_each_defect_kind_has_a_place_in_the_rendered_scripts():
+    scripts = [s for seed in range(6) for s in _rendered_scripts(seed)]
+    for kind in _DEFECTS:
+        assert any(re.search(_DEFECTS[kind][0], s) for s in scripts), kind
+    assert any("ARRAY['" in s for s in scripts)
+    assert any(", NULL" in s for s in scripts)
+
+
+@contextlib.contextmanager
+def _general_tier_refused():
+    """Any use of the general tier fails the test."""
+    refuse = AssertionError("general tier reached")
+    with mock.patch.object(sqlstub, "split_statements", side_effect=refuse), mock.patch.object(
+        sqlstub, "parse_statement", side_effect=refuse
+    ):
+        yield
+
+
+# The benchmark's three workload shapes (synthesis, init_blocks,
+# granularity; expire on), at small sizes.
+_BENCH_SHAPES = {
+    "drift-window": (
+        {"n_blocks": 120, "mean_tx_per_block": 20, "address_pool": 800, "token_value_drift": 0.00125, "token_value_mu0": 7.0},
+        60,
+        50,
+    ),
+    "replay-fine": ({"n_blocks": 40, "mean_tx_per_block": 10}, 20, 1),
+    "stub-expire": ({"n_blocks": 40, "mean_tx_per_block": 15}, 20, 5),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_BENCH_SHAPES))
+def test_every_written_workload_file_takes_the_compiled_tier_only(shape, tmp_path):
+    synth, init_blocks, granularity = _BENCH_SHAPES[shape]
+    ds = generate(SynthConfig(seed=7, **synth))
+    write_workload(ds, WorkloadConfig(init_blocks, granularity, expire=True), tmp_path)
+    scripts = {path.name: path.read_text(encoding="utf-8") for path in sorted(tmp_path.glob("*.sql"))}
+    expected = {name: _general(script) for name, script in scripts.items()}
+    with _general_tier_refused():
+        for name, script in scripts.items():
+            assert parse_script(script) == expected[name], name
+    kinds = {(type(p).__name__, getattr(p, "table", "addresses")) for parsed in expected.values() for p in parsed}
+    assert {("ParsedInsert", t) for t in SQL_TABLE_NAMES} <= kinds
+    assert {"ParsedDelete", "ParsedBalanceUpdate"} <= {kind for kind, _ in kinds}
+
+
+class _Unreadable(dict):
+    """A schema that fails any attempt to read it."""
+
+    def _read(self, *args):
+        raise AssertionError("SCHEMA read while rendering")
+
+    __getitem__ = get = items = values = keys = __iter__ = _read
+
+
+def test_render_sql_switches_on_no_column_kind(loaded_workload):
+    load, pairs = loaded_workload
+    batches = [load] + [b for p in pairs[:2] for b in (p.expire, p.upsert)]
+    expected = [render_sql(b) for b in batches]
+    assert not hasattr(workload_gen, "_sql_literal")
+    # No function taking a column kind runs while rendering, and the
+    # schema is never read: the templates were compiled at import.
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and "kind" in frame.f_code.co_varnames[: frame.f_code.co_argcount]:
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    with mock.patch.object(workload_gen, "SCHEMA", _Unreadable()):
+        sys.setprofile(profile)
+        try:
+            rendered = [render_sql(b) for b in batches]
+        finally:
+            sys.setprofile(previous)
+    assert rendered == expected
+    assert calls == []
+
+
+def _column(kind: str):
+    base = {
+        "hash": st.binary(max_size=32),
+        "address": st.binary(max_size=20),
+        "bytes": st.binary(max_size=24),
+        "int": st.one_of(st.sampled_from([0, WEI_MAX - 1]), st.integers(0, WEI_MAX - 1)),
+        "bool": st.booleans(),
+        "text": _TRICKY_TEXT,
+        "sighashes": st.lists(st.binary(min_size=4, max_size=4), max_size=3).map(tuple),
+    }[kind.rstrip("?")]
+    return st.one_of(st.none(), base) if kind.endswith("?") else base
+
+
+def _key(table: str):
+    kinds = dict(SCHEMA[table])
+    return st.tuples(*(_column(kinds[col]) for col in PRIMARY_KEYS[table]))
+
+
+_TABLES = st.sampled_from(sorted(SCHEMA))
+_OP = st.one_of(
+    _TABLES.flatmap(
+        lambda t: st.builds(InsertRow, st.just(t), st.builds(ROW_TYPES[t], **{c: _column(k) for c, k in SCHEMA[t]}))
+    ),
+    _TABLES.flatmap(lambda t: st.builds(DeleteRow, st.just(t), _key(t))),
+    _TABLES.flatmap(lambda t: st.builds(NullBlockHash, st.just(t), _key(t))),
+    st.builds(UpdateBalance, st.binary(max_size=20), st.integers(-(WEI_MAX - 1), WEI_MAX - 1)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_OP, max_size=10))
+def test_render_round_trip_over_every_table(ops):
+    # Edge values: None in each nullable column, empty bytes, empty and
+    # multi-item sighashes, 0 and WEI_MAX - 1, negative balance deltas and
+    # text the tokenizer must keep inside one literal.
+    script = render_sql(Batch(1, "upsert", 0, 0, tuple(ops)))
+    with _general_tier_refused():
+        parsed = parse_script(script)
+    assert to_mutations(parsed) == ops
