@@ -238,7 +238,7 @@ PRIMARY_KEYS: dict[str, tuple[str, ...]] = {
 }
 
 # Table name as written in rendered SQL text. The SQL stub engine reads it back
-# case-insensitively.
+# exactly as written.
 SQL_TABLE_NAMES: dict[str, str] = {
     "blocks": "Blocks",
     "addresses": "Addresses",
