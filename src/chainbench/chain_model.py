@@ -260,10 +260,6 @@ ROW_TYPES = {
 }
 
 
-def row_key(table: str, row) -> tuple:
-    return tuple(getattr(row, col) for col in PRIMARY_KEYS[table])
-
-
 @dataclass(frozen=True, slots=True)
 class Violation:
     table: str

@@ -16,6 +16,7 @@ import csv
 import json
 import logging
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -390,20 +391,21 @@ def build_ledger(ds: ChainDataset) -> BalanceLedger:
     block_number = {b.hash: b.number for b in ds.blocks}
     rng = ds.block_range
     first = rng[0] if rng else ds.final_block
-    deltas: dict[bytes, dict[int, int]] = {}
-
-    def bump(addr: bytes, blk: int, amount: int) -> None:
-        deltas.setdefault(addr, {})
-        deltas[addr][blk] = deltas[addr].get(blk, 0) + amount
-
+    # address -> block -> net delta, addresses in first-touch order
+    deltas: defaultdict[bytes, dict[int, int]] = defaultdict(dict)
     for t in ds.transactions:
         blk = block_number[t.block_hash]
-        if t.value:
-            bump(t.from_address, blk, -t.value)
+        value = t.value
+        if value:
+            per_block = deltas[t.from_address]
+            per_block[blk] = per_block.get(blk, 0) - value
             if t.to_address is not None:
-                bump(t.to_address, blk, t.value)
+                per_block = deltas[t.to_address]
+                per_block[blk] = per_block.get(blk, 0) + value
     for w in ds.withdrawals:
-        bump(w.address, block_number[w.hash], w.amount)
+        blk = block_number[w.hash]
+        per_block = deltas[w.address]
+        per_block[blk] = per_block.get(blk, 0) + w.amount
 
     compact = {
         addr: sorted((blk, d) for blk, d in per_block.items() if d != 0)

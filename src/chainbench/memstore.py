@@ -19,25 +19,25 @@ from .chain_model import AddressRow, ChainDataset, SCHEMA, WEI_MAX, encode_hex
 # Structured mutations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertRow:
     table: str
     row: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteRow:
     table: str
     key: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateBalance:
     address: bytes
     delta: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullBlockHash:
     table: str  # "tokens" or "contracts"
     key: tuple

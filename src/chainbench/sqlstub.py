@@ -41,25 +41,25 @@ class SqlParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedInsert:
     table: str
     row: tuple  # column values in SCHEMA order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedBalanceUpdate:
     address: bytes
     delta: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedNullOut:
     table: str
     key: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedDelete:
     table: str
     key: tuple

@@ -9,9 +9,9 @@ balance so no balance ever goes negative.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .chain_model import (
@@ -89,228 +89,244 @@ class ZipfSampler:
     def sample(self, rng: random.Random, prefix: int | None = None) -> int:
         hi = len(self.cum) if prefix is None else prefix
         r = rng.random() * self.cum[hi - 1]
-        return bisect.bisect_left(self.cum, r, 0, hi)
+        return bisect_left(self.cum, r, 0, hi)
 
 
-def _poisson(rng: random.Random, lam: float) -> int:
+def _poisson(draw, lam: float) -> int:
     if lam <= 0:
         return 0
     threshold = math.exp(-lam)
     k, p = 0, 1.0
     while True:
-        p *= rng.random()
+        p *= draw()
         if p <= threshold:
             return k
         k += 1
 
 
-def _log_uniform(rng: random.Random, lo_exp: float, hi_exp: float) -> int:
-    return int(10 ** rng.uniform(lo_exp, hi_exp))
-
-
-def _unique_bytes(rng: random.Random, n: int, seen: set[bytes]) -> bytes:
-    while True:
-        value = rng.randbytes(n)
-        if value not in seen:
-            seen.add(value)
-            return value
-
-
 def generate(cfg: SynthConfig) -> ChainDataset:
-    """Produce a dataset for ``cfg``; equal configs yield identical datasets."""
+    """Produce a dataset for ``cfg``; equal configs yield identical datasets.
+
+    Every draw goes through the bound methods of one ``random.Random``, in a
+    fixed order. Log-uniform values are ``int(10 ** (lo + (hi - lo) * random()))``,
+    the formula ``Random.uniform`` uses, and Zipf ranks are drawn inline as
+    :meth:`ZipfSampler.sample` draws them.
+    """
     rng = random.Random(cfg.seed)
+    random_ = rng.random
+    randrange = rng.randrange
+    randbytes = rng.randbytes
+    gauss = rng.gauss
 
     addr_seen: set[bytes] = set()
-    pool = [_unique_bytes(rng, 20, addr_seen) for _ in range(cfg.address_pool)]
+    pool: list[bytes] = []
+    for _ in range(cfg.address_pool):
+        addr = randbytes(20)
+        while addr in addr_seen:
+            addr = randbytes(20)
+        addr_seen.add(addr)
+        pool.append(addr)
+    n_pool = len(pool)
     pool_index = {addr: i for i, addr in enumerate(pool)}
-    addr_zipf = ZipfSampler(len(pool), cfg.address_zipf_s) if pool else None
+    addr_cum = ZipfSampler(n_pool, cfg.address_zipf_s).cum
+    addr_total = addr_cum[-1] if addr_cum else 0.0
 
-    last_number = cfg.start_number + cfg.n_blocks - 1
+    start_number = cfg.start_number
+    n_blocks = cfg.n_blocks
+    last_number = start_number + n_blocks - 1
     hash_seen: set[bytes] = set()
     blocks: list[Block] = []
-    for i in range(cfg.n_blocks):
+    for i in range(n_blocks):
+        block_hash = randbytes(32)
+        while block_hash in hash_seen:
+            block_hash = randbytes(32)
+        hash_seen.add(block_hash)
         blocks.append(
             Block(
-                hash=_unique_bytes(rng, 32, hash_seen),
-                number=cfg.start_number + i,
-                timestamp=cfg.start_timestamp + i * cfg.block_interval,
-                extra_data=rng.randbytes(rng.randrange(0, 9)),
-                base_fee_per_gas=_log_uniform(rng, 9, 11),
-                size=rng.randrange(20_000, 200_000),
-                miner=pool[rng.randrange(len(pool))],
+                block_hash,
+                start_number + i,
+                cfg.start_timestamp + i * cfg.block_interval,
+                randbytes(randrange(0, 9)),
+                int(10 ** (9 + 2 * random_())),
+                randrange(20_000, 200_000),
+                pool[randrange(n_pool)],
             )
         )
-    hash_by_number = {b.number: b.hash for b in blocks}
 
-    n_contracts = round(cfg.contract_fraction * len(pool))
-    contract_addrs = sorted(rng.sample(range(len(pool)), n_contracts)) if n_contracts else []
+    n_contracts = round(cfg.contract_fraction * n_pool)
+    contract_addrs = sorted(rng.sample(range(n_pool), n_contracts)) if n_contracts else []
     contracts: list[Contract] = []
     erc20_addrs: list[bytes] = []
     for idx in contract_addrs:
         addr = pool[idx]
         creation = None
-        if rng.random() < 0.8:  # 20% predate the dataset entirely
-            creation = hash_by_number[cfg.start_number + rng.randrange(cfg.n_blocks)]
-        is_erc20 = rng.random() < 0.5
-        is_erc721 = (not is_erc20) and rng.random() < 0.3
-        n_versions = 2 if rng.random() < 0.02 else 1
+        if random_() < 0.8:  # 20% predate the dataset entirely
+            creation = blocks[randrange(n_blocks)].hash
+        is_erc20 = random_() < 0.5
+        is_erc721 = (not is_erc20) and random_() < 0.3
+        n_versions = 2 if random_() < 0.02 else 1
         for version in range(1, n_versions + 1):
             contracts.append(
                 Contract(
-                    address=addr,
-                    version=version,
-                    function_sighashes=tuple(rng.randbytes(4) for _ in range(rng.randrange(1, 6))),
-                    bytecode=rng.randbytes(rng.randrange(32, 128)),
-                    is_erc20=is_erc20,
-                    is_erc721=is_erc721,
-                    block_hash=creation,
+                    addr,
+                    version,
+                    tuple(randbytes(4) for _ in range(randrange(1, 6))),
+                    randbytes(randrange(32, 128)),
+                    is_erc20,
+                    is_erc721,
+                    creation,
                 )
             )
         if is_erc20:
             erc20_addrs.append(addr)
 
-    n_tokens = min(cfg.n_tokens, len(pool))
+    n_tokens = min(cfg.n_tokens, n_pool)
     token_addr_choices = list(erc20_addrs)
-    spare = [a for a in pool if a not in set(erc20_addrs)]
+    erc20_set = set(erc20_addrs)
+    spare = [a for a in pool if a not in erc20_set]
     while len(token_addr_choices) < n_tokens and spare:
-        token_addr_choices.append(spare.pop(rng.randrange(len(spare))))
+        token_addr_choices.append(spare.pop(randrange(len(spare))))
     token_addrs = token_addr_choices[:n_tokens]
 
     # Tokens activate in index order: a None creation block means the token
     # predates the dataset, otherwise it is usable from its creation block on.
     creations: list[int | None] = []
     for _ in token_addrs:
-        if rng.random() < 0.25:
+        if random_() < 0.25:
             creations.append(None)
         else:
-            creations.append(cfg.start_number + rng.randrange(cfg.n_blocks))
+            creations.append(start_number + randrange(n_blocks))
     creations.sort(key=lambda c: -1 if c is None else c)
     tokens: list[Token] = []
     for i, addr in enumerate(token_addrs):
-        if rng.random() < 0.80:
+        if random_() < 0.80:
             decimals: int | None = 18
-        elif rng.random() < 0.75:
+        elif random_() < 0.75:
             decimals = rng.choice((6, 8, 9))
         else:
             decimals = None
         d = 18 if decimals is None else decimals
-        if rng.random() < cfg.zero_supply_fraction:
+        if random_() < cfg.zero_supply_fraction:
             supply = 0
         else:
-            supply = _log_uniform(rng, 6 + d, 12 + d)
+            supply = int(10 ** (6 + d + 6 * random_()))
         name = rng.choice(_SYLLABLES) + rng.choice(_SYLLABLES) + f"-{i:03d}"
-        if rng.random() < cfg.us_name_fraction:
+        if random_() < cfg.us_name_fraction:
             name = name[:3] + "US" + name[3:]
-        symbol = "".join(rng.choice("ABCDEFGHIJKLMNOPQRSTVWXYZ") for _ in range(rng.randrange(3, 6)))
+        symbol = "".join(rng.choice("ABCDEFGHIJKLMNOPQRSTVWXYZ") for _ in range(randrange(3, 6)))
         creation = creations[i]
         tokens.append(
             Token(
-                address=addr,
-                symbol=symbol,
-                name=name,
-                decimals=decimals,
-                total_supply=supply,
-                block_hash=None if creation is None else hash_by_number[creation],
+                addr,
+                symbol,
+                name,
+                decimals,
+                supply,
+                None if creation is None else blocks[creation - start_number].hash,
             )
         )
-    token_zipf = ZipfSampler(len(tokens), cfg.token_zipf_s) if tokens else None
+    token_cum = ZipfSampler(len(tokens), cfg.token_zipf_s).cum
     activation_numbers = [(-1 if c is None else c) for c in creations]
 
-    balances = {addr: cfg.initial_balance for addr in pool}
+    initial_balance = cfg.initial_balance
+    balances = {addr: initial_balance for addr in pool}
     nonces: dict[bytes, int] = {}
+    nonce_max = cfg.nonce_offset_max
+    nonce_exp = math.log10(nonce_max) if nonce_max > 0 else 0.0
     for addr in pool:
-        if cfg.nonce_offset_max <= 0 or rng.random() < 0.3:
+        if nonce_max <= 0 or random_() < 0.3:
             nonces[addr] = 0
         else:
-            nonces[addr] = int(10 ** rng.uniform(0, math.log10(cfg.nonce_offset_max)))
+            nonces[addr] = int(10 ** (nonce_exp * random_()))
+
     transactions: list[Transaction] = []
     token_txs: list[TokenTransaction] = []
     withdrawals: list[Withdrawal] = []
-
-    def token_value(block_offset: int) -> int:
-        if cfg.token_value_drift:
-            exp = rng.gauss(cfg.token_value_mu0 + cfg.token_value_drift * block_offset, 1.0)
-            return max(0, int(10**exp))
-        return _log_uniform(rng, 6, 14)
+    add_tx = transactions.append
+    add_token_tx = token_txs.append
+    mean_tx = cfg.mean_tx_per_block
+    withdrawal_rate = cfg.withdrawal_rate
+    token_tx_prob = cfg.token_tx_prob
+    drift = cfg.token_value_drift
+    mu0 = cfg.token_value_mu0
+    contract_pool = [pool[i] for i in contract_addrs]
+    n_contract_pool = len(contract_pool)
 
     for offset, block in enumerate(blocks):
-        active = bisect.bisect_right(activation_numbers, block.number)
+        block_hash = block.hash
+        active = bisect_right(activation_numbers, block.number)
+        token_total = token_cum[active - 1] if active else 0.0
+        mu = mu0 + drift * offset
         log_index = 0
-        for tx_index in range(_poisson(rng, cfg.mean_tx_per_block)):
-            sender = pool[addr_zipf.sample(rng)]
+        for tx_index in range(_poisson(random_, mean_tx)):
+            sender = pool[bisect_left(addr_cum, random_() * addr_total, 0, n_pool)]
             transfers: list[int] = []
-            if token_zipf is not None and active > 0 and rng.random() < cfg.token_tx_prob:
-                transfers.append(token_zipf.sample(rng, prefix=active))
-                while rng.random() < 1 / 3:  # geometric tail, mean 1.5 transfers
-                    transfers.append(token_zipf.sample(rng, prefix=active))
+            if active and random_() < token_tx_prob:
+                transfers.append(bisect_left(token_cum, random_() * token_total, 0, active))
+                while random_() < 1 / 3:  # geometric tail, mean 1.5 transfers
+                    transfers.append(bisect_left(token_cum, random_() * token_total, 0, active))
             if transfers:
-                to: bytes | None = tokens[transfers[0]].address
-            elif rng.random() < 0.01:
+                to: bytes | None = token_addrs[transfers[0]]
+            elif random_() < 0.01:
                 to = None  # contract creation: no receiver, no value moved
-            elif contract_addrs and rng.random() < 0.3:
-                to = pool[contract_addrs[rng.randrange(len(contract_addrs))]]
+            elif n_contract_pool and random_() < 0.3:
+                to = contract_pool[randrange(n_contract_pool)]
             else:
-                to = pool[addr_zipf.sample(rng)]
+                to = pool[bisect_left(addr_cum, random_() * addr_total, 0, n_pool)]
             if to is None:
                 value = 0
             else:
-                value = min(_log_uniform(rng, 12, 19), balances[sender])
-            balances[sender] -= value
-            if to is not None:
+                value = int(10 ** (12 + 7 * random_()))
+                balance = balances[sender]
+                if value > balance:
+                    value = balance
+                balances[sender] = balance - value
                 balances[to] += value
 
-            roll = rng.random()
+            roll = random_()
             tx_type = 2 if roll < 0.85 else (0 if roll < 0.95 else 1)
-            prio = _log_uniform(rng, 8, 10) if tx_type == 2 else None
+            prio = int(10 ** (8 + 2 * random_())) if tx_type == 2 else None
             if to is None:
-                payload = rng.randbytes(rng.randrange(100, 300))
-            elif transfers or rng.random() < 0.2:
-                payload = rng.randbytes(4 + 32 * rng.randrange(0, 3))
+                payload = randbytes(randrange(100, 300))
+            elif transfers or random_() < 0.2:
+                payload = randbytes(4 + 32 * randrange(0, 3))
             else:
                 payload = b""
 
-            tx_hash = _unique_bytes(rng, 32, hash_seen)
+            tx_hash = randbytes(32)
+            while tx_hash in hash_seen:
+                tx_hash = randbytes(32)
+            hash_seen.add(tx_hash)
             nonce = nonces[sender]
             nonces[sender] = nonce + 1
-            transactions.append(
+            add_tx(
                 Transaction(
-                    hash=tx_hash,
-                    transaction_index=tx_index,
-                    value=value,
-                    from_address=sender,
-                    to_address=to,
-                    gas=rng.randrange(21_000, 1_000_000),
-                    max_priority_fee_per_gas=prio,
-                    input=payload,
-                    block_hash=block.hash,
-                    transaction_type=tx_type,
-                    nonce=nonce,
+                    tx_hash,
+                    tx_index,
+                    value,
+                    sender,
+                    to,
+                    randrange(21_000, 1_000_000),
+                    prio,
+                    payload,
+                    block_hash,
+                    tx_type,
+                    nonce,
                 )
             )
             for tok_idx in transfers:
-                token_txs.append(
-                    TokenTransaction(
-                        transaction_hash=tx_hash,
-                        log_index=log_index,
-                        token_address=tokens[tok_idx].address,
-                        value=token_value(offset),
-                    )
-                )
+                if drift:
+                    token_value = max(0, int(10 ** gauss(mu, 1.0)))
+                else:
+                    token_value = int(10 ** (6 + 8 * random_()))
+                add_token_tx(TokenTransaction(tx_hash, log_index, token_addrs[tok_idx], token_value))
                 log_index += 1
 
-        for w_index in range(_poisson(rng, cfg.withdrawal_rate)):
-            addr = pool[addr_zipf.sample(rng)]
-            amount = _log_uniform(rng, 15, 18)
+        for w_index in range(_poisson(random_, withdrawal_rate)):
+            addr = pool[bisect_left(addr_cum, random_() * addr_total, 0, n_pool)]
+            amount = int(10 ** (15 + 3 * random_()))
             balances[addr] += amount
-            withdrawals.append(
-                Withdrawal(
-                    hash=block.hash,
-                    withdrawal_index=w_index,
-                    validator=pool_index[addr],
-                    address=addr,
-                    amount=amount,
-                )
-            )
+            withdrawals.append(Withdrawal(block_hash, w_index, pool_index[addr], addr, amount))
 
     return ChainDataset(
         blocks=tuple(blocks),

@@ -1,8 +1,12 @@
+import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainbench.chain_model import validate_dataset
+from chainbench.chain_model import SCHEMA, validate_dataset
+from chainbench.ingest_slice import build_ledger
 from chainbench.synth_chain import SynthConfig, ZipfSampler, generate
 
 
@@ -121,3 +125,73 @@ def test_config_validation():
         SynthConfig(token_tx_prob=1.5)
     with pytest.raises(ValueError):
         SynthConfig(address_zipf_s=-0.1)
+
+
+def _feed_dataset(h, ds) -> None:
+    # Cell tuples in SCHEMA order, so the digest does not depend on the row class.
+    for table, cols in SCHEMA.items():
+        for row in ds.table(table):
+            h.update(repr(tuple(getattr(row, name) for name, _ in cols)).encode())
+    h.update(repr(sorted(ds.final_balances.items())).encode())
+    h.update(repr(ds.final_block).encode())
+
+
+# Configs that between them reach every branch of generate: the bench
+# drift-window dataset (seed 7), drifting token values, no nonce offsets and no
+# withdrawals, and no tokens with every address a contract.
+_PINNED = (
+    (
+        dict(seed=7, n_blocks=1000, mean_tx_per_block=20, address_pool=800,
+             token_value_drift=0.00125, token_value_mu0=7.0),
+        "516f775f7dfd2f7de52e269a1fd2db139ada2b6da31ff7ac624afae6054dc954",
+    ),
+    (
+        dict(seed=7, n_blocks=120, mean_tx_per_block=12, address_pool=60,
+             token_value_drift=0.01, token_value_mu0=7.0),
+        "1172b73d7165546b65565e3d1f46278a5026749400d28beea6678d8955e4bbb9",
+    ),
+    (
+        dict(seed=3, n_blocks=80, mean_tx_per_block=5, address_pool=25, n_tokens=4,
+             nonce_offset_max=0, withdrawal_rate=0.0),
+        "133a07ce9d13da5579910c158ee7ca9bf7fa10610bd957d39afafc816c2be6e6",
+    ),
+    (
+        dict(seed=11, n_blocks=50, mean_tx_per_block=3, address_pool=10, n_tokens=0,
+             contract_fraction=1.0),
+        "e194d3ec7485dd5f5f7bd263b63f1092583af90826563c9f191c8de8b2900990",
+    ),
+)
+
+
+@pytest.mark.parametrize("config,digest", _PINNED, ids=["drift-window", "drift", "no-offsets", "no-tokens"])
+def test_generate_output_is_pinned(config, digest):
+    h = hashlib.sha256()
+    _feed_dataset(h, generate(SynthConfig(**config)))
+    assert h.hexdigest() == digest
+
+
+@st.composite
+def _small_configs(draw):
+    drift = draw(st.booleans())
+    return SynthConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_blocks=draw(st.integers(1, 30)),
+        start_number=draw(st.sampled_from((0, 19_000_000))),
+        mean_tx_per_block=draw(st.integers(0, 12)),
+        address_pool=draw(st.integers(1, 30)),
+        n_tokens=draw(st.integers(0, 5)),
+        withdrawal_rate=draw(st.floats(0.0, 3.0)),
+        nonce_offset_max=draw(st.sampled_from((0, 1, 1000, 10_000_000))),
+        token_value_drift=draw(st.floats(0.001, 0.05)) if drift else 0.0,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_small_configs())
+def test_generated_dataset_is_valid_and_its_ledger_spans_initial_to_final(cfg):
+    ds = generate(cfg)
+    assert validate_dataset(ds).ok
+    ledger = build_ledger(ds)
+    for row in ds.addresses:
+        assert ledger.balance_at(row.address, cfg.start_number - 1) == cfg.initial_balance
+        assert ledger.balance_at(row.address, ds.final_block) == ds.final_balances[row.address]
