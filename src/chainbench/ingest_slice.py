@@ -253,6 +253,37 @@ def _rollback_balances(raw: RawDataset, hi: int, block_number: dict[bytes, int])
     return balances
 
 
+def slice_closure(
+    raw: RawDataset | ChainDataset, block_hashes: set[bytes], transactions, token_txs
+) -> tuple[tuple, tuple]:
+    """The tokens and contracts that a slice keeps, given the hashes of its
+    blocks, its transactions and its token transactions.
+
+    A token or contract is kept when a kept row references it or a kept block
+    created it; one whose creating block is outside the slice gets
+    ``block_hash`` set to null.
+    """
+    used_tokens = {tt.token_address for tt in token_txs}
+    tokens = []
+    for tk in raw.tokens:
+        created_here = tk.block_hash in block_hashes
+        if tk.address in used_tokens or created_here:
+            if tk.block_hash is not None and not created_here:
+                tk = replace(tk, block_hash=None)
+            tokens.append(tk)
+
+    touched = {t.from_address for t in transactions}
+    touched |= {t.to_address for t in transactions if t.to_address is not None}
+    contracts = []
+    for c in raw.contracts:
+        created_here = c.block_hash in block_hashes
+        if c.address in touched or c.address in used_tokens or created_here:
+            if c.block_hash is not None and not created_here:
+                c = replace(c, block_hash=None)
+            contracts.append(c)
+    return tuple(tokens), tuple(contracts)
+
+
 def extract_slice(raw: RawDataset | ChainDataset, lo: int, hi: int) -> ChainDataset:
     """Restrict the export to blocks [lo, hi] plus the dependency closure.
 
@@ -278,27 +309,7 @@ def extract_slice(raw: RawDataset | ChainDataset, lo: int, hi: int) -> ChainData
     withdrawals = tuple(w for w in raw.withdrawals if w.hash in block_hashes)
     token_txs = tuple(tt for tt in raw.token_transactions if tt.transaction_hash in tx_hashes)
 
-    used_tokens = {tt.token_address for tt in token_txs}
-    tokens = []
-    for tk in raw.tokens:
-        created_here = tk.block_hash in block_hashes
-        if tk.address in used_tokens or created_here:
-            if tk.block_hash is not None and not created_here:
-                tk = replace(tk, block_hash=None)
-            tokens.append(tk)
-    tokens_t = tuple(tokens)
-
-    touched = {t.from_address for t in transactions}
-    touched |= {t.to_address for t in transactions if t.to_address is not None}
-    contracts = []
-    for c in raw.contracts:
-        created_here = c.block_hash in block_hashes
-        if c.address in touched or c.address in used_tokens or created_here:
-            if c.block_hash is not None and not created_here:
-                c = replace(c, block_hash=None)
-            contracts.append(c)
-    contracts_t = tuple(contracts)
-
+    tokens_t, contracts_t = slice_closure(raw, block_hashes, transactions, token_txs)
     refs = referenced_addresses(blocks, transactions, withdrawals, tokens_t, contracts_t)
     balances_at_hi = _rollback_balances(raw, hi, block_number)
     final_balances: dict[bytes, int] = {}

@@ -1,19 +1,20 @@
 """In-memory relational store over the ledger schema.
 
-Enforces every key and foreign-key constraint on each mutation, applies
-batches atomically (all-or-nothing via an undo journal), and answers
-select-project-join COUNT queries exactly with hash joins. This is the
-harness's ground-truth engine: not a SQL engine, no persistence, no cost
-model. One writer at a time; readers must not overlap a mutation.
+Enforces every key and foreign-key constraint on each mutation, through one
+handler per (mutation kind, table), applies batches atomically (all-or-nothing
+via a journal of undo records), and answers select-project-join COUNT queries
+exactly with hash joins. This is the harness's ground-truth engine: not a SQL
+engine, no persistence, no cost model. One writer at a time; readers must not
+overlap a mutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
-from .chain_model import AddressRow, ChainDataset, SCHEMA, WEI_MAX, encode_hex
+from .chain_model import AddressRow, ChainDataset, PRIMARY_KEYS, SCHEMA, WEI_MAX, encode_hex
 
 # ---------------------------------------------------------------------------
 # Structured mutations
@@ -35,6 +36,7 @@ class DeleteRow:
 class UpdateBalance:
     address: bytes
     delta: int
+    table: ClassVar[str] = "addresses"
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,9 +60,6 @@ class MutationSummary:
     inserts: dict[str, int] = field(default_factory=dict)
     deletes: dict[str, int] = field(default_factory=dict)
     updates: dict[str, int] = field(default_factory=dict)
-
-    def _bump(self, counter: dict[str, int], table: str) -> None:
-        counter[table] = counter.get(table, 0) + 1
 
     def total(self) -> int:
         return sum(self.inserts.values()) + sum(self.deletes.values()) + sum(self.updates.values())
@@ -138,9 +137,8 @@ class SPJQuery:
                 raise ValueError(f"filter references unknown alias {f.alias!r}")
             if f.column not in columns[f.alias]:
                 raise ValueError(f"no column {f.column!r} in {amap[f.alias]!r}")
-        if len(amap) > 1:
-            if not self._connected():
-                raise ValueError("join graph is not connected")
+        if len(amap) > 1 and not self._connected():
+            raise ValueError("join graph is not connected")
 
     def _connected(self) -> bool:
         aliases = [a for a, _ in self.tables]
@@ -165,6 +163,23 @@ class SPJQuery:
 # Store
 
 
+# Parents before children, so a dataset loads in one batch.
+_LOAD_ORDER = ("addresses", "blocks", "tokens", "contracts", "withdrawals", "transactions", "token_transactions")
+# Per table (addresses keep only their balances): the Store attribute holding
+# its rows by primary key, and the reverse index listing each row's key under
+# its parent column's value, if the table has one.
+_LAYOUT = {
+    "blocks": ("blocks", None, None),
+    "transactions": ("transactions", "tx_by_block", "block_hash"),
+    "contracts": ("contracts", "contracts_by_block", "block_hash"),
+    "tokens": ("tokens", "tokens_by_block", "block_hash"),
+    "token_transactions": ("token_txs", "ttx_by_tx", "transaction_hash"),
+    "withdrawals": ("withdrawals", "wd_by_block", "hash"),
+}
+_REVERSE_INDEXES = frozenset(index for _, index, _ in _LAYOUT.values() if index)
+_KEY_OF = {table: attrgetter(*columns) for table, columns in PRIMARY_KEYS.items()}
+
+
 class Store:
     """Seven keyed tables with the FK indexes the update workload needs."""
 
@@ -187,40 +202,14 @@ class Store:
     @classmethod
     def from_dataset(cls, ds: ChainDataset) -> "Store":
         store = cls()
-        ops: list[Mutation] = []
-        for a in ds.addresses:
-            ops.append(InsertRow("addresses", a))
-        for b in ds.blocks:
-            ops.append(InsertRow("blocks", b))
-        for tk in ds.tokens:
-            ops.append(InsertRow("tokens", tk))
-        for c in ds.contracts:
-            ops.append(InsertRow("contracts", c))
-        for w in ds.withdrawals:
-            ops.append(InsertRow("withdrawals", w))
-        for t in ds.transactions:
-            ops.append(InsertRow("transactions", t))
-        for tt in ds.token_transactions:
-            ops.append(InsertRow("token_transactions", tt))
-        apply_ops(store, ops)
+        apply_ops(store, [InsertRow(table, row) for table in _LOAD_ORDER for row in ds.table(table)])
         return store
 
     def copy(self) -> "Store":
         dup = Store()
-        dup.blocks = dict(self.blocks)
-        dup.block_by_number = dict(self.block_by_number)
-        dup.balances = dict(self.balances)
-        dup.transactions = dict(self.transactions)
-        dup.tx_slots = set(self.tx_slots)
-        dup.tx_by_block = {k: set(v) for k, v in self.tx_by_block.items()}
-        dup.contracts = dict(self.contracts)
-        dup.contracts_by_block = {k: set(v) for k, v in self.contracts_by_block.items()}
-        dup.tokens = dict(self.tokens)
-        dup.tokens_by_block = {k: set(v) for k, v in self.tokens_by_block.items()}
-        dup.token_txs = dict(self.token_txs)
-        dup.ttx_by_tx = {k: set(v) for k, v in self.ttx_by_tx.items()}
-        dup.withdrawals = dict(self.withdrawals)
-        dup.wd_by_block = {k: set(v) for k, v in self.wd_by_block.items()}
+        for name, container in vars(self).items():
+            deep = name in _REVERSE_INDEXES
+            setattr(dup, name, {k: set(v) for k, v in container.items()} if deep else container.copy())
         return dup
 
     # -- row access ---------------------------------------------------------
@@ -228,260 +217,10 @@ class Store:
     def rows(self, table: str) -> Iterable:
         if table == "addresses":
             return (AddressRow(a, b) for a, b in self.balances.items())
-        if table == "blocks":
-            return self.blocks.values()
-        if table == "transactions":
-            return self.transactions.values()
-        if table == "contracts":
-            return self.contracts.values()
-        if table == "tokens":
-            return self.tokens.values()
-        if table == "token_transactions":
-            return self.token_txs.values()
-        if table == "withdrawals":
-            return self.withdrawals.values()
-        raise KeyError(table)
+        return getattr(self, _LAYOUT[table][0]).values()
 
     def row_count(self, table: str) -> int:
-        return {
-            "addresses": len(self.balances),
-            "blocks": len(self.blocks),
-            "transactions": len(self.transactions),
-            "contracts": len(self.contracts),
-            "tokens": len(self.tokens),
-            "token_transactions": len(self.token_txs),
-            "withdrawals": len(self.withdrawals),
-        }[table]
-
-    # -- low-level mutators; each returns an undo thunk ----------------------
-
-    def _insert(self, table: str, row) -> Callable[[], None]:
-        if table == "addresses":
-            if row.address in self.balances:
-                raise ValueError(f"addresses: duplicate {encode_hex(row.address)}")
-            if not 0 <= row.eth_balance < WEI_MAX:
-                raise ValueError("addresses: eth_balance out of range")
-            self.balances[row.address] = row.eth_balance
-            return lambda: self.balances.pop(row.address)
-        if table == "blocks":
-            if row.hash in self.blocks:
-                raise ValueError(f"blocks: duplicate hash {encode_hex(row.hash)}")
-            if row.number in self.block_by_number:
-                raise ValueError(f"blocks: duplicate number {row.number}")
-            if row.miner not in self.balances:
-                raise ValueError(f"blocks: miner dangling {encode_hex(row.miner)}")
-            self.blocks[row.hash] = row
-            self.block_by_number[row.number] = row.hash
-
-            def undo() -> None:
-                self.blocks.pop(row.hash)
-                self.block_by_number.pop(row.number)
-
-            return undo
-        if table == "transactions":
-            if row.hash in self.transactions:
-                raise ValueError(f"transactions: duplicate hash {encode_hex(row.hash)}")
-            slot = (row.block_hash, row.transaction_index)
-            if slot in self.tx_slots:
-                raise ValueError(f"transactions: duplicate slot {row.transaction_index}")
-            if row.block_hash not in self.blocks:
-                raise ValueError(f"transactions: block_hash dangling {encode_hex(row.block_hash)}")
-            if row.from_address not in self.balances:
-                raise ValueError("transactions: from_address dangling")
-            if row.to_address is not None and row.to_address not in self.balances:
-                raise ValueError("transactions: to_address dangling")
-            self.transactions[row.hash] = row
-            self.tx_slots.add(slot)
-            self.tx_by_block.setdefault(row.block_hash, set()).add(row.hash)
-
-            def undo() -> None:
-                self.transactions.pop(row.hash)
-                self.tx_slots.discard(slot)
-                self.tx_by_block[row.block_hash].discard(row.hash)
-
-            return undo
-        if table == "contracts":
-            key = (row.address, row.version)
-            if key in self.contracts:
-                raise ValueError("contracts: duplicate (address, version)")
-            if row.address not in self.balances:
-                raise ValueError("contracts: address dangling")
-            if row.block_hash is not None and row.block_hash not in self.blocks:
-                raise ValueError("contracts: block_hash dangling")
-            self.contracts[key] = row
-            if row.block_hash is not None:
-                self.contracts_by_block.setdefault(row.block_hash, set()).add(key)
-
-            def undo() -> None:
-                self.contracts.pop(key)
-                if row.block_hash is not None:
-                    self.contracts_by_block[row.block_hash].discard(key)
-
-            return undo
-        if table == "tokens":
-            if row.address in self.tokens:
-                raise ValueError("tokens: duplicate address")
-            if row.address not in self.balances:
-                raise ValueError("tokens: address dangling")
-            if row.block_hash is not None and row.block_hash not in self.blocks:
-                raise ValueError("tokens: block_hash dangling")
-            self.tokens[row.address] = row
-            if row.block_hash is not None:
-                self.tokens_by_block.setdefault(row.block_hash, set()).add(row.address)
-
-            def undo() -> None:
-                self.tokens.pop(row.address)
-                if row.block_hash is not None:
-                    self.tokens_by_block[row.block_hash].discard(row.address)
-
-            return undo
-        if table == "token_transactions":
-            key = (row.transaction_hash, row.log_index)
-            if key in self.token_txs:
-                raise ValueError("token_transactions: duplicate (transaction_hash, log_index)")
-            if row.transaction_hash not in self.transactions:
-                raise ValueError("token_transactions: transaction_hash dangling")
-            if row.token_address not in self.tokens:
-                raise ValueError("token_transactions: token_address dangling")
-            self.token_txs[key] = row
-            self.ttx_by_tx.setdefault(row.transaction_hash, set()).add(key)
-
-            def undo() -> None:
-                self.token_txs.pop(key)
-                self.ttx_by_tx[row.transaction_hash].discard(key)
-
-            return undo
-        if table == "withdrawals":
-            key = (row.hash, row.withdrawal_index)
-            if key in self.withdrawals:
-                raise ValueError("withdrawals: duplicate (hash, withdrawal_index)")
-            if row.hash not in self.blocks:
-                raise ValueError("withdrawals: hash dangling")
-            if row.address not in self.balances:
-                raise ValueError("withdrawals: address dangling")
-            self.withdrawals[key] = row
-            self.wd_by_block.setdefault(row.hash, set()).add(key)
-
-            def undo() -> None:
-                self.withdrawals.pop(key)
-                self.wd_by_block[row.hash].discard(key)
-
-            return undo
-        raise ValueError(f"unknown table {table!r}")
-
-    def _delete(self, table: str, key: tuple) -> Callable[[], None]:
-        if table == "blocks":
-            (block_hash,) = key
-            row = self.blocks.get(block_hash)
-            if row is None:
-                raise ValueError("blocks: no such row")
-            for index, label in (
-                (self.tx_by_block, "transactions"),
-                (self.wd_by_block, "withdrawals"),
-                (self.tokens_by_block, "tokens"),
-                (self.contracts_by_block, "contracts"),
-            ):
-                if index.get(block_hash):
-                    raise ValueError(f"blocks: still referenced by {label}")
-            self.blocks.pop(block_hash)
-            self.block_by_number.pop(row.number)
-
-            def undo() -> None:
-                self.blocks[block_hash] = row
-                self.block_by_number[row.number] = block_hash
-
-            return undo
-        if table == "transactions":
-            (tx_hash,) = key
-            row = self.transactions.get(tx_hash)
-            if row is None:
-                raise ValueError("transactions: no such row")
-            if self.ttx_by_tx.get(tx_hash):
-                raise ValueError("transactions: still referenced by token_transactions")
-            slot = (row.block_hash, row.transaction_index)
-            self.transactions.pop(tx_hash)
-            self.tx_slots.discard(slot)
-            self.tx_by_block[row.block_hash].discard(tx_hash)
-
-            def undo() -> None:
-                self.transactions[tx_hash] = row
-                self.tx_slots.add(slot)
-                self.tx_by_block.setdefault(row.block_hash, set()).add(tx_hash)
-
-            return undo
-        if table == "token_transactions":
-            row = self.token_txs.get(key)
-            if row is None:
-                raise ValueError("token_transactions: no such row")
-            self.token_txs.pop(key)
-            self.ttx_by_tx[row.transaction_hash].discard(key)
-
-            def undo() -> None:
-                self.token_txs[key] = row
-                self.ttx_by_tx.setdefault(row.transaction_hash, set()).add(key)
-
-            return undo
-        if table == "withdrawals":
-            row = self.withdrawals.get(key)
-            if row is None:
-                raise ValueError("withdrawals: no such row")
-            self.withdrawals.pop(key)
-            self.wd_by_block[row.hash].discard(key)
-
-            def undo() -> None:
-                self.withdrawals[key] = row
-                self.wd_by_block.setdefault(row.hash, set()).add(key)
-
-            return undo
-        raise ValueError(f"delete not supported on table {table!r}")
-
-    def _update_balance(self, address: bytes, delta: int) -> Callable[[], None]:
-        if address not in self.balances:
-            raise ValueError(f"addresses: no such row {encode_hex(address)}")
-        new = self.balances[address] + delta
-        if not 0 <= new < WEI_MAX:
-            raise ValueError(f"addresses: balance out of range for {encode_hex(address)}")
-        old = self.balances[address]
-        self.balances[address] = new
-
-        def undo() -> None:
-            self.balances[address] = old
-
-        return undo
-
-    def _null_block_hash(self, table: str, key: tuple) -> Callable[[], None]:
-        if table == "tokens":
-            (addr,) = key
-            row = self.tokens.get(addr)
-            if row is None:
-                raise ValueError("tokens: no such row")
-            old_hash = row.block_hash
-            self.tokens[addr] = replace(row, block_hash=None)
-            if old_hash is not None:
-                self.tokens_by_block[old_hash].discard(addr)
-
-            def undo() -> None:
-                self.tokens[addr] = row
-                if old_hash is not None:
-                    self.tokens_by_block.setdefault(old_hash, set()).add(addr)
-
-            return undo
-        if table == "contracts":
-            row = self.contracts.get(key)
-            if row is None:
-                raise ValueError("contracts: no such row")
-            old_hash = row.block_hash
-            self.contracts[key] = replace(row, block_hash=None)
-            if old_hash is not None:
-                self.contracts_by_block[old_hash].discard(key)
-
-            def undo() -> None:
-                self.contracts[key] = row
-                if old_hash is not None:
-                    self.contracts_by_block.setdefault(old_hash, set()).add(key)
-
-            return undo
-        raise ValueError(f"null-out not supported on table {table!r}")
+        return len(self.balances if table == "addresses" else getattr(self, _LAYOUT[table][0]))
 
     # -- conversions ---------------------------------------------------------
 
@@ -517,30 +256,290 @@ class Store:
         return out
 
 
+# ---------------------------------------------------------------------------
+# Write path: one handler per (mutation kind, table)
+#
+# A handler checks one op against its table's rules, in order, applies it and
+# returns its undo record: a function and its arguments, as one tuple. The undo
+# functions are unchecked row moves: a drop undoes an insert, a put a delete or
+# a null-out. A reverse index keeps a parent's set once it is empty.
+
+
+def _link(index: dict, key, member) -> None:
+    members = index.get(key)
+    if members is None:
+        index[key] = {member}
+    else:
+        members.add(member)
+
+
+def _put_blocks(store: Store, row) -> None:
+    store.blocks[row.hash] = row
+    store.block_by_number[row.number] = row.hash
+
+
+def _drop_blocks(store: Store, row) -> None:
+    del store.blocks[row.hash]
+    del store.block_by_number[row.number]
+
+
+def _put_transactions(store: Store, row) -> None:
+    store.transactions[row.hash] = row
+    store.tx_slots.add((row.block_hash, row.transaction_index))
+    _link(store.tx_by_block, row.block_hash, row.hash)
+
+
+def _drop_transactions(store: Store, row) -> None:
+    del store.transactions[row.hash]
+    store.tx_slots.discard((row.block_hash, row.transaction_index))
+    store.tx_by_block[row.block_hash].discard(row.hash)
+
+
+def _put_row(store: Store, table: str, row) -> None:
+    """Put a contracts, tokens, token_transactions or withdrawals row; a token
+    or contract whose creating block has gone is under no parent."""
+    rows, index, parent = _LAYOUT[table]
+    getattr(store, rows)[_KEY_OF[table](row)] = row
+    if getattr(row, parent) is not None:
+        _link(getattr(store, index), getattr(row, parent), _KEY_OF[table](row))
+
+
+def _drop_row(store: Store, table: str, row) -> None:
+    rows, index, parent = _LAYOUT[table]
+    del getattr(store, rows)[_KEY_OF[table](row)]
+    if getattr(row, parent) is not None:
+        getattr(store, index)[getattr(row, parent)].discard(_KEY_OF[table](row))
+
+
+def _insert_addresses(store: Store, op: InsertRow) -> tuple:
+    row = op.row
+    if row.address in store.balances:
+        raise ValueError(f"addresses: duplicate {encode_hex(row.address)}")
+    if not 0 <= row.eth_balance < WEI_MAX:
+        raise ValueError("addresses: eth_balance out of range")
+    store.balances[row.address] = row.eth_balance
+    return dict.pop, store.balances, row.address
+
+
+def _insert_blocks(store: Store, op: InsertRow) -> tuple:
+    row = op.row
+    if row.hash in store.blocks:
+        raise ValueError(f"blocks: duplicate hash {encode_hex(row.hash)}")
+    if row.number in store.block_by_number:
+        raise ValueError(f"blocks: duplicate number {row.number}")
+    if row.miner not in store.balances:
+        raise ValueError(f"blocks: miner dangling {encode_hex(row.miner)}")
+    _put_blocks(store, row)
+    return _drop_blocks, store, row
+
+
+def _insert_transactions(store: Store, op: InsertRow) -> tuple:
+    row = op.row
+    if row.hash in store.transactions:
+        raise ValueError(f"transactions: duplicate hash {encode_hex(row.hash)}")
+    if (row.block_hash, row.transaction_index) in store.tx_slots:
+        raise ValueError(f"transactions: duplicate slot {row.transaction_index}")
+    if row.block_hash not in store.blocks:
+        raise ValueError(f"transactions: block_hash dangling {encode_hex(row.block_hash)}")
+    if row.from_address not in store.balances:
+        raise ValueError("transactions: from_address dangling")
+    if row.to_address is not None and row.to_address not in store.balances:
+        raise ValueError("transactions: to_address dangling")
+    _put_transactions(store, row)
+    return _drop_transactions, store, row
+
+
+def _insert_contracts(store: Store, op: InsertRow) -> tuple:
+    row = op.row
+    if (row.address, row.version) in store.contracts:
+        raise ValueError("contracts: duplicate (address, version)")
+    if row.address not in store.balances:
+        raise ValueError("contracts: address dangling")
+    if row.block_hash is not None and row.block_hash not in store.blocks:
+        raise ValueError("contracts: block_hash dangling")
+    _put_row(store, "contracts", row)
+    return _drop_row, store, "contracts", row
+
+
+def _insert_tokens(store: Store, op: InsertRow) -> tuple:
+    row = op.row
+    if row.address in store.tokens:
+        raise ValueError("tokens: duplicate address")
+    if row.address not in store.balances:
+        raise ValueError("tokens: address dangling")
+    if row.block_hash is not None and row.block_hash not in store.blocks:
+        raise ValueError("tokens: block_hash dangling")
+    _put_row(store, "tokens", row)
+    return _drop_row, store, "tokens", row
+
+
+def _insert_token_transactions(store: Store, op: InsertRow) -> tuple:
+    row = op.row
+    # The generic row move is too slow for the commonest insert of a window batch.
+    tx_hash, key = row.transaction_hash, (row.transaction_hash, row.log_index)
+    if key in store.token_txs:
+        raise ValueError("token_transactions: duplicate (transaction_hash, log_index)")
+    if tx_hash not in store.transactions:
+        raise ValueError("token_transactions: transaction_hash dangling")
+    if row.token_address not in store.tokens:
+        raise ValueError("token_transactions: token_address dangling")
+    store.token_txs[key] = row
+    members = store.ttx_by_tx.get(tx_hash)
+    if members is None:
+        store.ttx_by_tx[tx_hash] = {key}
+    else:
+        members.add(key)
+    return _drop_row, store, "token_transactions", row
+
+
+def _insert_withdrawals(store: Store, op: InsertRow) -> tuple:
+    row = op.row
+    if (row.hash, row.withdrawal_index) in store.withdrawals:
+        raise ValueError("withdrawals: duplicate (hash, withdrawal_index)")
+    if row.hash not in store.blocks:
+        raise ValueError("withdrawals: hash dangling")
+    if row.address not in store.balances:
+        raise ValueError("withdrawals: address dangling")
+    _put_row(store, "withdrawals", row)
+    return _drop_row, store, "withdrawals", row
+
+
+def _delete_blocks(store: Store, op: DeleteRow) -> tuple:
+    (block_hash,) = op.key
+    row = store.blocks.get(block_hash)
+    if row is None:
+        raise ValueError("blocks: no such row")
+    for label in ("transactions", "withdrawals", "tokens", "contracts"):
+        if getattr(store, _LAYOUT[label][1]).get(block_hash):
+            raise ValueError(f"blocks: still referenced by {label}")
+    _drop_blocks(store, row)
+    return _put_blocks, store, row
+
+
+def _delete_transactions(store: Store, op: DeleteRow) -> tuple:
+    (tx_hash,) = op.key
+    row = store.transactions.get(tx_hash)
+    if row is None:
+        raise ValueError("transactions: no such row")
+    if store.ttx_by_tx.get(tx_hash):
+        raise ValueError("transactions: still referenced by token_transactions")
+    _drop_transactions(store, row)
+    return _put_transactions, store, row
+
+
+def _delete_token_transactions(store: Store, op: DeleteRow) -> tuple:
+    key = op.key
+    row = store.token_txs.get(key)
+    if row is None:
+        raise ValueError("token_transactions: no such row")
+    del store.token_txs[key]
+    store.ttx_by_tx[row.transaction_hash].discard(key)
+    return _put_row, store, "token_transactions", row
+
+
+def _delete_withdrawals(store: Store, op: DeleteRow) -> tuple:
+    row = store.withdrawals.get(op.key)
+    if row is None:
+        raise ValueError("withdrawals: no such row")
+    _drop_row(store, "withdrawals", row)
+    return _put_row, store, "withdrawals", row
+
+
+def _update_balance(store: Store, op: UpdateBalance) -> tuple:
+    address, balances = op.address, store.balances
+    if address not in balances:
+        raise ValueError(f"addresses: no such row {encode_hex(address)}")
+    old = balances[address]
+    new = old + op.delta
+    if not 0 <= new < WEI_MAX:
+        raise ValueError(f"addresses: balance out of range for {encode_hex(address)}")
+    balances[address] = new
+    return dict.__setitem__, balances, address, old
+
+
+def _null_tokens(store: Store, op: NullBlockHash) -> tuple:
+    (address,) = op.key
+    row = store.tokens.get(address)
+    if row is None:
+        raise ValueError("tokens: no such row")
+    store.tokens[address] = replace(row, block_hash=None)
+    if row.block_hash is not None:
+        store.tokens_by_block[row.block_hash].discard(address)
+    return _put_row, store, "tokens", row
+
+
+def _null_contracts(store: Store, op: NullBlockHash) -> tuple:
+    key = op.key
+    row = store.contracts.get(key)
+    if row is None:
+        raise ValueError("contracts: no such row")
+    store.contracts[key] = replace(row, block_hash=None)
+    if row.block_hash is not None:
+        store.contracts_by_block[row.block_hash].discard(key)
+    return _put_row, store, "contracts", row
+
+
+_HANDLERS: dict[type, dict[str, Callable[[Store, Mutation], tuple]]] = {
+    InsertRow: {
+        "addresses": _insert_addresses, "blocks": _insert_blocks, "transactions": _insert_transactions,
+        "contracts": _insert_contracts, "tokens": _insert_tokens,
+        "token_transactions": _insert_token_transactions, "withdrawals": _insert_withdrawals,
+    },
+    DeleteRow: {
+        "blocks": _delete_blocks, "transactions": _delete_transactions,
+        "token_transactions": _delete_token_transactions, "withdrawals": _delete_withdrawals,
+    },
+    UpdateBalance: {"addresses": _update_balance},
+    NullBlockHash: {"tokens": _null_tokens, "contracts": _null_contracts},
+}
+# Per mutation kind: the summary field counting it, and the refusal of a table without a handler.
+_KINDS = {
+    InsertRow: ("inserts", "unknown table"),
+    DeleteRow: ("deletes", "delete not supported on table"),
+    UpdateBalance: ("updates", "update not supported on table"),
+    NullBlockHash: ("updates", "null-out not supported on table"),
+}
+_COUNTED_IN = {h: (_KINDS[kind][0], table) for kind, by_table in _HANDLERS.items() for table, h in by_table.items()}
+
+
+def _resolve(op) -> Callable[[Store, Mutation], tuple]:
+    """Handler of an op the direct lookup misses (its class subclasses a
+    mutation record), or the refusal of one no handler takes."""
+    for kind, (_, refusal) in _KINDS.items():
+        if isinstance(op, kind):
+            try:
+                return _HANDLERS[kind][op.table]
+            except (KeyError, TypeError):
+                raise ValueError(f"{refusal} {op.table!r}") from None
+    raise ValueError(f"unknown mutation {type(op).__name__}")
+
+
 def apply_ops(store: Store, ops: Iterable[Mutation]) -> MutationSummary:
-    """Apply mutations atomically; on any violation the store is left unchanged."""
-    journal: list[Callable[[], None]] = []
+    """Apply mutations atomically: on any exception the undo records run in
+    reverse, so the store is left unchanged. A ``ValueError`` (a broken rule,
+    or an op no handler takes) then becomes ``BatchRejected`` at the failing
+    op's index; any other exception is re-raised as it is."""
+    journal: list[tuple] = []
+    push = journal.append
+    tally: dict[Callable, int] = {}
+    try:
+        for op in ops:
+            try:
+                handler = _HANDLERS[op.__class__][op.table]
+            except (AttributeError, KeyError, TypeError):
+                handler = _resolve(op)
+            push(handler(store, op))
+            tally[handler] = tally.get(handler, 0) + 1
+    except BaseException as exc:
+        for undo, *args in reversed(journal):
+            undo(*args)
+        if isinstance(exc, ValueError):
+            raise BatchRejected(len(journal), str(exc)) from exc
+        raise
     summary = MutationSummary()
-    for i, op in enumerate(ops):
-        try:
-            if isinstance(op, InsertRow):
-                journal.append(store._insert(op.table, op.row))
-                summary._bump(summary.inserts, op.table)
-            elif isinstance(op, DeleteRow):
-                journal.append(store._delete(op.table, op.key))
-                summary._bump(summary.deletes, op.table)
-            elif isinstance(op, UpdateBalance):
-                journal.append(store._update_balance(op.address, op.delta))
-                summary._bump(summary.updates, "addresses")
-            elif isinstance(op, NullBlockHash):
-                journal.append(store._null_block_hash(op.table, op.key))
-                summary._bump(summary.updates, op.table)
-            else:
-                raise ValueError(f"unknown mutation {type(op).__name__}")
-        except ValueError as exc:
-            for undo in reversed(journal):
-                undo()
-            raise BatchRejected(i, str(exc)) from exc
+    for handler, n in tally.items():
+        field_name, table = _COUNTED_IN[handler]
+        getattr(summary, field_name)[table] = n
     return summary
 
 

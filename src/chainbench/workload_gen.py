@@ -36,7 +36,7 @@ from .chain_model import (
     referenced_addresses,
 )
 from .gcpause import collector_paused
-from .ingest_slice import build_ledger, extract_slice
+from .ingest_slice import build_ledger, extract_slice, slice_closure
 from .memstore import DeleteRow, InsertRow, Mutation, NullBlockHash, UpdateBalance
 
 log = logging.getLogger(__name__)
@@ -175,17 +175,14 @@ def gen_initial(ds: ChainDataset, cfg: WorkloadConfig) -> Batch:
 class _SeenTracker:
     """Cumulative visibility of addresses/tokens/contracts across batches."""
 
-    def __init__(self, ds: ChainDataset, initial_state: ChainDataset):
-        self.addresses: set[bytes] = {a.address for a in initial_state.addresses}
-        number_of = {b.hash: b.number for b in ds.blocks}
+    def __init__(self, number_of: dict[bytes, int], addresses: set[bytes], tokens, contracts):
+        self.addresses = addresses
         # Value is the live creating-block number, or None once nulled/absent.
         self.tokens: dict[bytes, int | None] = {
-            tk.address: (None if tk.block_hash is None else number_of[tk.block_hash])
-            for tk in initial_state.tokens
+            tk.address: (None if tk.block_hash is None else number_of[tk.block_hash]) for tk in tokens
         }
         self.contracts: dict[tuple[bytes, int], int | None] = {
-            (c.address, c.version): (None if c.block_hash is None else number_of[c.block_hash])
-            for c in initial_state.contracts
+            (c.address, c.version): (None if c.block_hash is None else number_of[c.block_hash]) for c in contracts
         }
 
 
@@ -230,8 +227,16 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
             contracts_by_creation.setdefault(number_of[c.block_hash], []).append(c)
 
     ledger = build_ledger(ds)
-    initial_state = extract_slice(ds, first, init_hi)
-    seen = _SeenTracker(ds, initial_state)
+    # The initial window's closure, as gen_initial's slice has it, read from
+    # the indexes above; its balances are not needed here.
+    init_nums = range(first, init_hi + 1)
+    init_blocks = [blocks_by_number[n] for n in init_nums if n in blocks_by_number]
+    init_txs = [t for n in init_nums for t in txs_by_block.get(n, ())]
+    init_ttxs = [tt for t in init_txs for tt in ttx_by_tx.get(t.hash, ())]
+    init_tokens, init_contracts = slice_closure(ds, {b.hash for b in init_blocks}, init_txs, init_ttxs)
+    init_wds = [w for n in init_nums for w in wds_by_block.get(n, ())]
+    init_addrs = referenced_addresses(init_blocks, init_txs, init_wds, init_tokens, init_contracts)
+    seen = _SeenTracker(number_of, init_addrs, init_tokens, init_contracts)
     # The window is always the contiguous block range [window_lo, window_hi]:
     # expiry drops its oldest blocks and each batch appends the next ones.
     window_lo, window_hi = first, init_hi

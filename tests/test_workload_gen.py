@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from chainbench import memstore
+from chainbench import memstore, workload_gen
 from chainbench.chain_model import validate_dataset
 from chainbench.memstore import Store, UpdateBalance
 from chainbench.synth_chain import SynthConfig, generate
@@ -139,6 +139,22 @@ def test_batches_and_manifest_are_pinned(init_blocks, granularity, expire):
     for batch in (b for pair in pairs for b in (pair.expire, pair.upsert) if b is not None):
         digest.update(render_sql(batch).encode())
     assert digest.hexdigest() == _PINNED_BATCHES[init_blocks, granularity, expire]
+
+
+def test_one_write_workload_pass_slices_the_initial_window_once(monkeypatch, tmp_path):
+    # gen_batches seeds its visibility tracker from its own block indexes, so
+    # only gen_initial's load takes the (balance-rolling) initial slice.
+    slices = []
+    real = workload_gen.extract_slice
+
+    def counting_slice(raw, lo, hi):
+        slices.append((lo, hi))
+        return real(raw, lo, hi)
+
+    monkeypatch.setattr(workload_gen, "extract_slice", counting_slice)
+    ds = generate(SynthConfig(seed=31, n_blocks=80, mean_tx_per_block=4, address_pool=25, n_tokens=4))
+    manifest = write_workload(ds, WorkloadConfig(20, 7, expire=True), tmp_path)
+    assert slices == [(manifest.initial_lo, manifest.initial_hi)]
 
 
 def test_monotone_growth_without_expire():
