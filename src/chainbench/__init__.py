@@ -16,7 +16,7 @@ from .chain_model import (
     encode_hex,
     validate_dataset,
 )
-from .ingest_slice import BalanceLedger, RawDataset, build_ledger, extract_slice, read_export, write_export
+from .ingest_slice import BalanceLedger, build_ledger, extract_slice, load_export, read_export, write_export
 from .memstore import Filter, SPJQuery, Store
 from .synth_chain import SynthConfig, generate
 from .workload_gen import Batch, WorkloadConfig, gen_batches, gen_initial, render_sql
@@ -29,7 +29,6 @@ __all__ = [
     "ChainDataset",
     "Contract",
     "Filter",
-    "RawDataset",
     "SPJQuery",
     "SliceSpec",
     "Store",
@@ -46,6 +45,7 @@ __all__ = [
     "gen_batches",
     "gen_initial",
     "generate",
+    "load_export",
     "read_export",
     "render_sql",
     "validate_dataset",

@@ -1,14 +1,21 @@
 """Core domain model: the seven ledger tables, hex codecs, and integrity checks.
 
+``SCHEMA`` is the one declaration of each table's columns, in order, with
+their value kinds. The row types are ``collections.namedtuple`` classes built
+from it: a row is a tuple of its cells in schema order that also reads them
+by column name, so the CSV and SQL codecs and the store take and make rows
+without re-packing them. Rows are immutable and therefore safe to share
+across threads.
+
 All byte-valued identifiers (block hashes, account addresses) are plain
 ``bytes`` of a fixed length; all monetary and token amounts are plain Python
 ``int`` (arbitrary precision, so 256-bit values stay exact -- floating point
-is never used for amounts). Row types are frozen dataclasses and therefore
-safe to share across threads.
+is never used for amounts).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -57,76 +64,6 @@ def encode_hex(value: bytes) -> str:
 
 
 @dataclass(frozen=True, slots=True)
-class Block:
-    hash: bytes
-    number: int
-    timestamp: int
-    extra_data: bytes
-    base_fee_per_gas: int
-    size: int
-    miner: bytes
-
-
-@dataclass(frozen=True, slots=True)
-class AddressRow:
-    address: bytes
-    eth_balance: int
-
-
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    hash: bytes
-    transaction_index: int
-    value: int
-    from_address: bytes
-    to_address: bytes | None
-    gas: int
-    max_priority_fee_per_gas: int | None
-    input: bytes
-    block_hash: bytes
-    transaction_type: int
-    nonce: int
-
-
-@dataclass(frozen=True, slots=True)
-class Contract:
-    address: bytes
-    version: int
-    function_sighashes: tuple[bytes, ...]
-    bytecode: bytes
-    is_erc20: bool
-    is_erc721: bool
-    block_hash: bytes | None
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    address: bytes
-    symbol: str
-    name: str
-    decimals: int | None
-    total_supply: int
-    block_hash: bytes | None
-
-
-@dataclass(frozen=True, slots=True)
-class TokenTransaction:
-    transaction_hash: bytes
-    log_index: int
-    token_address: bytes
-    value: int
-
-
-@dataclass(frozen=True, slots=True)
-class Withdrawal:
-    hash: bytes  # block hash
-    withdrawal_index: int
-    validator: int
-    address: bytes
-    amount: int
-
-
-@dataclass(frozen=True, slots=True)
 class SliceSpec:
     """A contiguous block-number window [lo, hi] naming one database state."""
 
@@ -164,9 +101,11 @@ class ChainDataset:
         return min(numbers), max(numbers)
 
 
-# Wire schema: column name -> value kind, used by the CSV export codecs, the
-# SQL renderer, and the text stub engine. Kinds: hash, address, bytes, int,
-# bool, text, sighashes. Nullable columns carry a trailing "?".
+# Column name -> value kind, per table, in row order: the row types below, the
+# CSV export codecs, the SQL renderer and the text stub engine all read it.
+# Kinds and their cell values: hash, address, bytes (bytes), int (int), bool
+# (bool), text (str), sighashes (tuple of 4-byte bytes). Nullable columns carry
+# a trailing "?" and hold None for NULL.
 SCHEMA: dict[str, tuple[tuple[str, str], ...]] = {
     "blocks": (
         ("hash", "hash"),
@@ -218,7 +157,7 @@ SCHEMA: dict[str, tuple[tuple[str, str], ...]] = {
         ("value", "int"),
     ),
     "withdrawals": (
-        ("hash", "hash"),
+        ("hash", "hash"),  # the block's hash
         ("withdrawal_index", "int"),
         ("validator", "int"),
         ("address", "address"),
@@ -249,15 +188,26 @@ SQL_TABLE_NAMES: dict[str, str] = {
     "withdrawals": "Withdrawals",
 }
 
+# Row type per table: a named tuple of the table's SCHEMA columns.
 ROW_TYPES = {
-    "blocks": Block,
-    "addresses": AddressRow,
-    "transactions": Transaction,
-    "contracts": Contract,
-    "tokens": Token,
-    "token_transactions": TokenTransaction,
-    "withdrawals": Withdrawal,
+    table: namedtuple(class_name, [name for name, _ in SCHEMA[table]])
+    for table, class_name in (
+        ("blocks", "Block"),
+        ("addresses", "AddressRow"),
+        ("transactions", "Transaction"),
+        ("contracts", "Contract"),
+        ("tokens", "Token"),
+        ("token_transactions", "TokenTransaction"),
+        ("withdrawals", "Withdrawal"),
+    )
 }
+Block = ROW_TYPES["blocks"]
+AddressRow = ROW_TYPES["addresses"]
+Transaction = ROW_TYPES["transactions"]
+Contract = ROW_TYPES["contracts"]
+Token = ROW_TYPES["tokens"]
+TokenTransaction = ROW_TYPES["token_transactions"]
+Withdrawal = ROW_TYPES["withdrawals"]
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import estimator, memstore, reports
-from .chain_model import validate_dataset
+from .chain_model import TABLE_NAMES, validate_dataset
 from .eval_harness import (
     enumerate_subqueries,
     evaluate_state,
@@ -28,20 +28,12 @@ from .eval_harness import (
     subquery_columns,
 )
 from .gcpause import collector_paused
-from .ingest_slice import extract_slice, read_export, write_export
+from .ingest_slice import load_export, write_export
 from .query_assets import load_workload, schema_sql
 from .replay_driver import ReplayError, connect_target, load_target_config, manifest_hash, replay
 from .scenario import load_manifest, run_scenario
 from .synth_chain import SynthConfig, generate
 from .workload_gen import WorkloadConfig, write_workload
-
-
-def _load_dataset(export_dir: str, lo: int | None = None, hi: int | None = None):
-    raw = read_export(export_dir)
-    numbers = [b.number for b in raw.blocks]
-    if not numbers:
-        raise ValueError("export has no blocks")
-    return extract_slice(raw, lo if lo is not None else min(numbers), hi if hi is not None else max(numbers))
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -71,9 +63,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args.export)
+    ds = load_export(args.export)
     report = validate_dataset(ds)
-    for table in ("blocks", "addresses", "transactions", "contracts", "tokens", "token_transactions", "withdrawals"):
+    for table in TABLE_NAMES:
         print(f"{table}: {len(ds.table(table))} rows")
     print(report)
     if not report.ok and args.strict:
@@ -82,8 +74,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_slice(args: argparse.Namespace) -> int:
-    raw = read_export(args.export)
-    ds = extract_slice(raw, args.lo, args.hi)
+    ds = load_export(args.export, args.lo, args.hi)
     write_export(ds, args.out)
     reports.write_run_record(args.out, "slice", {"export": str(args.export), "lo": args.lo, "hi": args.hi})
     print(f"slice [{args.lo}, {args.hi}]: {len(ds.blocks)} blocks, {len(ds.transactions)} transactions")
@@ -91,7 +82,7 @@ def _cmd_slice(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_updates(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args.export)
+    ds = load_export(args.export)
     cfg = WorkloadConfig(init_blocks=args.init, granularity=args.granularity, expire=args.expire)
     manifest = write_workload(ds, cfg, args.out)
     if args.schema:
@@ -156,7 +147,7 @@ class _CountExecutor:
 
 
 def _cmd_run_queries(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args.export)
+    ds = load_export(args.export)
     store = memstore.Store.from_dataset(ds)
     wanted = set(args.ids.split(",")) if args.ids else None
     rows = []
@@ -183,7 +174,7 @@ def _cmd_run_queries(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe_card(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args.export, args.lo, args.hi)
+    ds = load_export(args.export, args.lo, args.hi)
     store = memstore.Store.from_dataset(ds)
     assets = {a.id: a for a in load_workload(args.queries)}
     asset = assets.get(args.query)

@@ -8,6 +8,8 @@ Export format (bit-exact, round-trips through :func:`write_export` /
 the block range. Header row carries the exact schema column names, RFC-4180
 quoting, hex fields in canonical ``0x...`` form, integers in plain decimal,
 null as the empty field, ``function_sighashes`` as ``|``-separated hex items.
+A row whose text holds a carriage return is quoted in full. Each column has
+one encoder and one decoder, built once from ``SCHEMA``.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ import json
 import logging
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .chain_model import (
+    ADDRESS_LEN,
+    HASH_LEN,
     AddressRow,
     ChainDataset,
     FormatError,
@@ -34,102 +39,88 @@ from .chain_model import (
 
 log = logging.getLogger(__name__)
 
-_BYTE_LENGTHS = {"hash": 32, "address": 20}
-
 
 class ExportError(ValueError):
     """Raised for missing or malformed export files."""
 
 
-@dataclass(frozen=True)
-class RawDataset:
-    """Parsed export content before slicing/validation.
-
-    Rows use the same dataclasses as :class:`ChainDataset`; ``snapshot_balances``
-    holds the exported per-address balances, valid at ``snapshot_block`` (the
-    export's last block).
-    """
-
-    blocks: tuple
-    addresses: tuple
-    transactions: tuple
-    contracts: tuple
-    tokens: tuple
-    token_transactions: tuple
-    withdrawals: tuple
-    snapshot_balances: dict[bytes, int] = field(default_factory=dict)
-    snapshot_block: int = 0
-
-    def table(self, name: str) -> tuple:
-        return getattr(self, name)
-
-
-def as_raw(ds: ChainDataset) -> RawDataset:
-    """View a dataset as raw export content (its snapshot is the final balances)."""
-    return RawDataset(
-        blocks=ds.blocks,
-        addresses=ds.addresses,
-        transactions=ds.transactions,
-        contracts=ds.contracts,
-        tokens=ds.tokens,
-        token_transactions=ds.token_transactions,
-        withdrawals=ds.withdrawals,
-        snapshot_balances=dict(ds.final_balances),
-        snapshot_block=ds.final_block,
-    )
-
-
-def _encode_cell(kind: str, value) -> str:
-    base = kind.rstrip("?")
-    if value is None:
-        return ""
-    if base in ("hash", "address", "bytes"):
-        return encode_hex(value)
-    if base == "int":
-        return str(value)
-    if base == "bool":
-        return "true" if value else "false"
-    if base == "text":
-        return value
-    if base == "sighashes":
-        return "|".join(encode_hex(v) for v in value)
-    raise ValueError(f"unknown column kind {kind}")
-
-
-def _decode_cell(kind: str, text: str, col: str):
-    nullable = kind.endswith("?")
-    base = kind.rstrip("?")
-    if text == "" and base != "text" and base != "sighashes":
-        if nullable:
-            return None
-        raise FormatError(f"{col}: empty value in non-null column")
-    if base in ("hash", "address"):
-        return decode_hex(text, _BYTE_LENGTHS[base], col)
-    if base == "bytes":
+def _bytes_decoder(col: str) -> Callable[[str], bytes]:
+    def decode(text: str) -> bytes:
         if not text.startswith("0x"):
             raise FormatError(f"{col}: expected 0x-prefixed hex, got {text!r}")
         try:
             return bytes.fromhex(text[2:])
         except ValueError:
             raise FormatError(f"{col}: non-hex digit in {text!r}") from None
-    if base == "int":
-        # Exact integers only: scientific notation and decimals are rejected.
-        if not (text.isdigit() or (text.startswith("-") and text[1:].isdigit())):
+
+    return decode
+
+
+def _int_decoder(col: str) -> Callable[[str], int]:
+    def decode(text: str) -> int:
+        # Exact ASCII integers only: scientific notation, decimals and other
+        # scripts' digits are rejected.
+        if not (text.isascii() and (text.isdigit() or (text.startswith("-") and text[1:].isdigit()))):
             raise FormatError(f"{col}: not a plain decimal integer: {text!r}")
         return int(text)
-    if base == "bool":
+
+    return decode
+
+
+def _bool_decoder(col: str) -> Callable[[str], bool]:
+    def decode(text: str) -> bool:
         if text == "true":
             return True
         if text == "false":
             return False
         raise FormatError(f"{col}: expected true/false, got {text!r}")
-    if base == "text":
-        return text
-    if base == "sighashes":
+
+    return decode
+
+
+def _sighashes_decoder(col: str) -> Callable[[str], tuple[bytes, ...]]:
+    def decode(text: str) -> tuple[bytes, ...]:
         if text == "":
             return ()
         return tuple(decode_hex(item, 4, col) for item in text.split("|"))
-    raise ValueError(f"unknown column kind {kind}")
+
+    return decode
+
+
+# Column kind (without the nullable "?") -> (encoder of a non-None value,
+# maker of the column's decoder from its name). Text and sighashes read the
+# empty field as a value; every other kind reads it as NULL.
+_CSV_KINDS = {
+    "hash": (encode_hex, lambda col: lambda text: decode_hex(text, HASH_LEN, col)),
+    "address": (encode_hex, lambda col: lambda text: decode_hex(text, ADDRESS_LEN, col)),
+    "bytes": (encode_hex, _bytes_decoder),
+    "int": (str, _int_decoder),
+    "bool": (lambda value: "true" if value else "false", _bool_decoder),
+    "text": (str, lambda col: str),
+    "sighashes": (lambda value: "|".join(map(encode_hex, value)), _sighashes_decoder),
+}
+
+
+def _decoder(col: str, kind: str) -> Callable[[str], object]:
+    """The decoder of one column's cell text; its errors name the column."""
+    base = kind.rstrip("?")
+    decode = _CSV_KINDS[base][1](col)
+    if base in ("text", "sighashes"):
+        return decode
+    if kind.endswith("?"):
+        return lambda text: None if text == "" else decode(text)
+
+    def non_null(text: str):
+        if text == "":
+            raise FormatError(f"{col}: empty value in non-null column")
+        return decode(text)
+
+    return non_null
+
+
+# Per table: one encoder and one decoder per column, in SCHEMA order.
+_ENCODERS = {table: tuple(_CSV_KINDS[kind.rstrip("?")][0] for _, kind in cols) for table, cols in SCHEMA.items()}
+_DECODERS = {table: tuple(_decoder(col, kind) for col, kind in cols) for table, cols in SCHEMA.items()}
 
 
 def write_export(ds: ChainDataset, out_dir: str | Path) -> dict:
@@ -141,14 +132,22 @@ def write_export(ds: ChainDataset, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     counts: dict[str, int] = {}
     for table in TABLE_NAMES:
-        cols = SCHEMA[table]
         rows = ds.table(table)
         counts[table] = len(rows)
+        encoders = _ENCODERS[table]
+        text_at = [i for i, (_, kind) in enumerate(SCHEMA[table]) if kind == "text"]
         with open(out / f"{table}.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([name for name, _ in cols])
+            # Before Python 3.13 the writer leaves a lone "\r" unquoted, and it
+            # reads back as a line end: a row with one is written fully quoted.
+            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            writer.writerow([name for name, _ in SCHEMA[table]])
             for row in rows:
-                writer.writerow([_encode_cell(kind, getattr(row, name)) for name, kind in cols])
+                cells = ["" if value is None else encode(value) for encode, value in zip(encoders, row)]
+                if text_at and any("\r" in cells[i] for i in text_at):
+                    quoted.writerow(cells)
+                else:
+                    writer.writerow(cells)
     with open(out / "balances.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["address", "eth_balance", "as_of_block"])
@@ -168,34 +167,37 @@ def write_export(ds: ChainDataset, out_dir: str | Path) -> dict:
 def _read_table(path: Path, table: str) -> list:
     if not path.exists():
         raise ExportError(f"table {table}: file not found: {path}")
-    cols = SCHEMA[table]
-    expected_header = [name for name, _ in cols]
+    names = [name for name, _ in SCHEMA[table]]
+    decoders, make = _DECODERS[table], ROW_TYPES[table]._make
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != expected_header:
+        if header != names:
             raise ExportError(f"table {table}: bad header {header!r}")
         for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(cols):
-                raise ExportError(f"{path.name}:{lineno}: expected {len(cols)} fields, got {len(record)}")
+            if len(record) != len(names):
+                raise ExportError(f"{path.name}:{lineno}: expected {len(names)} fields, got {len(record)}")
             values = []
-            for (name, kind), cell in zip(cols, record):
-                try:
-                    values.append(_decode_cell(kind, cell, name))
-                except FormatError as exc:
-                    raise ExportError(f"{path.name}:{lineno}: column {name}: {exc}") from exc
-            rows.append(ROW_TYPES[table](*values))
+            try:
+                for decode, cell in zip(decoders, record):
+                    values.append(decode(cell))
+            except FormatError as exc:  # the cell after the last decoded one
+                raise ExportError(f"{path.name}:{lineno}: column {names[len(values)]}: {exc}") from exc
+            rows.append(make(values))
     return rows
 
 
-def read_export(in_dir: str | Path) -> RawDataset:
-    """Parse an export directory back into rows with exact integer values."""
+def read_export(in_dir: str | Path) -> ChainDataset:
+    """Parse an export directory back into rows with exact integer values;
+    ``final_balances`` is the balance snapshot, valid at ``final_block``
+    (the export's last block)."""
     src = Path(in_dir)
     tables = {table: tuple(_read_table(src / f"{table}.csv", table)) for table in TABLE_NAMES}
 
     balances: dict[bytes, int] = {}
     as_of = 0
+    eth_balance, as_of_block = _decoder("eth_balance", "int"), _decoder("as_of_block", "int")
     bal_path = src / "balances.csv"
     if not bal_path.exists():
         raise ExportError(f"table balances: file not found: {bal_path}")
@@ -208,9 +210,9 @@ def read_export(in_dir: str | Path) -> RawDataset:
             if len(record) != 3:
                 raise ExportError(f"balances.csv:{lineno}: expected 3 fields")
             try:
-                addr = decode_hex(record[0], 20, "address")
-                bal = _decode_cell("int", record[1], "eth_balance")
-                as_of = _decode_cell("int", record[2], "as_of_block")
+                addr = decode_hex(record[0], ADDRESS_LEN, "address")
+                bal = eth_balance(record[1])
+                as_of = as_of_block(record[2])
             except FormatError as exc:
                 raise ExportError(f"balances.csv:{lineno}: {exc}") from exc
             balances[addr] = bal
@@ -221,31 +223,32 @@ def read_export(in_dir: str | Path) -> RawDataset:
             manifest = json.load(fh)
         as_of = manifest.get("snapshot_block", as_of)
 
-    return RawDataset(
-        blocks=tables["blocks"],
-        addresses=tables["addresses"],
-        transactions=tables["transactions"],
-        contracts=tables["contracts"],
-        tokens=tables["tokens"],
-        token_transactions=tables["token_transactions"],
-        withdrawals=tables["withdrawals"],
-        snapshot_balances=balances,
-        snapshot_block=as_of,
-    )
+    return ChainDataset(**tables, final_balances=balances, final_block=as_of)
 
 
-def _rollback_balances(raw: RawDataset, hi: int, block_number: dict[bytes, int]) -> dict[bytes, int]:
+def load_export(in_dir: str | Path, lo: int | None = None, hi: int | None = None) -> ChainDataset:
+    """The export's blocks [lo, hi] with their closure, as ``extract_slice``
+    cuts them; a bound left out is the export's first or last block."""
+    ds = read_export(in_dir)
+    block_range = ds.block_range
+    if block_range is None:
+        raise ExportError("export has no blocks")
+    first, last = block_range
+    return extract_slice(ds, first if lo is None else lo, last if hi is None else hi)
+
+
+def _rollback_balances(ds: ChainDataset, hi: int, block_number: dict[bytes, int]) -> dict[bytes, int]:
     """Balances at block ``hi``, derived from the snapshot by undoing later flows."""
-    balances = dict(raw.snapshot_balances)
-    tx_block = {t.hash: block_number.get(t.block_hash) for t in raw.transactions}
-    for t in raw.transactions:
+    balances = dict(ds.final_balances)
+    tx_block = {t.hash: block_number.get(t.block_hash) for t in ds.transactions}
+    for t in ds.transactions:
         num = tx_block[t.hash]
         if num is None or num <= hi:
             continue
         balances[t.from_address] = balances.get(t.from_address, 0) + t.value
         if t.to_address is not None:
             balances[t.to_address] = balances.get(t.to_address, 0) - t.value
-    for w in raw.withdrawals:
+    for w in ds.withdrawals:
         num = block_number.get(w.hash)
         if num is None or num <= hi:
             continue
@@ -253,9 +256,7 @@ def _rollback_balances(raw: RawDataset, hi: int, block_number: dict[bytes, int])
     return balances
 
 
-def slice_closure(
-    raw: RawDataset | ChainDataset, block_hashes: set[bytes], transactions, token_txs
-) -> tuple[tuple, tuple]:
+def slice_closure(ds: ChainDataset, block_hashes: set[bytes], transactions, token_txs) -> tuple[tuple, tuple]:
     """The tokens and contracts that a slice keeps, given the hashes of its
     blocks, its transactions and its token transactions.
 
@@ -265,26 +266,26 @@ def slice_closure(
     """
     used_tokens = {tt.token_address for tt in token_txs}
     tokens = []
-    for tk in raw.tokens:
+    for tk in ds.tokens:
         created_here = tk.block_hash in block_hashes
         if tk.address in used_tokens or created_here:
             if tk.block_hash is not None and not created_here:
-                tk = replace(tk, block_hash=None)
+                tk = tk._replace(block_hash=None)
             tokens.append(tk)
 
     touched = {t.from_address for t in transactions}
     touched |= {t.to_address for t in transactions if t.to_address is not None}
     contracts = []
-    for c in raw.contracts:
+    for c in ds.contracts:
         created_here = c.block_hash in block_hashes
         if c.address in touched or c.address in used_tokens or created_here:
             if c.block_hash is not None and not created_here:
-                c = replace(c, block_hash=None)
+                c = c._replace(block_hash=None)
             contracts.append(c)
     return tuple(tokens), tuple(contracts)
 
 
-def extract_slice(raw: RawDataset | ChainDataset, lo: int, hi: int) -> ChainDataset:
+def extract_slice(ds: ChainDataset, lo: int, hi: int) -> ChainDataset:
     """Restrict the export to blocks [lo, hi] plus the dependency closure.
 
     Tokens and contracts are retained when referenced by a retained row or
@@ -293,25 +294,23 @@ def extract_slice(raw: RawDataset | ChainDataset, lo: int, hi: int) -> ChainData
     addresses table covers every address referenced anywhere in the slice,
     with balances rolled back from the snapshot to block ``hi``.
     """
-    if isinstance(raw, ChainDataset):
-        raw = as_raw(raw)
     if lo > hi:
         raise ValueError(f"slice lo {lo} > hi {hi}")
 
-    blocks = tuple(b for b in raw.blocks if lo <= b.number <= hi)
+    blocks = tuple(b for b in ds.blocks if lo <= b.number <= hi)
     if not blocks:
         raise ExportError("slice empty: no blocks in requested range")
     block_hashes = {b.hash for b in blocks}
-    block_number = {b.hash: b.number for b in raw.blocks}
+    block_number = {b.hash: b.number for b in ds.blocks}
 
-    transactions = tuple(t for t in raw.transactions if t.block_hash in block_hashes)
+    transactions = tuple(t for t in ds.transactions if t.block_hash in block_hashes)
     tx_hashes = {t.hash for t in transactions}
-    withdrawals = tuple(w for w in raw.withdrawals if w.hash in block_hashes)
-    token_txs = tuple(tt for tt in raw.token_transactions if tt.transaction_hash in tx_hashes)
+    withdrawals = tuple(w for w in ds.withdrawals if w.hash in block_hashes)
+    token_txs = tuple(tt for tt in ds.token_transactions if tt.transaction_hash in tx_hashes)
 
-    tokens_t, contracts_t = slice_closure(raw, block_hashes, transactions, token_txs)
+    tokens_t, contracts_t = slice_closure(ds, block_hashes, transactions, token_txs)
     refs = referenced_addresses(blocks, transactions, withdrawals, tokens_t, contracts_t)
-    balances_at_hi = _rollback_balances(raw, hi, block_number)
+    balances_at_hi = _rollback_balances(ds, hi, block_number)
     final_balances: dict[bytes, int] = {}
     addresses = []
     for addr in sorted(refs):

@@ -10,7 +10,7 @@ overlap a mutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, ClassVar, Iterable, Sequence
 
@@ -244,13 +244,13 @@ class Store:
         )
 
     def table_multisets(self) -> dict[str, dict[tuple, int]]:
-        """Table contents as value-tuple multisets, for engine-level comparison."""
+        """Table contents as multisets of plain value tuples (never row
+        types, whose repr differs), for engine-level comparison."""
         out: dict[str, dict[tuple, int]] = {}
         for table in SCHEMA:
             counts: dict[tuple, int] = {}
-            cols = [name for name, _ in SCHEMA[table]]
             for row in self.rows(table):
-                key = tuple(getattr(row, c) for c in cols)
+                key = tuple(row)
                 counts[key] = counts.get(key, 0) + 1
             out[table] = counts
         return out
@@ -284,15 +284,17 @@ def _drop_blocks(store: Store, row) -> None:
 
 
 def _put_transactions(store: Store, row) -> None:
-    store.transactions[row.hash] = row
-    store.tx_slots.add((row.block_hash, row.transaction_index))
-    _link(store.tx_by_block, row.block_hash, row.hash)
+    tx_hash, block_hash = row.hash, row.block_hash
+    store.transactions[tx_hash] = row
+    store.tx_slots.add((block_hash, row.transaction_index))
+    _link(store.tx_by_block, block_hash, tx_hash)
 
 
 def _drop_transactions(store: Store, row) -> None:
-    del store.transactions[row.hash]
-    store.tx_slots.discard((row.block_hash, row.transaction_index))
-    store.tx_by_block[row.block_hash].discard(row.hash)
+    tx_hash, block_hash = row.hash, row.block_hash
+    del store.transactions[tx_hash]
+    store.tx_slots.discard((block_hash, row.transaction_index))
+    store.tx_by_block[block_hash].discard(tx_hash)
 
 
 def _put_row(store: Store, table: str, row) -> None:
@@ -335,15 +337,16 @@ def _insert_blocks(store: Store, op: InsertRow) -> tuple:
 
 def _insert_transactions(store: Store, op: InsertRow) -> tuple:
     row = op.row
+    block_hash, to_address = row.block_hash, row.to_address
     if row.hash in store.transactions:
         raise ValueError(f"transactions: duplicate hash {encode_hex(row.hash)}")
-    if (row.block_hash, row.transaction_index) in store.tx_slots:
+    if (block_hash, row.transaction_index) in store.tx_slots:
         raise ValueError(f"transactions: duplicate slot {row.transaction_index}")
-    if row.block_hash not in store.blocks:
-        raise ValueError(f"transactions: block_hash dangling {encode_hex(row.block_hash)}")
+    if block_hash not in store.blocks:
+        raise ValueError(f"transactions: block_hash dangling {encode_hex(block_hash)}")
     if row.from_address not in store.balances:
         raise ValueError("transactions: from_address dangling")
-    if row.to_address is not None and row.to_address not in store.balances:
+    if to_address is not None and to_address not in store.balances:
         raise ValueError("transactions: to_address dangling")
     _put_transactions(store, row)
     return _drop_transactions, store, row
@@ -376,7 +379,8 @@ def _insert_tokens(store: Store, op: InsertRow) -> tuple:
 def _insert_token_transactions(store: Store, op: InsertRow) -> tuple:
     row = op.row
     # The generic row move is too slow for the commonest insert of a window batch.
-    tx_hash, key = row.transaction_hash, (row.transaction_hash, row.log_index)
+    tx_hash = row.transaction_hash
+    key = (tx_hash, row.log_index)
     if key in store.token_txs:
         raise ValueError("token_transactions: duplicate (transaction_hash, log_index)")
     if tx_hash not in store.transactions:
@@ -462,7 +466,7 @@ def _null_tokens(store: Store, op: NullBlockHash) -> tuple:
     row = store.tokens.get(address)
     if row is None:
         raise ValueError("tokens: no such row")
-    store.tokens[address] = replace(row, block_hash=None)
+    store.tokens[address] = row._replace(block_hash=None)
     if row.block_hash is not None:
         store.tokens_by_block[row.block_hash].discard(address)
     return _put_row, store, "tokens", row
@@ -473,7 +477,7 @@ def _null_contracts(store: Store, op: NullBlockHash) -> tuple:
     row = store.contracts.get(key)
     if row is None:
         raise ValueError("contracts: no such row")
-    store.contracts[key] = replace(row, block_hash=None)
+    store.contracts[key] = row._replace(block_hash=None)
     if row.block_hash is not None:
         store.contracts_by_block[row.block_hash].discard(key)
     return _put_row, store, "contracts", row

@@ -23,7 +23,7 @@ from . import memstore, reports
 from .chain_model import SliceSpec
 from .eval_harness import QErrorPoint, enumerate_subqueries, evaluate_state, policy_catalogs, subquery_columns
 from .gcpause import collector_paused
-from .ingest_slice import extract_slice, read_export
+from .ingest_slice import extract_slice, load_export
 from .memstore import SPJQuery, Store
 from .query_assets import load_workload
 from .synth_chain import SynthConfig, generate
@@ -104,11 +104,7 @@ def dataset_from_source(source: dict):
     if kind == "synth":
         return generate(SynthConfig(**source.get("config", {})))
     if kind == "export":
-        raw = read_export(source["dir"])
-        numbers = [b.number for b in raw.blocks]
-        if not numbers:
-            raise ManifestError("export has no blocks")
-        return extract_slice(raw, min(numbers), max(numbers))
+        return load_export(source["dir"])
     raise ManifestError(f"unknown dataset source kind {kind!r}")
 
 

@@ -249,7 +249,7 @@ def to_mutations(statements: list[ParsedStatement]) -> list[Mutation]:
     ops: list[Mutation] = []
     for s in statements:
         if isinstance(s, ParsedInsert):
-            ops.append(InsertRow(s.table, ROW_TYPES[s.table](*s.row)))
+            ops.append(InsertRow(s.table, tuple.__new__(ROW_TYPES[s.table], s.row)))
         elif isinstance(s, ParsedBalanceUpdate):
             ops.append(UpdateBalance(s.address, s.delta))
         elif isinstance(s, ParsedNullOut):

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace as dc_replace
-from operator import add, attrgetter
+from dataclasses import dataclass
+from operator import add
 from pathlib import Path
 from typing import Callable
 
@@ -318,7 +318,7 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
         def place(row, kind: str, key):
             num = None if row.block_hash is None else number_of[row.block_hash]
             if num is not None and not window_lo <= num <= window_hi:
-                row = dc_replace(row, block_hash=None)
+                row = row._replace(block_hash=None)
                 num = None
             if kind == "token":
                 seen.tokens[key] = num
@@ -420,12 +420,11 @@ def _literals(encoders, values) -> list[str]:
 @dataclass(frozen=True)
 class _Template:
     """One table's statement text, compiled once from ``SCHEMA`` and
-    ``PRIMARY_KEYS``: each statement's head, the row's values in column
-    order with an encoder each, and the WHERE clause's ``col = `` parts with
-    an encoder each."""
+    ``PRIMARY_KEYS``: each statement's head, an encoder per column (a row is
+    its values in column order), and the WHERE clause's ``col = `` parts
+    with an encoder each."""
 
     insert: str
-    values: Callable[[object], tuple]
     encoders: tuple[Callable[[object], str], ...]
     delete: str
     null_out: str
@@ -442,7 +441,6 @@ def _template(table: str) -> _Template:
     sql_name = SQL_TABLE_NAMES[table]
     return _Template(
         insert=f"INSERT INTO {sql_name} ({', '.join(names)}) VALUES (",
-        values=attrgetter(*names),
         encoders=tuple(encoders.values()),
         delete=f"DELETE FROM {sql_name} WHERE ",
         null_out=f"UPDATE {sql_name} SET block_hash = NULL WHERE ",
@@ -457,7 +455,7 @@ _TEMPLATES = {table: _template(table) for table in SCHEMA}
 def _render_op(op: Mutation) -> str:
     if isinstance(op, InsertRow):
         t = _TEMPLATES[op.table]
-        return f"{t.insert}{', '.join(_literals(t.encoders, t.values(op.row)))});"
+        return f"{t.insert}{', '.join(_literals(t.encoders, op.row))});"
     if isinstance(op, UpdateBalance):
         sign, amount = ("+", op.delta) if op.delta >= 0 else ("-", -op.delta)
         address = "NULL" if op.address is None else _bytea(op.address)

@@ -63,7 +63,7 @@ def test_validate_tiny_dataset_clean():
 
 def test_validate_dangling_transaction_block():
     ds = tiny_dataset()
-    bad = replace(ds.transactions[0], block_hash=hsh(99))
+    bad = ds.transactions[0]._replace(block_hash=hsh(99))
     ds2 = replace(ds, transactions=(bad,) + ds.transactions[1:])
     report = validate_dataset(ds2)
     assert any(v.table == "transactions" and v.rule == "block_hash dangling" for v in report.violations)
@@ -71,7 +71,7 @@ def test_validate_dangling_transaction_block():
 
 def test_validate_duplicate_block_number():
     ds = tiny_dataset()
-    dup = replace(ds.blocks[0], hash=hsh(50))
+    dup = ds.blocks[0]._replace(hash=hsh(50))
     ds2 = replace(ds, blocks=ds.blocks + (dup,))
     report = validate_dataset(ds2)
     assert any(v.rule == "duplicate number" for v in report.violations)
@@ -98,7 +98,7 @@ def test_validate_nonce_gap():
 
 def test_validate_decreasing_timestamps():
     ds = tiny_dataset()
-    blocks = (ds.blocks[0], replace(ds.blocks[1], timestamp=10), ds.blocks[2])
+    blocks = (ds.blocks[0], ds.blocks[1]._replace(timestamp=10), ds.blocks[2])
     report = validate_dataset(replace(ds, blocks=blocks))
     assert any(v.rule == "timestamps decrease" for v in report.violations)
 

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from chainbench.chain_model import TABLE_NAMES, ChainDataset
 from chainbench.cli import main
+from chainbench.ingest_slice import write_export
 
 
 def _synth(tmp_path, name="export", blocks=40, extra=()):
@@ -31,6 +33,22 @@ def test_ingest_ok(tmp_path, capsys):
     out = _synth(tmp_path)
     assert main(["ingest", "--export", str(out), "--strict"]) == 0
     assert "0 violations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ("ingest", "slice"))
+def test_an_export_with_no_blocks_is_refused(tmp_path, capsys, command):
+    export = tmp_path / "empty"
+    write_export(ChainDataset((), (), (), (), (), (), ()), export)
+    bounds = ["--lo", "0", "--hi", "5", "--out", str(tmp_path / "sliced")] if command == "slice" else []
+    assert main([command, "--export", str(export), *bounds]) == 1
+    assert capsys.readouterr().err == "error: export has no blocks\n"
+
+
+def test_ingest_lists_every_schema_table(tmp_path, capsys):
+    out = _synth(tmp_path)
+    assert main(["ingest", "--export", str(out)]) == 0
+    listed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if line.endswith(" rows")]
+    assert listed == list(TABLE_NAMES)
 
 
 def test_slice_subcommand(tmp_path):

@@ -95,13 +95,11 @@ def test_correlated_filters_fool_independence():
     # Rows 0..99 have gas in [100k, 200k] and nonce 0..99; the nonce band
     # [900, 999] only hits rows whose gas is out of band. Each filter alone
     # keeps 10% of rows but their conjunction is empty.
-    from dataclasses import replace
-
     store = Store()
     ops = [InsertRow("addresses", AddressRow(addr(1), 10**18)), InsertRow("blocks", make_block(0))]
     for i in range(1000):
         gas = 150_000 if i < 100 else 250_000
-        row = replace(make_tx(i, 0, addr(1), None, 0, nonce=i, index=i), gas=gas)
+        row = make_tx(i, 0, addr(1), None, 0, nonce=i, index=i)._replace(gas=gas)
         ops.append(InsertRow("transactions", row))
     apply_ops(store, ops)
     cat = refresh(store)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -261,7 +260,7 @@ _REFUSALS = {
         "blocks: duplicate hash 0x0000000100000001000000010000000100000001000000010000000100000001",
     ),
     "insert-blocks-duplicate-number": (
-        [InsertRow("blocks", replace(make_block(9), number=1))],
+        [InsertRow("blocks", make_block(9)._replace(number=1))],
         0,
         "blocks: duplicate number 1",
     ),
@@ -297,23 +296,23 @@ _REFUSALS = {
     ),
     "insert-contracts-duplicate": ([InsertRow("contracts", _CONTRACT)], 0, "contracts: duplicate (address, version)"),
     "insert-contracts-address-dangling": (
-        [InsertRow("contracts", replace(_CONTRACT, address=NEW))],
+        [InsertRow("contracts", _CONTRACT._replace(address=NEW))],
         0,
         "contracts: address dangling",
     ),
     "insert-contracts-block-dangling": (
-        [InsertRow("contracts", replace(_CONTRACT, version=2, block_hash=hsh(9)))],
+        [InsertRow("contracts", _CONTRACT._replace(version=2, block_hash=hsh(9)))],
         0,
         "contracts: block_hash dangling",
     ),
     "insert-tokens-duplicate": ([InsertRow("tokens", _TOKEN)], 0, "tokens: duplicate address"),
     "insert-tokens-address-dangling": (
-        [InsertRow("tokens", replace(_TOKEN, address=NEW))],
+        [InsertRow("tokens", _TOKEN._replace(address=NEW))],
         0,
         "tokens: address dangling",
     ),
     "insert-tokens-block-dangling": (
-        [InsertRow("tokens", replace(_TOKEN, address=A1, block_hash=hsh(9)))],
+        [InsertRow("tokens", _TOKEN._replace(address=A1, block_hash=hsh(9)))],
         0,
         "tokens: block_hash dangling",
     ),
@@ -323,12 +322,12 @@ _REFUSALS = {
         "token_transactions: duplicate (transaction_hash, log_index)",
     ),
     "insert-token-transactions-tx-dangling": (
-        [InsertRow("token_transactions", replace(_TTX, transaction_hash=hsh(109)))],
+        [InsertRow("token_transactions", _TTX._replace(transaction_hash=hsh(109)))],
         0,
         "token_transactions: transaction_hash dangling",
     ),
     "insert-token-transactions-token-dangling": (
-        [InsertRow("token_transactions", replace(_TTX, log_index=1, token_address=A1))],
+        [InsertRow("token_transactions", _TTX._replace(log_index=1, token_address=A1))],
         0,
         "token_transactions: token_address dangling",
     ),
@@ -338,12 +337,12 @@ _REFUSALS = {
         "withdrawals: duplicate (hash, withdrawal_index)",
     ),
     "insert-withdrawals-hash-dangling": (
-        [InsertRow("withdrawals", replace(_WD, hash=hsh(9)))],
+        [InsertRow("withdrawals", _WD._replace(hash=hsh(9)))],
         0,
         "withdrawals: hash dangling",
     ),
     "insert-withdrawals-address-dangling": (
-        [InsertRow("withdrawals", replace(_WD, withdrawal_index=1, address=NEW))],
+        [InsertRow("withdrawals", _WD._replace(withdrawal_index=1, address=NEW))],
         0,
         "withdrawals: address dangling",
     ),
@@ -459,10 +458,10 @@ def _failing_ops(store: Store) -> dict[str, tuple]:
     failures = {
         "dangling blocks.miner": InsertRow("blocks", make_block(4_000_000_000, miner=u)),
         "dangling transactions.block_hash": InsertRow("transactions", make_tx(3_999_999_000, 4_000_000_000, u, u, 1, 0)),
-        "dangling contracts.address": InsertRow("contracts", replace(_CONTRACT, address=u)),
-        "dangling tokens.address": InsertRow("tokens", replace(_TOKEN, address=u)),
-        "dangling token_transactions.transaction_hash": InsertRow("token_transactions", replace(_TTX, transaction_hash=h)),
-        "dangling withdrawals.hash": InsertRow("withdrawals", replace(_WD, hash=h)),
+        "dangling contracts.address": InsertRow("contracts", _CONTRACT._replace(address=u)),
+        "dangling tokens.address": InsertRow("tokens", _TOKEN._replace(address=u)),
+        "dangling token_transactions.transaction_hash": InsertRow("token_transactions", _TTX._replace(transaction_hash=h)),
+        "dangling withdrawals.hash": InsertRow("withdrawals", _WD._replace(hash=h)),
         "missing blocks row": DeleteRow("blocks", (h,)),
         "missing transactions row": DeleteRow("transactions", (h,)),
         "missing token_transactions row": DeleteRow("token_transactions", (h, 0)),
@@ -480,7 +479,7 @@ def _failing_ops(store: Store) -> dict[str, tuple]:
             failures[f"duplicate {table} key"] = (InsertRow(table, rows[-1]), BatchRejected)
     if store.transactions:
         tx = next(iter(store.transactions.values()))
-        failures["duplicate transaction slot"] = (InsertRow("transactions", replace(tx, hash=h)), BatchRejected)
+        failures["duplicate transaction slot"] = (InsertRow("transactions", tx._replace(hash=h)), BatchRejected)
     for name in ("tx_by_block", "wd_by_block", "tokens_by_block", "contracts_by_block"):
         parents = [block for block, children in getattr(store, name).items() if children]
         if parents:

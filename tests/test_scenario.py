@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from chainbench.ingest_slice import write_export
+from chainbench.chain_model import ChainDataset
+from chainbench.ingest_slice import ExportError, write_export
 from chainbench.scenario import (
     ExperimentManifest,
     ManifestError,
@@ -48,6 +49,12 @@ def test_dataset_from_export_source(tmp_path):
     write_export(ds, tmp_path)
     loaded = dataset_from_source({"kind": "export", "dir": str(tmp_path)})
     assert loaded.block_range == (0, 19)
+
+
+def test_an_export_source_with_no_blocks_is_refused(tmp_path):
+    write_export(ChainDataset((), (), (), (), (), (), ()), tmp_path)
+    with pytest.raises(ExportError, match="^export has no blocks$"):
+        dataset_from_source({"kind": "export", "dir": str(tmp_path)})
 
 
 def test_slice_compare_scenario(tmp_path):

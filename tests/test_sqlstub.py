@@ -145,7 +145,7 @@ def test_comment_marker_inside_a_string_literal_is_text():
     ds = generate(SynthConfig(seed=104, n_blocks=10, mean_tx_per_block=4, address_pool=20, n_tokens=3))
     load = gen_initial(ds, WorkloadConfig(init_blocks=10, granularity=1))
     ops = tuple(
-        InsertRow(op.table, dataclasses.replace(op.row, symbol="a\n-- b")) if op.table == "tokens" else op
+        InsertRow(op.table, op.row._replace(symbol="a\n-- b")) if op.table == "tokens" else op
         for op in load.ops
     )
     assert any(op.table == "tokens" for op in ops if isinstance(op, InsertRow))
@@ -324,7 +324,7 @@ def test_render_parse_round_trip_with_tricky_text(loaded_workload, pick, texts):
     for op in batch.ops:
         if isinstance(op, InsertRow) and op.table == "tokens":
             symbol, name = texts[len(ops) % len(texts)]
-            op = InsertRow("tokens", dataclasses.replace(op.row, symbol=symbol, name=name))
+            op = InsertRow("tokens", op.row._replace(symbol=symbol, name=name))
         ops.append(op)
     batch = dataclasses.replace(batch, ops=tuple(ops))
     assert to_mutations(parse_script(render_sql(batch))) == list(batch.ops)
