@@ -53,9 +53,13 @@ def decode_hex(text: str, expected_len: int, field_name: str = "value") -> bytes
             f"({2 * expected_len} hex digits), got {len(digits)} digits"
         )
     try:
-        return bytes.fromhex(digits)
+        value = bytes.fromhex(digits)
     except ValueError:
-        raise FormatError(f"{field_name}: non-hex digit in {text!r}") from None
+        value = None
+    # bytes.fromhex skips ASCII whitespace: a short result means some was there.
+    if value is None or len(value) != expected_len:
+        raise FormatError(f"{field_name}: non-hex digit in {text!r}")
+    return value
 
 
 def encode_hex(value: bytes) -> str:

@@ -24,8 +24,8 @@ from .eval_harness import (
     enumerate_subqueries,
     evaluate_state,
     measure_latency,
+    probe_columns,
     regret_matrix,
-    subquery_columns,
 )
 from .gcpause import collector_paused
 from .ingest_slice import load_export, write_export
@@ -181,13 +181,11 @@ def _cmd_probe_card(args: argparse.Namespace) -> int:
     if asset is None or asset.spj is None:
         raise ValueError(f"query {args.query!r} has no structured form to probe")
     subqueries = enumerate_subqueries(asset.spj, args.max_tables)
-    needed = set()
-    for sub in subqueries:
-        needed |= subquery_columns(sub)
     if args.catalog:
         catalog = estimator.load_catalog(args.catalog)
     else:
-        catalog = estimator.refresh(store, label=args.label, columns=needed)
+        columns = probe_columns(subqueries)
+        catalog = estimator.refresh(store, label=args.label, columns=columns.filtered, distinct=columns.join_only)
     if args.save_catalog:
         estimator.save_catalog(catalog, args.save_catalog)
     points = evaluate_state(args.label, store, subqueries, {args.policy: catalog})

@@ -12,6 +12,9 @@ selectivities, and equi-join selectivities (1 / max ndv). Range predicates
 interpolate fractional bucket coverage; equality uses the most-common-value
 list with an ndv fallback; substring predicates use fixed constants (0.005
 contains / 0.995 not-contains) so their failure mode stays transparent.
+Join selectivity reads only the distinct count, so a probe builds histograms
+and most-common-value lists for the columns its filters read, and only the
+exact distinct count for a column that join edges alone read.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from __future__ import annotations
 import heapq
 import json
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import attrgetter
 from pathlib import Path
 
 from .chain_model import SCHEMA
@@ -90,12 +92,20 @@ class StatsCatalog:
     built_at: str
     row_counts: dict[str, int]
     columns: dict[tuple[str, str], ColumnStats] = field(default_factory=dict)
+    # Columns that only join edges read: their exact distinct non-null count.
+    distinct: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def stats(self, table: str, column: str) -> ColumnStats:
         try:
             return self.columns[(table, column)]
         except KeyError:
-            raise EstimateError(f"no statistics for {table}.{column}") from None
+            have = "only a distinct count" if (table, column) in self.distinct else "no statistics"
+            raise EstimateError(f"{have} for {table}.{column}") from None
+
+    def ndv(self, table: str, column: str) -> int:
+        if (table, column) in self.distinct:
+            return self.distinct[(table, column)]
+        return self.stats(table, column).ndv
 
 
 def refresh(
@@ -103,28 +113,27 @@ def refresh(
     label: str = "",
     n_buckets: int = 100,
     columns: set[tuple[str, str]] | None = None,
+    distinct: set[tuple[str, str]] = frozenset(),
 ) -> StatsCatalog:
     """Build a catalog from full column scans of the current store state.
 
-    Each table is read once, and every wanted column of it is taken from that
-    one scan. ``columns`` restricts the scan; by default every schema column
-    is covered. Rebuilding on an unchanged store yields an identical catalog.
+    ``columns`` get full statistics, by default every schema column. A column
+    only in ``distinct`` gets its exact distinct non-null count and nothing
+    else: all that a join edge reads. Rebuilding on an unchanged store yields
+    an identical catalog.
     """
-    wanted = columns if columns is not None else {
-        (table, name) for table, cols in SCHEMA.items() for name, _ in cols
-    }
+    if columns is None:
+        columns = {(table, name) for table, cols in SCHEMA.items() for name, _ in cols}
     cat = StatsCatalog(
         built_at=label,
         row_counts={table: store.row_count(table) for table in SCHEMA},
     )
-    by_table: dict[str, list[str]] = defaultdict(list)
-    for table, name in sorted(wanted):
-        by_table[table].append(name)
-    for table, names in by_table.items():
-        rows = list(store.rows(table))  # one scan per table, shared by its columns
-        for name in names:
-            values = list(map(attrgetter(name), rows))
-            cat.columns[(table, name)] = build_column_stats(values, n_buckets=n_buckets)
+    for table, name in sorted(columns):
+        cat.columns[(table, name)] = build_column_stats(list(store.column(table, name)), n_buckets=n_buckets)
+    for table, name in sorted(distinct - columns):
+        cells = set(store.column(table, name))
+        cells.discard(None)
+        cat.distinct[(table, name)] = len(cells)
     return cat
 
 
@@ -205,9 +214,8 @@ def estimate(cat: StatsCatalog, q: SPJQuery) -> float:
         stats = cat.stats(amap[f.alias], f.column)
         result *= _filter_selectivity(stats, f.op, f.value)
     for edge in q.joins:
-        left = cat.stats(amap[edge.left_alias], edge.left_column)
-        right = cat.stats(amap[edge.right_alias], edge.right_column)
-        top_ndv = max(left.ndv, right.ndv)
+        left = cat.ndv(amap[edge.left_alias], edge.left_column)
+        top_ndv = max(left, cat.ndv(amap[edge.right_alias], edge.right_column))
         result *= (1.0 / top_ndv) if top_ndv else 0.0
     return max(0.0, result)
 
@@ -251,7 +259,7 @@ def _decode_value(v):
 
 
 def catalog_to_dict(cat: StatsCatalog) -> dict:
-    return {
+    out = {
         "built_at": cat.built_at,
         "row_counts": dict(sorted(cat.row_counts.items())),
         "columns": {
@@ -266,6 +274,9 @@ def catalog_to_dict(cat: StatsCatalog) -> dict:
             for (table, col), st in sorted(cat.columns.items())
         },
     }
+    if cat.distinct:  # a catalog of full statistics only keeps its older form
+        out["distinct"] = {f"{table}.{col}": n for (table, col), n in sorted(cat.distinct.items())}
+    return out
 
 
 def catalog_from_dict(data: dict) -> StatsCatalog:
@@ -280,6 +291,9 @@ def catalog_from_dict(data: dict) -> StatsCatalog:
             mcv=tuple((_decode_value(v), f) for v, f in st["mcv"]),
             bool_true_fraction=st["bool_true_fraction"],
         )
+    for key, n in data.get("distinct", {}).items():
+        table, col = key.rsplit(".", 1)
+        cat.distinct[(table, col)] = n
     return cat
 
 

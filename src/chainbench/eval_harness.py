@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import estimator, memstore
 from .gcpause import collector_paused
@@ -98,14 +98,24 @@ def enumerate_subqueries(q: SPJQuery, max_tables: int) -> list[SPJQuery]:
     return out
 
 
-def subquery_columns(q: SPJQuery) -> set[tuple[str, str]]:
-    """(table, column) pairs a catalog must cover to estimate ``q``."""
-    amap = q.alias_map
-    cols = {(amap[f.alias], f.column) for f in q.filters}
-    for e in q.joins:
-        cols.add((amap[e.left_alias], e.left_column))
-        cols.add((amap[e.right_alias], e.right_column))
-    return cols
+class ProbeColumns(NamedTuple):
+    """The (table, column) pairs the estimates of a probe read, by role."""
+
+    filtered: frozenset[tuple[str, str]]  # filters read full statistics
+    join_only: frozenset[tuple[str, str]]  # join edges read only the distinct count
+
+
+def probe_columns(subqueries: Iterable[SPJQuery]) -> ProbeColumns:
+    """The columns a catalog must cover to estimate every one of ``subqueries``."""
+    filtered: set[tuple[str, str]] = set()
+    joined: set[tuple[str, str]] = set()
+    for q in subqueries:
+        amap = q.alias_map
+        filtered.update((amap[f.alias], f.column) for f in q.filters)
+        for e in q.joins:
+            joined.add((amap[e.left_alias], e.left_column))
+            joined.add((amap[e.right_alias], e.right_column))
+    return ProbeColumns(frozenset(filtered), frozenset(joined - filtered))
 
 
 def evaluate_state(
@@ -150,7 +160,7 @@ def policy_catalogs(
     store: Store,
     initial: estimator.StatsCatalog | None,
     n_buckets: int,
-    columns: set[tuple[str, str]],
+    columns: ProbeColumns,
 ) -> dict[str, estimator.StatsCatalog]:
     """The catalog each policy probes one state with.
 
@@ -166,7 +176,9 @@ def policy_catalogs(
             catalogs[policy] = initial
             continue
         if built is None:
-            built = estimator.refresh(store, label=label, n_buckets=n_buckets, columns=columns)
+            built = estimator.refresh(
+                store, label=label, n_buckets=n_buckets, columns=columns.filtered, distinct=columns.join_only
+            )
         catalogs[policy] = built
     return catalogs
 
@@ -190,11 +202,11 @@ def drift_experiment(
     if policy not in ("refreshed", "initial"):
         raise ValueError(f"unknown policy {policy!r}")
     subqueries = enumerate_subqueries(q, max_tables)
-    needed = set().union(*(subquery_columns(s) for s in subqueries))
+    columns = probe_columns(subqueries)
     points: list[QErrorPoint] = []
     initial = None
     for label, store in states:
-        catalogs = policy_catalogs((policy,), label, store, initial, n_buckets, needed)
+        catalogs = policy_catalogs((policy,), label, store, initial, n_buckets, columns)
         initial = catalogs.get("initial")
         points.extend(evaluate_state(label, store, subqueries, catalogs))
     return points

@@ -49,9 +49,13 @@ def _bytes_decoder(col: str) -> Callable[[str], bytes]:
         if not text.startswith("0x"):
             raise FormatError(f"{col}: expected 0x-prefixed hex, got {text!r}")
         try:
-            return bytes.fromhex(text[2:])
+            value = bytes.fromhex(text[2:])
         except ValueError:
-            raise FormatError(f"{col}: non-hex digit in {text!r}") from None
+            value = None
+        # bytes.fromhex skips ASCII whitespace: a short result means some was there.
+        if value is None or 2 * len(value) != len(text) - 2:
+            raise FormatError(f"{col}: non-hex digit in {text!r}")
+        return value
 
     return decode
 

@@ -11,7 +11,7 @@ overlap a mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, ClassVar, Iterable, Sequence
 
 from .chain_model import AddressRow, ChainDataset, PRIMARY_KEYS, SCHEMA, WEI_MAX, encode_hex
@@ -177,6 +177,8 @@ _LAYOUT = {
     "withdrawals": ("withdrawals", "wd_by_block", "hash"),
 }
 _REVERSE_INDEXES = frozenset(index for _, index, _ in _LAYOUT.values() if index)
+# Each column's position in its table's rows (SCHEMA order).
+_POSITION = {table: {name: i for i, (name, _) in enumerate(cols)} for table, cols in SCHEMA.items()}
 _KEY_OF = {table: attrgetter(*columns) for table, columns in PRIMARY_KEYS.items()}
 
 
@@ -218,6 +220,12 @@ class Store:
         if table == "addresses":
             return (AddressRow(a, b) for a, b in self.balances.items())
         return getattr(self, _LAYOUT[table][0]).values()
+
+    def column(self, table: str, name: str) -> Iterable:
+        """The cells of one column, in ``rows`` order."""
+        if table == "addresses":
+            return self.balances.keys() if name == "address" else self.balances.values()
+        return map(itemgetter(_POSITION[table][name]), getattr(self, _LAYOUT[table][0]).values())
 
     def row_count(self, table: str) -> int:
         return len(self.balances if table == "addresses" else getattr(self, _LAYOUT[table][0]))
@@ -556,43 +564,36 @@ def snapshot_blocks(store: Store) -> list[int]:
     return sorted(store.block_by_number)
 
 
-def _cell_test(f: Filter) -> Callable[[object], bool]:
-    """``f`` as a one-argument test on a cell. SQL semantics: NULL satisfies
-    no predicate."""
-    op, value = f.op, f.value
-    if op == "range":
-        lo, hi = value
-        return lambda cell: cell is not None and lo <= cell <= hi
-    if op == "eq":
-        return lambda cell: cell is not None and cell == value
-    if op == "ne":
-        return lambda cell: cell is not None and cell != value
-    if op == "is_true":
-        return lambda cell: cell is True
-    if op == "is_false":
-        return lambda cell: cell is False
-    if op == "contains":
-        return lambda cell: cell is not None and value in cell
-    if op == "not_contains":
-        return lambda cell: cell is not None and value not in cell
-    if op == "ge":
-        return lambda cell: cell is not None and cell >= value
-    return lambda cell: cell is not None and cell <= value  # le
-
-
 def base_relation(store: Store, table: str, filters: Sequence[Filter]) -> list:
     """Rows of ``table`` that satisfy every filter: one alias's input to a join.
 
     The filters run one after another, each over the rows the previous one
-    kept.
+    kept, and read their cell by its ``SCHEMA`` position. SQL semantics: NULL
+    satisfies no predicate.
     """
-    if not filters:
-        return list(store.rows(table))
     rows = store.rows(table)
     for f in filters:
-        column, test = attrgetter(f.column), _cell_test(f)
-        rows = [row for row in rows if test(column(row))]
-    return rows
+        i, op, value = _POSITION[table][f.column], f.op, f.value
+        if op == "range":
+            lo, hi = value
+            rows = [r for r in rows if r[i] is not None and lo <= r[i] <= hi]
+        elif op == "eq":
+            rows = [r for r in rows if r[i] is not None and r[i] == value]
+        elif op == "ne":
+            rows = [r for r in rows if r[i] is not None and r[i] != value]
+        elif op == "is_true":
+            rows = [r for r in rows if r[i] is True]
+        elif op == "is_false":
+            rows = [r for r in rows if r[i] is False]
+        elif op == "contains":
+            rows = [r for r in rows if r[i] is not None and value in r[i]]
+        elif op == "not_contains":
+            rows = [r for r in rows if r[i] is not None and value not in r[i]]
+        elif op == "ge":
+            rows = [r for r in rows if r[i] is not None and r[i] >= value]
+        else:  # le
+            rows = [r for r in rows if r[i] is not None and r[i] <= value]
+    return rows if filters else list(rows)
 
 
 def count(store: Store, q: SPJQuery, relations: dict | None = None) -> int:
@@ -619,6 +620,7 @@ def count(store: Store, q: SPJQuery, relations: dict | None = None) -> int:
         filtered[alias] = relations[key]
 
     aliases = [a for a, _ in q.tables]
+    amap = q.alias_map
     if len(aliases) == 1:
         return len(filtered[aliases[0]])
 
@@ -636,31 +638,26 @@ def count(store: Store, q: SPJQuery, relations: dict | None = None) -> int:
                 continue
             pending.pop(i)
             progressed = True
+            lc = _POSITION[amap[edge.left_alias]][edge.left_column]
+            rc = _POSITION[amap[edge.right_alias]][edge.right_column]
             if l_in and r_in:
                 li, ri = position[edge.left_alias], position[edge.right_alias]
-                tuples = [
-                    t
-                    for t in tuples
-                    if getattr(t[li], edge.left_column) is not None
-                    and getattr(t[li], edge.left_column) == getattr(t[ri], edge.right_column)
-                ]
+                tuples = [t for t in tuples if t[li][lc] is not None and t[li][lc] == t[ri][rc]]
             else:
                 if l_in:
-                    old_alias, old_col = edge.left_alias, edge.left_column
-                    new_alias, new_col = edge.right_alias, edge.right_column
+                    old_alias, oc, new_alias, nc = edge.left_alias, lc, edge.right_alias, rc
                 else:
-                    old_alias, old_col = edge.right_alias, edge.right_column
-                    new_alias, new_col = edge.left_alias, edge.left_column
+                    old_alias, oc, new_alias, nc = edge.right_alias, rc, edge.left_alias, lc
                 table: dict = {}
                 for row in filtered[new_alias]:
-                    key = getattr(row, new_col)
+                    key = row[nc]
                     if key is None:
                         continue
                     table.setdefault(key, []).append(row)
                 oi = position[old_alias]
                 joined: list[tuple] = []
                 for t in tuples:
-                    key = getattr(t[oi], old_col)
+                    key = t[oi][oc]
                     if key is None:
                         continue
                     for row in table.get(key, ()):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import memstore, reports
 from .chain_model import SliceSpec
-from .eval_harness import QErrorPoint, enumerate_subqueries, evaluate_state, policy_catalogs, subquery_columns
+from .eval_harness import QErrorPoint, enumerate_subqueries, evaluate_state, policy_catalogs, probe_columns
 from .gcpause import collector_paused
 from .ingest_slice import extract_slice, load_export
 from .memstore import SPJQuery, Store
@@ -140,9 +140,7 @@ def run_scenario(manifest: ExperimentManifest, out_dir: str | Path) -> ScenarioR
     subqueries = []
     for qid in sorted(spj_by_id):
         subqueries.extend(enumerate_subqueries(spj_by_id[qid], manifest.max_tables))
-    needed = set()
-    for sub in subqueries:
-        needed |= subquery_columns(sub)
+    columns = probe_columns(subqueries)
 
     result = ScenarioResult()
     ds = dataset_from_source(manifest.source)
@@ -152,7 +150,7 @@ def run_scenario(manifest: ExperimentManifest, out_dir: str | Path) -> ScenarioR
     def probe(label: str, store: Store) -> None:
         nonlocal initial_catalog
         result.state_labels.append(label)
-        catalogs = policy_catalogs(manifest.policies, label, store, initial_catalog, manifest.n_buckets, needed)
+        catalogs = policy_catalogs(manifest.policies, label, store, initial_catalog, manifest.n_buckets, columns)
         initial_catalog = catalogs.get("initial")
         result.points.extend(evaluate_state(label, store, subqueries, catalogs))
 

@@ -34,6 +34,13 @@ def test_decode_hex_requires_prefix_and_hex_digits():
         decode_hex("0x" + "zz" * 20, 20)
 
 
+@pytest.mark.parametrize("text, n", [("0x" + "ab" * 31 + "  ", 32), ("0x 12 ", 2), ("0x\t12\n", 2)])
+def test_decode_hex_refuses_whitespace_among_the_digits(text, n):
+    # bytes.fromhex skips ASCII whitespace, so these would decode short.
+    with pytest.raises(FormatError, match="non-hex digit"):
+        decode_hex(text, n)
+
+
 def test_decode_hex_error_names_field():
     with pytest.raises(FormatError, match="miner"):
         decode_hex("0x00", 20, field_name="miner")

@@ -3,9 +3,12 @@ import json
 
 import pytest
 
+from chainbench import estimator, memstore
 from chainbench.chain_model import TABLE_NAMES, ChainDataset
 from chainbench.cli import main
-from chainbench.ingest_slice import write_export
+from chainbench.eval_harness import enumerate_subqueries, probe_columns
+from chainbench.ingest_slice import load_export, write_export
+from chainbench.query_assets import q1_spj
 
 
 def _synth(tmp_path, name="export", blocks=40, extra=()):
@@ -165,6 +168,29 @@ def test_probe_card_points_are_pinned(tmp_path, policy, digest):
     assert rc == 0
     points = probe / "qerror_points.jsonl"
     assert hashlib.sha256(points.read_bytes()).hexdigest() == digest
+
+
+def test_probe_card_catalog_round_trip(tmp_path):
+    out = tmp_path / "export"
+    assert main(["synth", "--seed", "5", "--blocks", "80", "--tx-per-block", "8", "--pool", "40", "--tokens", "4", "--out", str(out)]) == 0
+    probe = ["probe-card", "--export", str(out), "--lo", "10", "--hi", "69"]
+    saved = tmp_path / "catalog.json"
+    assert main([*probe, "--save-catalog", str(saved), "--out", str(tmp_path / "built")]) == 0
+    assert main([*probe, "--catalog", str(saved), "--out", str(tmp_path / "loaded")]) == 0
+    built = (tmp_path / "built" / "qerror_points.jsonl").read_bytes()
+    assert hashlib.sha256(built).hexdigest() == "55692545eef64f532067c1a5e784087cffb1a24b6cb1c215286951251b24d2af"
+    assert (tmp_path / "loaded" / "qerror_points.jsonl").read_bytes() == built
+    data = json.loads(saved.read_text())
+    assert len(data["columns"]) == 5 and len(data["distinct"]) == 8
+
+    # The older form, full statistics for every column the probe reads, still loads.
+    store = memstore.Store.from_dataset(load_export(out, 10, 69))
+    columns = probe_columns(enumerate_subqueries(q1_spj(), 3))
+    full = tmp_path / "full.json"
+    estimator.save_catalog(estimator.refresh(store, label="S", columns=columns.filtered | columns.join_only), full)
+    assert "distinct" not in json.loads(full.read_text())
+    assert main([*probe, "--catalog", str(full), "--out", str(tmp_path / "full")]) == 0
+    assert (tmp_path / "full" / "qerror_points.jsonl").read_bytes() == built
 
 
 def test_plan_matrix_reproduces_recorded_cells(tmp_path, capsys):

@@ -16,7 +16,9 @@ from chainbench.estimator import (
     estimate,
     refresh,
 )
+from chainbench.eval_harness import enumerate_subqueries, probe_columns
 from chainbench.memstore import Filter, InsertRow, SPJQuery, Store, apply_ops
+from chainbench.query_assets import q1_spj
 from chainbench.synth_chain import SynthConfig, generate
 from chainbench.workload_gen import WorkloadConfig, gen_batches, gen_initial
 
@@ -227,3 +229,33 @@ def test_full_catalog_is_pinned():
         "8c91df3f50b758c686352bffb9da6f9f89e37bb5ea3349d4819b8203551b6b05",
         "70f594f2642c5092386976685dc7d5e57939446362ec3e86be77805bb2c48e9b",
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), prefix=st.integers(0, 5), max_tables=st.integers(1, 5), data=st.data())
+def test_role_split_catalog_estimates_equal_the_full_catalog(seed, prefix, max_tables, data):
+    ds = generate(SynthConfig(seed=seed, n_blocks=30, mean_tx_per_block=6, address_pool=30, n_tokens=6))
+    cfg = WorkloadConfig(init_blocks=15, granularity=3, expire=True)
+    store = Store()
+    memstore.apply(store, gen_initial(ds, cfg))
+    for pair in gen_batches(ds, cfg)[0][:prefix]:
+        memstore.apply(store, pair.expire)
+        memstore.apply(store, pair.upsert)
+    subqueries = enumerate_subqueries(q1_spj(), max_tables)
+    columns = probe_columns(subqueries)
+    split = refresh(store, label="S", columns=columns.filtered, distinct=columns.join_only)
+    full = refresh(store, label="S")
+    assert set(split.columns) == columns.filtered and set(split.distinct) == columns.join_only
+    for sub in subqueries:
+        assert estimate(split, sub) == estimate(full, sub)
+    # The distinct counts round-trip; a catalog of full statistics keeps its older form.
+    assert catalog_from_dict(catalog_to_dict(split)) == split
+    assert "distinct" not in catalog_to_dict(full)
+
+    # A filter on a column of which only the distinct count was built is
+    # refused (single-table subqueries have no join edges, so no such column).
+    if columns.join_only:
+        table, column = data.draw(st.sampled_from(sorted(columns.join_only)))
+        q = SPJQuery.build(tables={"t": table}, filters=[Filter("t", column, "eq", None)])
+        with pytest.raises(EstimateError, match=f"only a distinct count for {table}.{column}"):
+            estimate(split, q)

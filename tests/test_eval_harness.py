@@ -14,9 +14,9 @@ from chainbench.eval_harness import (
     enumerate_subqueries,
     evaluate_state,
     measure_latency,
+    probe_columns,
     qerror,
     regret_matrix,
-    subquery_columns,
 )
 from chainbench.memstore import Filter, SPJQuery, Store
 from chainbench.query_assets import q1_spj
@@ -101,11 +101,13 @@ def test_qerror_symmetry_and_lower_bound():
         assert qerror(e, a) >= 1.0
 
 
-def test_subquery_columns():
-    cols = subquery_columns(q1_spj())
-    assert ("transactions", "nonce") in cols
-    assert ("tokens", "address") in cols
-    assert ("addresses", "eth_balance") in cols
+def test_probe_columns_split_q1_by_role():
+    cols = probe_columns([q1_spj()])
+    assert ("transactions", "nonce") in cols.filtered
+    assert ("addresses", "eth_balance") in cols.filtered
+    assert ("tokens", "address") in cols.join_only
+    assert len(cols.filtered) == 5 and len(cols.join_only) == 8
+    assert not cols.filtered & cols.join_only
 
 
 class ScriptedExecutor:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainbench import ingest_slice
 from chainbench.chain_model import (
     ROW_TYPES,
     SCHEMA,
@@ -14,6 +15,7 @@ from chainbench.chain_model import (
     Block,
     ChainDataset,
     Contract,
+    FormatError,
     Token,
     TokenTransaction,
     Transaction,
@@ -260,6 +262,14 @@ _MALFORMED = (
         "0x" + "g" * 40,
         "transactions.csv:2: column to_address: to_address: non-hex digit in '0x" + "g" * 40 + "'",
     ),
+    # bytes.fromhex skips ASCII whitespace; a cell holding some is refused.
+    (
+        "blocks",
+        "hash",
+        "0x" + "ab" * 31 + "  ",
+        "blocks.csv:2: column hash: hash: non-hex digit in '0x" + "ab" * 31 + "  '",
+    ),
+    ("blocks", "extra_data", "0x 12", "blocks.csv:2: column extra_data: extra_data: non-hex digit in '0x 12'"),
     # Digits of other scripts pass str.isdigit, and int() reads some of them;
     # the decoder refuses them all.
     ("blocks", "size", "²", "blocks.csv:2: column size: size: not a plain decimal integer: '²'"),
@@ -279,6 +289,14 @@ def test_a_malformed_cell_names_its_file_line_and_column(tmp_path, table, column
     with pytest.raises(ExportError) as info:
         read_export(tmp_path)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cell", ["0x 12", "0x12 ", "0x\n12"])
+def test_a_bytes_cell_with_whitespace_is_refused(cell):
+    decode = ingest_slice._decoder("extra_data", "bytes")
+    assert decode("0x12") == b"\x12"
+    with pytest.raises(FormatError, match="non-hex digit"):
+        decode(cell)
 
 
 # Text holding the CSV and SQL specials (and a lone "\r", which csv before

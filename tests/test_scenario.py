@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from chainbench import estimator, memstore, scenario
 from chainbench.chain_model import ChainDataset
 from chainbench.ingest_slice import ExportError, write_export
 from chainbench.scenario import (
@@ -157,3 +158,38 @@ def test_query_without_structured_form_rejected(tmp_path):
     )
     with pytest.raises(ManifestError, match="structured form"):
         run_scenario(manifest, tmp_path / "out")
+
+
+def test_every_probe_reaches_the_patched_refresh_count_and_evaluate_state(monkeypatch, tmp_path):
+    # The bench tracer wraps estimator.refresh, memstore.count and
+    # scenario.evaluate_state; each caller must look the name up when it is
+    # called, and refresh's result must keep its ``columns`` mapping.
+    calls = []
+
+    def spy(site, real):
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((site, len(result.columns)) if site == "refresh" else site)
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(estimator, "refresh", spy("refresh", estimator.refresh))
+    monkeypatch.setattr(memstore, "count", spy("count", memstore.count))
+    monkeypatch.setattr(scenario, "evaluate_state", spy("evaluate_state", scenario.evaluate_state))
+    manifest = ExperimentManifest.from_dict(
+        {
+            "kind": "window-drift",
+            "source": {"kind": "synth", "config": {"seed": 4, "n_blocks": 12, "mean_tx_per_block": 3, "address_pool": 12}},
+            "workload": {"init_blocks": 8, "granularity": 2, "expire": True},
+            "max_tables": 1,
+        }
+    )
+    result = run_scenario(manifest, tmp_path)
+    # Three states; both policies share the first state's build, and Q1 has
+    # five single-table subqueries, each counted once per state.
+    assert result.state_labels == ["W1", "W2", "W3"]
+    assert calls.count("evaluate_state") == 3
+    # Only Q1's five filter columns get full statistics.
+    assert calls.count(("refresh", 5)) == 3
+    assert calls.count("count") == 3 * 5
