@@ -32,7 +32,11 @@ from .memstore import SPJQuery, Store
 
 
 class EstimateError(KeyError):
-    pass
+    """A column the catalog has no statistics for. A ``KeyError``, so callers
+    catching one still catch it, but its text is the message itself, where a
+    ``KeyError`` quotes its key."""
+
+    __str__ = Exception.__str__
 
 
 @dataclass(frozen=True)

@@ -533,25 +533,32 @@ def apply_ops(store: Store, ops: Iterable[Mutation]) -> MutationSummary:
     op's index; any other exception is re-raised as it is."""
     journal: list[tuple] = []
     push = journal.append
-    tally: dict[Callable, int] = {}
+    # One (handler, index of its first op) per run of ops with equal
+    # handlers: a batch comes grouped by kind and table, so a run is long.
+    runs: list[tuple[Callable | None, int]] = []
+    last = None
     try:
         for op in ops:
             try:
                 handler = _HANDLERS[op.__class__][op.table]
             except (AttributeError, KeyError, TypeError):
                 handler = _resolve(op)
+            if handler is not last:
+                runs.append((handler, len(journal)))
+                last = handler
             push(handler(store, op))
-            tally[handler] = tally.get(handler, 0) + 1
     except BaseException as exc:
         for undo, *args in reversed(journal):
             undo(*args)
         if isinstance(exc, ValueError):
             raise BatchRejected(len(journal), str(exc)) from exc
         raise
+    runs.append((None, len(journal)))  # the end of the last run
     summary = MutationSummary()
-    for handler, n in tally.items():
+    for (handler, start), (_, stop) in zip(runs, runs[1:]):
         field_name, table = _COUNTED_IN[handler]
-        getattr(summary, field_name)[table] = n
+        counts = getattr(summary, field_name)
+        counts[table] = counts.get(table, 0) + stop - start
     return summary
 
 

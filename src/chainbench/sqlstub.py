@@ -1,10 +1,11 @@
 """Minimal scripted SQL-text engine for the emitted workload dialect.
 
 Parses exactly the statement shapes the workload renderer produces (INSERT,
-balance UPDATE, block_hash NULL-out, keyed DELETE, BEGIN/COMMIT) and applies
-them to plain column-tuple tables. It shares no table or index code with the
-in-memory store, which is what makes SQL-text replay a meaningful independent
-check against structured replay. Each script is applied atomically.
+balance UPDATE, block_hash NULL-out, keyed DELETE, BEGIN/COMMIT) into the
+in-memory store's mutation records, and applies them to plain column-tuple
+tables. It shares those record classes with the store but no table or index
+code, which is what makes SQL-text replay a meaningful independent check
+against structured replay. Each script is applied atomically.
 
 Keyed DELETE and NULL-out must name exactly the table's primary key, so each
 resolves with one lookup in the table's key dict; a write to a missing row,
@@ -18,10 +19,13 @@ keyed DELETE and block_hash NULL-out with the WHERE clause fixed by the
 primary key, the balance UPDATE, BEGIN, COMMIT and ``--`` comment lines, each
 followed by any whitespace. Each form types its positions (hex digits in a
 bytea, an optional sign and digits in an integer, ``''`` escapes in text, the
-bytea ARRAY) and has one converter per position. Text that no form takes, or
-a position whose converter fails (an odd number of hex digits, an integer too
-long to convert), is a ``SqlParseError`` that names the line and quotes the
-text from there.
+bytea ARRAY) and has one converter per position, and is compiled at import
+into one function from its match to its record (an insert's row is a plain
+tuple in schema order) that reads only the form's groups and tests for NULL
+only where the column may be NULL. Text that no form takes, or a position
+whose converter fails (an odd number of hex digits, an integer too long to
+convert), is a ``SqlParseError`` that names the line and quotes the text from
+there.
 
 The patterns are written unrolled, without the possessive quantifiers and
 atomic groups that need Python 3.11, and no input makes them backtrack
@@ -41,32 +45,6 @@ class SqlParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedInsert:
-    table: str
-    row: tuple  # column values in SCHEMA order
-
-
-@dataclass(frozen=True, slots=True)
-class ParsedBalanceUpdate:
-    address: bytes
-    delta: int
-
-
-@dataclass(frozen=True, slots=True)
-class ParsedNullOut:
-    table: str
-    key: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class ParsedDelete:
-    table: str
-    key: tuple
-
-
-ParsedStatement = ParsedInsert | ParsedBalanceUpdate | ParsedNullOut | ParsedDelete
-
 # ---------------------------------------------------------------------------
 # The statement forms the renderer writes, built once from SCHEMA,
 # PRIMARY_KEYS and SQL_TABLE_NAMES (never from the renderer's code).
@@ -84,9 +62,9 @@ def _bytea_array(text: str) -> tuple[bytes, ...]:
     return tuple(bytes.fromhex(h) for h in _ARRAY_ITEM_RE.findall(text))
 
 
-# Column kind -> (pattern with one group, converter of the group's text).
-# Converters raise ValueError on an odd number of hex digits or an integer
-# too long to convert.
+# Value kind -> (pattern with one group, converter of the group's text): the
+# column kinds, and the sign of a balance UPDATE. Converters raise ValueError
+# on an odd number of hex digits or an integer too long to convert.
 _VALUE_FORMS = {
     "hash": (_HEX, bytes.fromhex),
     "address": (_HEX, bytes.fromhex),
@@ -95,30 +73,31 @@ _VALUE_FORMS = {
     "bool": (r"(TRUE|FALSE)", {"TRUE": True, "FALSE": False}.__getitem__),
     "text": (r"'([^']*(?:''[^']*)*)'", _unquote),
     "sighashes": (rf"(ARRAY\[\]::bytea\[\]|ARRAY\[{_BYTEA}(?:, {_BYTEA})*\])", _bytea_array),
+    "sign": (r"([+-])", {"+": 1, "-": -1}.__getitem__),
 }
 
 
-def _value_form(kind: str) -> tuple[str, Callable]:
-    pattern, convert = _VALUE_FORMS[kind.rstrip("?")]
-    if kind.endswith("?"):  # NULL leaves the group unmatched: the value is None
-        pattern = f"(?:NULL|{pattern})"
-    return pattern, convert
+def _pattern(kind: str) -> str:
+    pattern = _VALUE_FORMS[kind.rstrip("?")][0]
+    return f"(?:NULL|{pattern})" if kind.endswith("?") else pattern  # NULL leaves the group unmatched
 
 
 @dataclass(frozen=True)
 class _Form:
-    """One statement form: its pattern after the head, one converter per
-    group, and what the converted values become (None: nothing, for BEGIN,
+    """One statement form: its pattern after the head, the value kind of each
+    of its groups (a ``?`` kind may be NULL), and the source of the record
+    its values become, with a ``{}`` per value (None: nothing, for BEGIN,
     COMMIT and comment lines)."""
 
     pattern: str
-    converters: tuple[Callable, ...] = ()
-    build: Callable[[list], ParsedStatement] | None = None
+    kinds: tuple[str, ...] = ()
+    record: str | None = None
 
 
-def _balance(values: list) -> ParsedBalanceUpdate:
-    sign, amount, address = values
-    return ParsedBalanceUpdate(address, sign * amount)
+def _keyed(record: str, table: str, n: int) -> str:
+    """Source of a record naming a table and a tuple of ``n`` values: an
+    insert's row or a keyed write's key."""
+    return f"{record}({table!r}, ({'{}, ' * n}))"
 
 
 def _forms() -> dict[str, list[_Form]]:
@@ -126,38 +105,20 @@ def _forms() -> dict[str, list[_Form]]:
     inserts, deletes, updates = [], [], []
     for table, columns in SCHEMA.items():
         name = SQL_TABLE_NAMES[table]
-        names = tuple(col for col, _ in columns)
-        values = [_value_form(kind) for _, kind in columns]
-        inserts.append(
-            _Form(
-                re.escape(f"{name} ({', '.join(names)}) VALUES (") + ", ".join(p for p, _ in values) + r"\);",
-                tuple(c for _, c in values),
-                lambda values, table=table: ParsedInsert(table, tuple(values)),
-            )
-        )
-        kinds = dict(columns)
-        keys = [(col, *_value_form(kinds[col])) for col in PRIMARY_KEYS[table]]
-        where = " AND ".join(f"{col} = {p}" for col, p, _ in keys) + ";"
-        converters = tuple(c for _, _, c in keys)
-        deletes.append(
-            _Form(f"{name} WHERE {where}", converters, lambda values, table=table: ParsedDelete(table, tuple(values)))
-        )
-        updates.append(
-            _Form(
-                f"{name} SET block_hash = NULL WHERE {where}",
-                converters,
-                lambda values, table=table: ParsedNullOut(table, tuple(values)),
-            )
-        )
+        kinds = tuple(kind for _, kind in columns)
+        head = re.escape(f"{name} ({', '.join(col for col, _ in columns)}) VALUES (")
+        values = ", ".join(map(_pattern, kinds))
+        inserts.append(_Form(head + values + r"\);", kinds, _keyed("InsertRow", table, len(kinds))))
+        keys = tuple(dict(columns)[col] for col in PRIMARY_KEYS[table])
+        where = " AND ".join(f"{col} = {_pattern(kind)}" for col, kind in zip(PRIMARY_KEYS[table], keys))
+        deletes.append(_Form(f"{name} WHERE {where};", keys, _keyed("DeleteRow", table, len(keys))))
+        nulled = f"{name} SET block_hash = NULL WHERE {where};"
+        updates.append(_Form(nulled, keys, _keyed("NullBlockHash", table, len(keys))))
     (key,) = PRIMARY_KEYS["addresses"]
-    key_pattern, key_converter = _value_form(dict(SCHEMA["addresses"])[key])
-    updates.append(
-        _Form(
-            f"{SQL_TABLE_NAMES['addresses']} SET eth_balance = eth_balance ([+-]) ([0-9]+) WHERE {key} = {key_pattern};",
-            ({"+": 1, "-": -1}.__getitem__, int, key_converter),
-            _balance,
-        )
-    )
+    kind = dict(SCHEMA["addresses"])[key]
+    balance = f"{SQL_TABLE_NAMES['addresses']} SET eth_balance = eth_balance {_pattern('sign')} ([0-9]+)"
+    balance += f" WHERE {key} = {_pattern(kind)};"
+    updates.append(_Form(balance, ("sign", "int", kind), "UpdateBalance({2}, {0} * {1})"))
     return {
         "INSERT INTO ": inserts,
         "DELETE FROM ": deletes,
@@ -166,28 +127,56 @@ def _forms() -> dict[str, list[_Form]]:
     }
 
 
-def _compile_forms() -> tuple[re.Pattern, dict[int, tuple[_Form, int, int]]]:
+# What a builder's source names: the record classes, and each value kind's
+# converter as ``_<kind>``.
+_BUILD_GLOBALS = {
+    "__name__": __name__,
+    **{cls.__name__: cls for cls in (InsertRow, DeleteRow, NullBlockHash, UpdateBalance)},
+    **{f"_{kind}": convert for kind, (_, convert) in _VALUE_FORMS.items()},
+}
+
+
+def _builder(form: _Form, first: int) -> Callable[[re.Match], Mutation]:
+    """The form's record straight from a match whose groups ``first``,
+    ``first + 1``, ... hold its value texts: one function compiled from
+    source that reads only those groups and tests for NULL only where the
+    value may be NULL."""
+    texts = [f"v{i}" for i in range(len(form.kinds))]
+    values = [
+        f"None if {text} is None else _{kind[:-1]}({text})" if kind.endswith("?") else f"_{kind}({text})"
+        for text, kind in zip(texts, form.kinds)
+    ]
+    groups = ", ".join(str(first + i) for i in range(len(texts)))  # one group's text, or several's tuple
+    source = f"def build(m):\n    {', '.join(texts)} = m.group({groups})\n    return {form.record.format(*values)}\n"
+    built: dict = {}
+    exec(source, _BUILD_GLOBALS, built)
+    return built["build"]
+
+
+def _compile_forms() -> tuple[re.Pattern, dict[int, Callable | None], dict[int, _Form]]:
     """One alternation of every form, each wrapped in a group, then the
     whitespace up to the next statement. A match's ``lastindex`` is the
-    matched form's group (it closes after the groups inside it), which maps
-    to the form and the slice of ``groups()`` holding its values."""
+    matched form's group (it closes after the groups inside it, which hold
+    its values): it maps to the form's builder (None for BEGIN, COMMIT and
+    comment lines) and to the form."""
     alternatives = []
-    forms: dict[int, tuple[_Form, int, int]] = {}
+    builders: dict[int, Callable | None] = {}
+    forms: dict[int, _Form] = {}
     group = 0
     for head, members in _forms().items():
         branches = []
         for form in members:
             group += 1
-            inner = re.compile(form.pattern).groups
-            assert inner == len(form.converters), form.pattern
-            forms[group] = (form, group, group + inner)
+            assert re.compile(form.pattern).groups == len(form.kinds), form.pattern
+            builders[group] = None if form.record is None else _builder(form, group + 1)
+            forms[group] = form
             branches.append(f"({form.pattern})")
-            group += inner
+            group += len(form.kinds)
         alternatives.append(re.escape(head) + "(?:" + "|".join(branches) + ")")
-    return re.compile("(?:" + "|".join(alternatives) + r")[ \t\n\r\f\v]*"), forms
+    return re.compile("(?:" + "|".join(alternatives) + r")[ \t\n\r\f\v]*"), builders, forms
 
 
-_RENDERED_RE, _RENDERED_FORMS = _compile_forms()
+_RENDERED_RE, _BUILDERS, _RENDERED_FORMS = _compile_forms()
 
 _TABLE_NAMES = frozenset(SQL_TABLE_NAMES.values())
 # A statement head and the table it names, read only to word the error where
@@ -210,11 +199,12 @@ def _refusal(script: str, pos: int, reason: str | None = None) -> SqlParseError:
     return SqlParseError(f"line {line}: {reason}: {script[pos : pos + 80]!r}")
 
 
-def _too_long(converters: tuple[Callable, ...], texts: tuple) -> str | None:
-    """Why a statement's values did not convert, when an integer was too long
-    (more digits than ``sys.get_int_max_str_digits()``)."""
-    for convert, text in zip(converters, texts):
-        if convert is int and text is not None:
+def _too_long(m: re.Match) -> str | None:
+    """Why the values of a matched statement did not convert, when an integer
+    was too long (more digits than ``sys.get_int_max_str_digits()``)."""
+    kinds = _RENDERED_FORMS[m.lastindex].kinds
+    for kind, text in zip(kinds, m.groups()[m.lastindex : m.lastindex + len(kinds)]):
+        if kind.rstrip("?") == "int" and text is not None:
             try:
                 int(text)
             except ValueError:
@@ -222,41 +212,34 @@ def _too_long(converters: tuple[Callable, ...], texts: tuple) -> str | None:
     return None
 
 
-def parse_script(script: str) -> list[ParsedStatement]:
-    """Parsed statements of a script, BEGIN, COMMIT and comment lines
-    dropped: one match per statement, and the first text in no rendered form
-    is a ``SqlParseError``."""
-    parsed: list[ParsedStatement] = []
+def parse_script(script: str) -> list[Mutation]:
+    """The store's mutation records of a script's statements, BEGIN, COMMIT
+    and comment lines dropped: one match per statement, and the first text in
+    no rendered form is a ``SqlParseError``. An insert's row is a plain tuple
+    of its values in ``SCHEMA`` order."""
+    records: list[Mutation] = []
     pos, end = 0, len(script)
     while pos < end:
         m = _RENDERED_RE.match(script, pos)
         if m is None:
             raise _refusal(script, pos)
-        form, first, stop = _RENDERED_FORMS[m.lastindex]
-        if form.build is not None:
-            texts = m.groups()[first:stop]
+        build = _BUILDERS[m.lastindex]
+        if build is not None:
             try:
-                values = [None if text is None else convert(text) for convert, text in zip(form.converters, texts)]
+                records.append(build(m))
             except ValueError:  # an odd number of hex digits, or an integer too long to convert
-                raise _refusal(script, pos, _too_long(form.converters, texts)) from None
-            parsed.append(form.build(values))
+                raise _refusal(script, pos, _too_long(m)) from None
         pos = m.end()
-    return parsed
+    return records
 
 
-def to_mutations(statements: list[ParsedStatement]) -> list[Mutation]:
-    """Recover structured mutations from parsed SQL for store-backed targets."""
-    ops: list[Mutation] = []
-    for s in statements:
-        if isinstance(s, ParsedInsert):
-            ops.append(InsertRow(s.table, tuple.__new__(ROW_TYPES[s.table], s.row)))
-        elif isinstance(s, ParsedBalanceUpdate):
-            ops.append(UpdateBalance(s.address, s.delta))
-        elif isinstance(s, ParsedNullOut):
-            ops.append(NullBlockHash(s.table, s.key))
-        elif isinstance(s, ParsedDelete):
-            ops.append(DeleteRow(s.table, s.key))
-    return ops
+def to_mutations(records: list[Mutation]) -> list[Mutation]:
+    """The records for store-backed targets: each insert's row retyped as its
+    table's row type, every other record passed through as it is."""
+    return [
+        InsertRow(r.table, tuple.__new__(ROW_TYPES[r.table], r.row)) if r.__class__ is InsertRow else r
+        for r in records
+    ]
 
 
 class SqlStubEngine:
@@ -283,7 +266,7 @@ class SqlStubEngine:
         try:
             for i, s in enumerate(statements):
                 try:
-                    undo.append(self._apply(s))
+                    undo.append(_APPLY[s.__class__](self, s))
                 except SqlParseError as exc:
                     raise SqlParseError(f"statement {i}: {exc}") from exc
         except Exception:
@@ -294,40 +277,44 @@ class SqlStubEngine:
                     table[key] = old
             raise
 
-    def _apply(self, s: ParsedStatement) -> tuple[dict, tuple, tuple | None]:
-        """Apply one statement; returns its undo record: the table, the key
-        written, and the row it replaced (None for an insert)."""
-        if isinstance(s, ParsedInsert):
-            table = self.tables[s.table]
-            key = tuple(s.row[i] for i in self._key_pos[s.table])
-            if key in table:
-                raise SqlParseError(f"{s.table}: duplicate key {key!r}")
-            table[key] = s.row
-            return table, key, None
-        if isinstance(s, ParsedBalanceUpdate):
-            table, key = self.tables["addresses"], (s.address,)
-            old = table.get(key)
-            if old is None:
-                raise SqlParseError("addresses: no row to update")
-            balance = old[1] + s.delta
-            if not 0 <= balance < WEI_MAX:
-                raise SqlParseError("addresses: balance out of range")
-            table[key] = (old[0], balance)
-            return table, key, old
-        if isinstance(s, (ParsedNullOut, ParsedDelete)):
-            table = self.tables[s.table]
-            old = table.get(s.key)
-            if old is None:
-                raise SqlParseError(f"{s.table}: no such row {s.key!r}")
-            if isinstance(s, ParsedDelete):
-                del table[s.key]
-            else:
-                bh = self._nullable_block_hash.get(s.table)
-                if bh is None:
-                    raise SqlParseError(f"{s.table}: block_hash is not nullable")
-                table[s.key] = old[:bh] + (None,) + old[bh + 1 :]
-            return table, s.key, old
-        raise SqlParseError(f"unknown statement type {type(s).__name__}")
+    # Each statement's apply returns its undo record: the table, the key
+    # written, and the row it replaced (None for an insert).
+
+    def _insert(self, s: InsertRow) -> tuple[dict, tuple, None]:
+        table = self.tables[s.table]
+        key = tuple(map(s.row.__getitem__, self._key_pos[s.table]))
+        if key in table:
+            raise SqlParseError(f"{s.table}: duplicate key {key!r}")
+        table[key] = s.row
+        return table, key, None
+
+    def _update_balance(self, s: UpdateBalance) -> tuple[dict, tuple, tuple]:
+        table, key = self.tables["addresses"], (s.address,)
+        old = table.get(key)
+        if old is None:
+            raise SqlParseError("addresses: no row to update")
+        balance = old[1] + s.delta
+        if not 0 <= balance < WEI_MAX:
+            raise SqlParseError("addresses: balance out of range")
+        table[key] = (old[0], balance)
+        return table, key, old
+
+    def _delete(self, s: DeleteRow) -> tuple[dict, tuple, tuple]:
+        table = self.tables[s.table]
+        if s.key not in table:
+            raise SqlParseError(f"{s.table}: no such row {s.key!r}")
+        return table, s.key, table.pop(s.key)
+
+    def _null_out(self, s: NullBlockHash) -> tuple[dict, tuple, tuple]:
+        table = self.tables[s.table]
+        old = table.get(s.key)
+        if old is None:
+            raise SqlParseError(f"{s.table}: no such row {s.key!r}")
+        bh = self._nullable_block_hash.get(s.table)
+        if bh is None:
+            raise SqlParseError(f"{s.table}: block_hash is not nullable")
+        table[s.key] = old[:bh] + (None,) + old[bh + 1 :]
+        return table, s.key, old
 
     def table_multisets(self) -> dict[str, dict[tuple, int]]:
         out: dict[str, dict[tuple, int]] = {}
@@ -337,3 +324,13 @@ class SqlStubEngine:
                 counts[row] = counts.get(row, 0) + 1
             out[table] = counts
         return out
+
+
+# Record class -> the engine method applying it: the dispatch memstore's
+# handlers use, over the engine's own tables.
+_APPLY = {
+    InsertRow: SqlStubEngine._insert,
+    UpdateBalance: SqlStubEngine._update_balance,
+    DeleteRow: SqlStubEngine._delete,
+    NullBlockHash: SqlStubEngine._null_out,
+}

@@ -193,6 +193,16 @@ def test_probe_card_catalog_round_trip(tmp_path):
     assert (tmp_path / "full" / "qerror_points.jsonl").read_bytes() == built
 
 
+def test_probe_card_names_a_column_missing_from_the_catalog_unquoted(tmp_path, capsys):
+    out = _synth(tmp_path)
+    probe = ["probe-card", "--export", str(out), "--query", "Q1"]
+    saved = tmp_path / "catalog.json"
+    assert main([*probe, "--max-tables", "1", "--save-catalog", str(saved), "--out", str(tmp_path / "one")]) == 0
+    capsys.readouterr()
+    assert main([*probe, "--max-tables", "3", "--catalog", str(saved), "--out", str(tmp_path / "three")]) == 1
+    assert capsys.readouterr().err == "error: no statistics for transactions.to_address\n"
+
+
 def test_plan_matrix_reproduces_recorded_cells(tmp_path, capsys):
     from importlib import resources
 

@@ -149,6 +149,28 @@ def test_summary_counts():
     assert summary.updates == {"addresses": 1}
 
 
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["address", "block", "balance"]), max_size=30))
+def test_summary_counts_every_op_under_its_kind_and_table_in_first_seen_order(kinds):
+    # The ops interleave, so one handler's ops may fall in several runs.
+    ops = [InsertRow("addresses", AddressRow(addr(1), 10))]
+    for i, kind in enumerate(kinds, start=2):
+        if kind == "address":
+            ops.append(InsertRow("addresses", AddressRow(addr(i), 0)))
+        elif kind == "block":
+            ops.append(InsertRow("blocks", make_block(i)))
+        else:
+            ops.append(UpdateBalance(addr(1), 1))
+    expected: dict[str, dict[str, int]] = {"inserts": {}, "updates": {}}
+    for op in ops:
+        counts = expected["updates" if isinstance(op, UpdateBalance) else "inserts"]
+        counts[op.table] = counts.get(op.table, 0) + 1
+    summary = apply_ops(Store(), ops)
+    assert list(summary.inserts.items()) == list(expected["inserts"].items())
+    assert list(summary.updates.items()) == list(expected["updates"].items())
+    assert summary.deletes == {}
+
+
 # Filter ops that apply to each declared column type ("?" marks nullable);
 # byte, text and list-valued columns also take the substring ops.
 _ORDERED = ("range", "eq", "ne", "ge", "le")

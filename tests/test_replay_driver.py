@@ -62,6 +62,28 @@ def test_replay_memstore_matches_structured(workload):
     assert target.store.table_multisets() == expected.table_multisets()
 
 
+def test_every_script_reaches_the_patched_parse_script_and_to_mutations(workload, monkeypatch):
+    # The bench tracer wraps replay_driver.parse_script and
+    # replay_driver.to_mutations; MemstoreTarget must look both names up when
+    # it is called, and parse_script must return a list.
+    calls = []
+
+    def spy(site, real):
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((site, type(result)))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(replay_driver, "parse_script", spy("parse_script", replay_driver.parse_script))
+    monkeypatch.setattr(replay_driver, "to_mutations", spy("to_mutations", replay_driver.to_mutations))
+    _, _, wdir = workload
+    report = replay(MemstoreTarget(), wdir)
+    files = len(report.applied)
+    assert calls == [("parse_script", list), ("to_mutations", list)] * files
+
+
 def test_replay_sqlstub_target(workload):
     ds, cfg, wdir = workload
     target = SqlStubTarget()

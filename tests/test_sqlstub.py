@@ -16,7 +16,7 @@ from chainbench import memstore, sqlstub, workload_gen
 from chainbench.chain_model import PRIMARY_KEYS, ROW_TYPES, SCHEMA, SQL_TABLE_NAMES, WEI_MAX, AddressRow
 from chainbench.memstore import BatchRejected, DeleteRow, InsertRow, NullBlockHash, Store, UpdateBalance
 from chainbench.replay_driver import MemstoreTarget, ReplayError, SqlStubTarget, replay
-from chainbench.sqlstub import ParsedInsert, SqlParseError, SqlStubEngine, parse_script, to_mutations
+from chainbench.sqlstub import SqlParseError, SqlStubEngine, parse_script, to_mutations
 from chainbench.synth_chain import SynthConfig, generate
 from chainbench.workload_gen import (
     Batch,
@@ -279,8 +279,9 @@ _HUGE_INT = "9" * 5000
         f"INSERT INTO Addresses (address, eth_balance) VALUES ('\\x00'::bytea, {_HUGE_INT});",
         f"DELETE FROM Withdrawals WHERE hash = '\\x00'::bytea AND withdrawal_index = {_HUGE_INT};",
         f"UPDATE Addresses SET eth_balance = eth_balance + {_HUGE_INT} WHERE address = '\\x00'::bytea;",
+        f"{_insert_head('tokens')}'\\x00'::bytea, 'S', 'n', {_HUGE_INT}, 1, NULL);",
     ],
-    ids=["values", "where", "balance-amount"],
+    ids=["values", "where", "balance-amount", "nullable-value"],
 )
 @pytest.mark.parametrize("target", [MemstoreTarget, SqlStubTarget])
 def test_an_integer_literal_too_long_to_convert_is_a_replay_error(target, statement):
@@ -355,6 +356,48 @@ def test_stub_text_and_structured_replay_agree_on_every_workload_shape(seed, ini
     expected = structured.table_multisets()
     assert stub.engine.table_multisets() == expected
     assert text.store.table_multisets() == expected
+
+
+@st.composite
+def _small_workloads(draw):
+    """A small synthesized chain and a workload over it: its load and every
+    batch, in replay order."""
+    n_blocks = draw(st.integers(2, 30))
+    ds = generate(
+        SynthConfig(
+            seed=draw(st.integers(0, 2**16)),
+            n_blocks=n_blocks,
+            mean_tx_per_block=draw(st.integers(0, 6)),
+            address_pool=draw(st.integers(5, 30)),
+            n_tokens=draw(st.integers(0, 4)),
+        )
+    )
+    cfg = WorkloadConfig(
+        init_blocks=draw(st.integers(1, n_blocks - 1)), granularity=draw(st.integers(1, 8)), expire=draw(st.booleans())
+    )
+    pairs, _ = gen_batches(ds, cfg)
+    return [gen_initial(ds, cfg)] + [b for p in pairs for b in (p.expire, p.upsert) if b is not None]
+
+
+@settings(max_examples=50, deadline=None)
+@given(batches=_small_workloads())
+def test_a_parse_yields_the_batch_records_and_to_mutations_only_retypes_rows(batches):
+    engine, store = SqlStubEngine(), Store()
+    for batch in batches:
+        script = render_sql(batch)
+        records = parse_script(script)
+        assert records == list(batch.ops)
+        assert all(type(r.row) is tuple for r in records if isinstance(r, InsertRow))
+        ops = to_mutations(records)
+        assert ops == records
+        for record, op in zip(records, ops):
+            if isinstance(record, InsertRow):
+                assert type(op.row) is ROW_TYPES[record.table]
+            else:
+                assert op is record
+        engine.execute(script)
+        memstore.apply_ops(store, ops)
+    assert engine.table_multisets() == store.table_multisets()
 
 
 class _NoScan(dict):
@@ -443,10 +486,10 @@ def _oracle(script: str) -> list:
     columns stays a dict)."""
     parsed = []
     for p in two_pass_parse_script(script):
-        if isinstance(p, ParsedInsert):
+        if isinstance(p, InsertRow):
             names = [col for col, _ in SCHEMA[p.table]]
             if sorted(p.row) == sorted(names):
-                p = ParsedInsert(p.table, tuple(p.row[col] for col in names))
+                p = InsertRow(p.table, tuple(p.row[col] for col in names))
         parsed.append(p)
     return parsed
 
@@ -889,8 +932,8 @@ def test_every_written_workload_file_takes_the_compiled_tier_only(shape, tmp_pat
     for name, script in scripts.items():
         assert parsed[name] == _oracle(script), name
     kinds = {(type(p).__name__, getattr(p, "table", "addresses")) for statements in parsed.values() for p in statements}
-    assert {("ParsedInsert", t) for t in SQL_TABLE_NAMES} <= kinds
-    assert {"ParsedDelete", "ParsedBalanceUpdate"} <= {kind for kind, _ in kinds}
+    assert {("InsertRow", t) for t in SQL_TABLE_NAMES} <= kinds
+    assert {"DeleteRow", "UpdateBalance"} <= {kind for kind, _ in kinds}
 
 
 class _Unreadable(dict):

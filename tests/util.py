@@ -24,15 +24,8 @@ from chainbench.chain_model import (
     Withdrawal,
 )
 from chainbench.estimator import ColumnStats
-from chainbench.memstore import Filter, SPJQuery, Store
-from chainbench.sqlstub import (
-    ParsedBalanceUpdate,
-    ParsedDelete,
-    ParsedInsert,
-    ParsedNullOut,
-    ParsedStatement,
-    SqlParseError,
-)
+from chainbench.memstore import DeleteRow, Filter, InsertRow, Mutation, NullBlockHash, SPJQuery, Store, UpdateBalance
+from chainbench.sqlstub import SqlParseError
 
 
 def _oracle_matches(f: Filter, row) -> bool:
@@ -266,7 +259,8 @@ def random_spj(rng: random.Random, max_tables: int = 3) -> SPJQuery:
 # kept as an oracle: split_statements tokenizes the script and joins the
 # tokens back, then each INSERT's VALUES list is tokenized again and every
 # value goes through parse_literal. Copied unchanged but for the two_pass_
-# prefix on the public names.
+# prefix on the public names, and the store's mutation records (an INSERT's
+# row still a column dict) in place of the parser's own statement classes.
 
 _TABLE_BY_SQL_NAME = {sql.lower(): table for table, sql in SQL_TABLE_NAMES.items()}
 
@@ -405,7 +399,7 @@ def two_pass_primary_key(table: str, conditions: dict[str, object]) -> tuple:
     return tuple(conditions[col] for col in columns)
 
 
-def two_pass_parse_statement(stmt: str) -> ParsedStatement | None:
+def two_pass_parse_statement(stmt: str) -> Mutation | None:
     """Parse one statement; BEGIN/COMMIT yield None."""
     flat = stmt.strip()
     if flat.upper() in ("BEGIN", "COMMIT"):
@@ -417,24 +411,24 @@ def two_pass_parse_statement(stmt: str) -> ParsedStatement | None:
         literals = _split_top_level(m.group(3))
         if len(names) != len(literals):
             raise SqlParseError(f"column/value arity mismatch in {flat[:60]!r}")
-        return ParsedInsert(table, {n: two_pass_parse_literal(v) for n, v in zip(names, literals)})
+        return InsertRow(table, {n: two_pass_parse_literal(v) for n, v in zip(names, literals)})
     m = _BALANCE_RE.match(flat)
     if m:
         sign = -1 if m.group(1) == "-" else 1
         (address,) = two_pass_primary_key("addresses", _parse_conditions(m.group(3)))
-        return ParsedBalanceUpdate(address, sign * int(m.group(2)))
+        return UpdateBalance(address, sign * int(m.group(2)))
     m = _NULLOUT_RE.match(flat)
     if m:
         table = _table_of(m.group(1))
-        return ParsedNullOut(table, two_pass_primary_key(table, _parse_conditions(m.group(2))))
+        return NullBlockHash(table, two_pass_primary_key(table, _parse_conditions(m.group(2))))
     m = _DELETE_RE.match(flat)
     if m:
         table = _table_of(m.group(1))
-        return ParsedDelete(table, two_pass_primary_key(table, _parse_conditions(m.group(2))))
+        return DeleteRow(table, two_pass_primary_key(table, _parse_conditions(m.group(2))))
     raise SqlParseError(f"unsupported statement: {flat[:80]!r}")
 
 
-def two_pass_parse_script(script: str) -> list[ParsedStatement]:
+def two_pass_parse_script(script: str) -> list[Mutation]:
     parsed = []
     for stmt in two_pass_split_statements(script):
         p = two_pass_parse_statement(stmt)
