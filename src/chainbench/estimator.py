@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
-from .chain_model import SCHEMA
+from .chain_model import PRIMARY_KEYS, SCHEMA
 from .memstore import SPJQuery, Store
 
 
@@ -123,8 +123,10 @@ def refresh(
 
     ``columns`` get full statistics, by default every schema column. A column
     only in ``distinct`` gets its exact distinct non-null count and nothing
-    else: all that a join edge reads. Rebuilding on an unchanged store yields
-    an identical catalog.
+    else: all that a join edge reads. That count is not scanned for a column
+    that is its table's whole primary key: the store refuses a duplicate or
+    NULL key, so it is the table's row count. Rebuilding on an unchanged store
+    yields an identical catalog.
     """
     if columns is None:
         columns = {(table, name) for table, cols in SCHEMA.items() for name, _ in cols}
@@ -135,6 +137,9 @@ def refresh(
     for table, name in sorted(columns):
         cat.columns[(table, name)] = build_column_stats(list(store.column(table, name)), n_buckets=n_buckets)
     for table, name in sorted(distinct - columns):
+        if PRIMARY_KEYS[table] == (name,):
+            cat.distinct[(table, name)] = cat.row_counts[table]
+            continue
         cells = set(store.column(table, name))
         cells.discard(None)
         cat.distinct[(table, name)] = len(cells)

@@ -8,8 +8,16 @@ Export format (bit-exact, round-trips through :func:`write_export` /
 the block range. Header row carries the exact schema column names, RFC-4180
 quoting, hex fields in canonical ``0x...`` form, integers in plain decimal,
 null as the empty field, ``function_sighashes`` as ``|``-separated hex items.
-A row whose text holds a carriage return is quoted in full. Each column has
-one encoder and one decoder, built once from ``SCHEMA``.
+A row whose text holds a carriage return is quoted in full. Text holding a NUL
+character is refused, on write and on read, with an ``ExportError`` naming
+its table, row and column: Python 3.10's ``csv`` module can neither write nor
+read one, so no version accepts it. Each column has one encoder and one
+decoder, built once from ``SCHEMA``.
+
+``BalanceLedger`` prices any in-range state: ``build_ledger`` nets a dataset's
+flows per block and address, then walks the blocks once in ascending order to
+fill both the per-block entries that ``touched_in_range`` reads and the
+per-address trajectories, which come out sorted without a sort.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ import csv
 import json
 import logging
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import methodcaller
 from pathlib import Path
 from typing import Callable
 
@@ -91,6 +99,22 @@ def _sighashes_decoder(col: str) -> Callable[[str], tuple[bytes, ...]]:
     return decode
 
 
+# What a NUL character in a file becomes before the csv reader sees it (the
+# 3.10 reader refuses a line holding one): a lone surrogate, which strict
+# UTF-8 decoding never yields, so it marks exactly the cells that held a NUL.
+_NUL_MARK = "\ud800"
+_MARK_NULS = methodcaller("replace", "\x00", _NUL_MARK)
+
+
+def _text_decoder(col: str) -> Callable[[str], str]:
+    def decode(text: str) -> str:
+        if _NUL_MARK in text:
+            raise FormatError(f"{col}: holds a NUL character")
+        return text
+
+    return decode
+
+
 # Column kind (without the nullable "?") -> (encoder of a non-None value,
 # maker of the column's decoder from its name). Text and sighashes read the
 # empty field as a value; every other kind reads it as NULL.
@@ -100,7 +124,7 @@ _CSV_KINDS = {
     "bytes": (encode_hex, _bytes_decoder),
     "int": (str, _int_decoder),
     "bool": (lambda value: "true" if value else "false", _bool_decoder),
-    "text": (str, lambda col: str),
+    "text": (str, _text_decoder),
     "sighashes": (lambda value: "|".join(map(encode_hex, value)), _sighashes_decoder),
 }
 
@@ -125,13 +149,26 @@ def _decoder(col: str, kind: str) -> Callable[[str], object]:
 # Per table: one encoder and one decoder per column, in SCHEMA order.
 _ENCODERS = {table: tuple(_CSV_KINDS[kind.rstrip("?")][0] for _, kind in cols) for table, cols in SCHEMA.items()}
 _DECODERS = {table: tuple(_decoder(col, kind) for col, kind in cols) for table, cols in SCHEMA.items()}
+# Per table with text columns: their positions.
+_TEXT_AT = {
+    table: positions
+    for table, cols in SCHEMA.items()
+    if (positions := tuple(i for i, (_, kind) in enumerate(cols) if kind == "text"))
+}
 
 
 def write_export(ds: ChainDataset, out_dir: str | Path) -> dict:
     """Write the dataset as table CSVs plus balance snapshot and manifest.
 
-    Returns the manifest dict (also written to ``manifest.json``).
+    Returns the manifest dict (also written to ``manifest.json``). A text
+    cell holding a NUL is refused before any file is written.
     """
+    for table, text_at in _TEXT_AT.items():
+        for number, row in enumerate(ds.table(table), start=1):
+            for i in text_at:
+                if row[i] is not None and "\x00" in str(row[i]):
+                    column = SCHEMA[table][i][0]
+                    raise ExportError(f"table {table}: row {number}: column {column}: holds a NUL character")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     counts: dict[str, int] = {}
@@ -139,7 +176,7 @@ def write_export(ds: ChainDataset, out_dir: str | Path) -> dict:
         rows = ds.table(table)
         counts[table] = len(rows)
         encoders = _ENCODERS[table]
-        text_at = [i for i, (_, kind) in enumerate(SCHEMA[table]) if kind == "text"]
+        text_at = _TEXT_AT.get(table, ())
         with open(out / f"{table}.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             # Before Python 3.13 the writer leaves a lone "\r" unquoted, and it
@@ -175,7 +212,7 @@ def _read_table(path: Path, table: str) -> list:
     decoders, make = _DECODERS[table], ROW_TYPES[table]._make
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(map(_MARK_NULS, fh))
         header = next(reader, None)
         if header != names:
             raise ExportError(f"table {table}: bad header {header!r}")
@@ -187,7 +224,9 @@ def _read_table(path: Path, table: str) -> list:
                 for decode, cell in zip(decoders, record):
                     values.append(decode(cell))
             except FormatError as exc:  # the cell after the last decoded one
-                raise ExportError(f"{path.name}:{lineno}: column {names[len(values)]}: {exc}") from exc
+                column = names[len(values)]
+                reason = f"{column}: holds a NUL character" if _NUL_MARK in record[len(values)] else exc
+                raise ExportError(f"{path.name}:{lineno}: column {column}: {reason}") from exc
             rows.append(make(values))
     return rows
 
@@ -206,7 +245,7 @@ def read_export(in_dir: str | Path) -> ChainDataset:
     if not bal_path.exists():
         raise ExportError(f"table balances: file not found: {bal_path}")
     with open(bal_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(map(_MARK_NULS, fh))
         header = next(reader, None)
         if header != ["address", "eth_balance", "as_of_block"]:
             raise ExportError(f"balances.csv: bad header {header!r}")
@@ -218,7 +257,8 @@ def read_export(in_dir: str | Path) -> ChainDataset:
                 bal = eth_balance(record[1])
                 as_of = as_of_block(record[2])
             except FormatError as exc:
-                raise ExportError(f"balances.csv:{lineno}: {exc}") from exc
+                reason = "holds a NUL character" if any(_NUL_MARK in cell for cell in record) else exc
+                raise ExportError(f"balances.csv:{lineno}: {reason}") from exc
             balances[addr] = bal
 
     manifest_path = src / "manifest.json"
@@ -348,23 +388,27 @@ class BalanceLedger:
     start from 0 before deltas. Gas and fee flows are not in the schema and
     are deliberately not modelled.
 
-    The deltas are also indexed by block, so ``touched_in_range`` costs the
-    blocks in the range rather than every address.
+    The deltas are also held by block (``by_block``, in ascending block
+    order), so ``touched_in_range`` costs the blocks in the range rather than
+    every address. ``build_ledger`` makes both views in one pass; a ledger
+    given only ``deltas`` derives ``by_block`` from them.
     """
 
     final_balances: dict[bytes, int]
     final_block: int
     first_block: int
     deltas: dict[bytes, list[tuple[int, int]]]  # address -> sorted (block, delta)
+    by_block: dict[int, list[tuple[bytes, int]]] | None = field(default=None, repr=False, compare=False)
     _blocks: list[int] = field(init=False, repr=False, compare=False)  # sorted blocks with a delta
-    _by_block: dict[int, list[tuple[bytes, int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._by_block = {}
-        for addr, entries in self.deltas.items():
-            for blk, delta in entries:
-                self._by_block.setdefault(blk, []).append((addr, delta))
-        self._blocks = sorted(self._by_block)
+        if self.by_block is None:
+            by_block: dict[int, list[tuple[bytes, int]]] = {}
+            for addr, entries in self.deltas.items():
+                for blk, delta in entries:
+                    by_block.setdefault(blk, []).append((addr, delta))
+            self.by_block = dict(sorted(by_block.items()))
+        self._blocks = list(self.by_block)
 
     def balance_at(self, address: bytes, block: int) -> int:
         bal = self.final_balances.get(address, 0)
@@ -379,9 +423,9 @@ class BalanceLedger:
     def touched_in_range(self, lo: int, hi: int) -> dict[bytes, int]:
         """Net nonzero per-address delta over blocks [lo, hi]."""
         net: dict[bytes, int] = {}
-        blocks = self._blocks
+        blocks, by_block = self._blocks, self.by_block
         for i in range(bisect_left(blocks, lo), bisect_right(blocks, hi)):
-            for addr, delta in self._by_block[blocks[i]]:
+            for addr, delta in by_block[blocks[i]]:
                 net[addr] = net.get(addr, 0) + delta
         return {addr: d for addr, d in net.items() if d}
 
@@ -401,36 +445,53 @@ class BalanceLedger:
 
 
 def build_ledger(ds: ChainDataset) -> BalanceLedger:
-    """Derive per-block balance deltas so any in-range state can be priced."""
+    """Derive per-block balance deltas so any in-range state can be priced.
+
+    The transfers and withdrawals are netted per block and address, then the
+    blocks are walked once in ascending order: each nonzero net is appended to
+    its block's entries and to its address's list, which thus comes out
+    sorted without a sort.
+    """
     block_number = {b.hash: b.number for b in ds.blocks}
     rng = ds.block_range
     first = rng[0] if rng else ds.final_block
-    # address -> block -> net delta, addresses in first-touch order
-    deltas: defaultdict[bytes, dict[int, int]] = defaultdict(dict)
+    net: dict[int, dict[bytes, int]] = {}  # block -> address -> net delta
     for t in ds.transactions:
-        blk = block_number[t.block_hash]
         value = t.value
         if value:
-            per_block = deltas[t.from_address]
-            per_block[blk] = per_block.get(blk, 0) - value
-            if t.to_address is not None:
-                per_block = deltas[t.to_address]
-                per_block[blk] = per_block.get(blk, 0) + value
+            blk = block_number[t.block_hash]
+            per_addr = net.get(blk)
+            if per_addr is None:
+                per_addr = net[blk] = {}
+            sender, receiver = t.from_address, t.to_address
+            per_addr[sender] = per_addr.get(sender, 0) - value
+            if receiver is not None:
+                per_addr[receiver] = per_addr.get(receiver, 0) + value
     for w in ds.withdrawals:
         blk = block_number[w.hash]
-        per_block = deltas[w.address]
-        per_block[blk] = per_block.get(blk, 0) + w.amount
+        per_addr = net.get(blk)
+        if per_addr is None:
+            per_addr = net[blk] = {}
+        per_addr[w.address] = per_addr.get(w.address, 0) + w.amount
 
-    compact = {
-        addr: sorted((blk, d) for blk, d in per_block.items() if d != 0)
-        for addr, per_block in deltas.items()
-    }
-    compact = {addr: entries for addr, entries in compact.items() if entries}
+    deltas: dict[bytes, list[tuple[int, int]]] = {}
+    by_block: dict[int, list[tuple[bytes, int]]] = {}
+    for blk in sorted(net):
+        entries = [(addr, d) for addr, d in net[blk].items() if d]
+        if entries:
+            by_block[blk] = entries
+            for addr, d in entries:
+                trajectory = deltas.get(addr)
+                if trajectory is None:
+                    deltas[addr] = [(blk, d)]
+                else:
+                    trajectory.append((blk, d))
     ledger = BalanceLedger(
         final_balances=dict(ds.final_balances),
         final_block=ds.final_block,
         first_block=first,
-        deltas=compact,
+        deltas=deltas,
+        by_block=by_block,
     )
     for addr, blk in ledger.consistency_warnings():
         log.warning("ledger: balance of %s negative at block %d", encode_hex(addr), blk)

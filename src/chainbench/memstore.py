@@ -6,46 +6,94 @@ via a journal of undo records), and answers select-project-join COUNT queries
 exactly with hash joins. This is the harness's ground-truth engine: not a SQL
 engine, no persistence, no cost model. One writer at a time; readers must not
 overlap a mutation.
+
+The four mutation records are named tuples, so the hot sites build them with
+``tuple.__new__`` in C (``records`` does it for a whole sequence) rather than
+through a Python-level constructor. A record compares equal only to a record
+of its own class: a ``DeleteRow`` never equals a ``NullBlockHash`` with the
+same fields. The handlers read row cells by their ``SCHEMA`` position, so an
+insert whose row is not its table's row type is a ``TypeError``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
-from typing import Callable, ClassVar, Iterable, Sequence
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .chain_model import AddressRow, ChainDataset, PRIMARY_KEYS, SCHEMA, WEI_MAX, encode_hex
+from .chain_model import (
+    PRIMARY_KEYS,
+    ROW_TYPES,
+    SCHEMA,
+    WEI_MAX,
+    AddressRow,
+    ChainDataset,
+    Contract,
+    Token,
+    TokenTransaction,
+    Transaction,
+    Withdrawal,
+    encode_hex,
+)
 
 # ---------------------------------------------------------------------------
 # Structured mutations
 
 
-@dataclass(frozen=True, slots=True)
-class InsertRow:
-    table: str
-    row: object
+class _Record:
+    """Equality and hashing of a mutation record: its class and its fields.
+    Tuple equality alone would make records of two kinds with equal fields
+    equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.__class__, tuple.__hash__(self)))
 
 
-@dataclass(frozen=True, slots=True)
-class DeleteRow:
-    table: str
-    key: tuple
+class InsertRow(_Record, namedtuple("InsertRow", "table row")):
+    """Insert ``row``: its table's row type, or a plain tuple in ``SCHEMA`` order."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class UpdateBalance:
-    address: bytes
-    delta: int
-    table: ClassVar[str] = "addresses"
+class DeleteRow(_Record, namedtuple("DeleteRow", "table key")):
+    """Delete the row whose primary key is the tuple ``key``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class NullBlockHash:
-    table: str  # "tokens" or "contracts"
-    key: tuple
+class UpdateBalance(_Record, namedtuple("UpdateBalance", "address delta")):
+    """Add ``delta`` to an address's balance."""
+
+    __slots__ = ()
+    table = "addresses"
+
+
+class NullBlockHash(_Record, namedtuple("NullBlockHash", "table key")):
+    """Set ``block_hash`` to NULL on a "tokens" or "contracts" row, by key."""
+
+    __slots__ = ()
 
 
 Mutation = InsertRow | DeleteRow | UpdateBalance | NullBlockHash
+
+_new = tuple.__new__
+
+
+def records(kind: type, table: str, values: Iterable) -> Iterator[Mutation]:
+    """``kind(table, value)`` per value: an ``InsertRow`` per row, or a
+    ``DeleteRow`` or ``NullBlockHash`` per key. Each is built by
+    ``tuple.__new__`` in C, with no Python-level call per record."""
+    return map(_new, repeat(kind), zip(repeat(table), values))
 
 
 class BatchRejected(Exception):
@@ -165,21 +213,34 @@ class SPJQuery:
 
 # Parents before children, so a dataset loads in one batch.
 _LOAD_ORDER = ("addresses", "blocks", "tokens", "contracts", "withdrawals", "transactions", "token_transactions")
-# Per table (addresses keep only their balances): the Store attribute holding
-# its rows by primary key, and the reverse index listing each row's key under
-# its parent column's value, if the table has one.
-_LAYOUT = {
-    "blocks": ("blocks", None, None),
-    "transactions": ("transactions", "tx_by_block", "block_hash"),
-    "contracts": ("contracts", "contracts_by_block", "block_hash"),
-    "tokens": ("tokens", "tokens_by_block", "block_hash"),
-    "token_transactions": ("token_txs", "ttx_by_tx", "transaction_hash"),
-    "withdrawals": ("withdrawals", "wd_by_block", "hash"),
-}
-_REVERSE_INDEXES = frozenset(index for _, index, _ in _LAYOUT.values() if index)
 # Each column's position in its table's rows (SCHEMA order).
 _POSITION = {table: {name: i for i, (name, _) in enumerate(cols)} for table, cols in SCHEMA.items()}
-_KEY_OF = {table: attrgetter(*columns) for table, columns in PRIMARY_KEYS.items()}
+# Per table (addresses keep only their balances): the Store attribute holding
+# its rows by primary key, and the reverse index listing each row's key under
+# the value of its parent column, given by position, if the table has one.
+_LAYOUT = {
+    table: (rows, index, None if parent is None else _POSITION[table][parent])
+    for table, rows, index, parent in (
+        ("blocks", "blocks", None, None),
+        ("transactions", "transactions", "tx_by_block", "block_hash"),
+        ("contracts", "contracts", "contracts_by_block", "block_hash"),
+        ("tokens", "tokens", "tokens_by_block", "block_hash"),
+        ("token_transactions", "token_txs", "ttx_by_tx", "transaction_hash"),
+        ("withdrawals", "withdrawals", "wd_by_block", "hash"),
+    )
+}
+_REVERSE_INDEXES = frozenset(index for _, index, _ in _LAYOUT.values() if index)
+_KEY_OF = {table: itemgetter(*(_POSITION[table][c] for c in columns)) for table, columns in PRIMARY_KEYS.items()}
+# The cells the write path reads, by position.
+_TX_HASH, _TX_INDEX, _TX_FROM, _TX_TO, _TX_BLOCK = itemgetter(
+    "hash", "transaction_index", "from_address", "to_address", "block_hash"
+)(_POSITION["transactions"])
+_TTX_HASH, _TTX_LOG, _TTX_TOKEN = itemgetter("transaction_hash", "log_index", "token_address")(
+    _POSITION["token_transactions"]
+)
+_WD_HASH, _WD_ADDRESS = itemgetter("hash", "address")(_POSITION["withdrawals"])
+_CONTRACT_ADDRESS, _CONTRACT_BLOCK = itemgetter("address", "block_hash")(_POSITION["contracts"])
+_TOKEN_ADDRESS, _TOKEN_BLOCK = itemgetter("address", "block_hash")(_POSITION["tokens"])
 
 
 class Store:
@@ -204,7 +265,7 @@ class Store:
     @classmethod
     def from_dataset(cls, ds: ChainDataset) -> "Store":
         store = cls()
-        apply_ops(store, [InsertRow(table, row) for table in _LOAD_ORDER for row in ds.table(table)])
+        apply_ops(store, chain.from_iterable(records(InsertRow, table, ds.table(table)) for table in _LOAD_ORDER))
         return store
 
     def copy(self) -> "Store":
@@ -281,6 +342,8 @@ def _link(index: dict, key, member) -> None:
         members.add(member)
 
 
+# Block rows are few, and reading their cells by name keeps a row of another
+# table an AttributeError rather than a broken rule.
 def _put_blocks(store: Store, row) -> None:
     store.blocks[row.hash] = row
     store.block_by_number[row.number] = row.hash
@@ -292,16 +355,16 @@ def _drop_blocks(store: Store, row) -> None:
 
 
 def _put_transactions(store: Store, row) -> None:
-    tx_hash, block_hash = row.hash, row.block_hash
+    tx_hash, block_hash = row[_TX_HASH], row[_TX_BLOCK]
     store.transactions[tx_hash] = row
-    store.tx_slots.add((block_hash, row.transaction_index))
+    store.tx_slots.add((block_hash, row[_TX_INDEX]))
     _link(store.tx_by_block, block_hash, tx_hash)
 
 
 def _drop_transactions(store: Store, row) -> None:
-    tx_hash, block_hash = row.hash, row.block_hash
+    tx_hash, block_hash = row[_TX_HASH], row[_TX_BLOCK]
     del store.transactions[tx_hash]
-    store.tx_slots.discard((block_hash, row.transaction_index))
+    store.tx_slots.discard((block_hash, row[_TX_INDEX]))
     store.tx_by_block[block_hash].discard(tx_hash)
 
 
@@ -309,30 +372,45 @@ def _put_row(store: Store, table: str, row) -> None:
     """Put a contracts, tokens, token_transactions or withdrawals row; a token
     or contract whose creating block has gone is under no parent."""
     rows, index, parent = _LAYOUT[table]
-    getattr(store, rows)[_KEY_OF[table](row)] = row
-    if getattr(row, parent) is not None:
-        _link(getattr(store, index), getattr(row, parent), _KEY_OF[table](row))
+    key = _KEY_OF[table](row)
+    getattr(store, rows)[key] = row
+    if row[parent] is not None:
+        _link(getattr(store, index), row[parent], key)
 
 
 def _drop_row(store: Store, table: str, row) -> None:
     rows, index, parent = _LAYOUT[table]
-    del getattr(store, rows)[_KEY_OF[table](row)]
-    if getattr(row, parent) is not None:
-        getattr(store, index)[getattr(row, parent)].discard(_KEY_OF[table](row))
+    key = _KEY_OF[table](row)
+    del getattr(store, rows)[key]
+    if row[parent] is not None:
+        getattr(store, index)[row[parent]].discard(key)
+
+
+def _wrong_row(table: str, row) -> TypeError:
+    """The error for a row that is not its table's row type: read by
+    position, a row of another shape would be taken apart silently."""
+    return TypeError(f"{table}: row is a {type(row).__name__}, not a {ROW_TYPES[table].__name__}")
 
 
 def _insert_addresses(store: Store, op: InsertRow) -> tuple:
     row = op.row
-    if row.address in store.balances:
-        raise ValueError(f"addresses: duplicate {encode_hex(row.address)}")
-    if not 0 <= row.eth_balance < WEI_MAX:
+    if row.__class__ is not AddressRow:
+        raise _wrong_row("addresses", row)
+    address, balance = row
+    if address is None:
+        raise ValueError("addresses: NULL address")
+    if address in store.balances:
+        raise ValueError(f"addresses: duplicate {encode_hex(address)}")
+    if not 0 <= balance < WEI_MAX:
         raise ValueError("addresses: eth_balance out of range")
-    store.balances[row.address] = row.eth_balance
-    return dict.pop, store.balances, row.address
+    store.balances[address] = balance
+    return dict.pop, store.balances, address
 
 
 def _insert_blocks(store: Store, op: InsertRow) -> tuple:
     row = op.row
+    if row.hash is None:
+        raise ValueError("blocks: NULL hash")
     if row.hash in store.blocks:
         raise ValueError(f"blocks: duplicate hash {encode_hex(row.hash)}")
     if row.number in store.block_by_number:
@@ -345,28 +423,42 @@ def _insert_blocks(store: Store, op: InsertRow) -> tuple:
 
 def _insert_transactions(store: Store, op: InsertRow) -> tuple:
     row = op.row
-    block_hash, to_address = row.block_hash, row.to_address
-    if row.hash in store.transactions:
-        raise ValueError(f"transactions: duplicate hash {encode_hex(row.hash)}")
-    if (block_hash, row.transaction_index) in store.tx_slots:
-        raise ValueError(f"transactions: duplicate slot {row.transaction_index}")
+    if row.__class__ is not Transaction:
+        raise _wrong_row("transactions", row)
+    tx_hash, index, block_hash, to_address = row[_TX_HASH], row[_TX_INDEX], row[_TX_BLOCK], row[_TX_TO]
+    if tx_hash is None:
+        raise ValueError("transactions: NULL hash")
+    if tx_hash in store.transactions:
+        raise ValueError(f"transactions: duplicate hash {encode_hex(tx_hash)}")
+    if (block_hash, index) in store.tx_slots:
+        raise ValueError(f"transactions: duplicate slot {index}")
     if block_hash not in store.blocks:
         raise ValueError(f"transactions: block_hash dangling {encode_hex(block_hash)}")
-    if row.from_address not in store.balances:
+    if row[_TX_FROM] not in store.balances:
         raise ValueError("transactions: from_address dangling")
     if to_address is not None and to_address not in store.balances:
         raise ValueError("transactions: to_address dangling")
-    _put_transactions(store, row)
+    # _put_transactions, inlined: this is a window batch's commonest insert.
+    store.transactions[tx_hash] = row
+    store.tx_slots.add((block_hash, index))
+    members = store.tx_by_block.get(block_hash)
+    if members is None:
+        store.tx_by_block[block_hash] = {tx_hash}
+    else:
+        members.add(tx_hash)
     return _drop_transactions, store, row
 
 
 def _insert_contracts(store: Store, op: InsertRow) -> tuple:
     row = op.row
-    if (row.address, row.version) in store.contracts:
+    if row.__class__ is not Contract:
+        raise _wrong_row("contracts", row)
+    address, block_hash = row[_CONTRACT_ADDRESS], row[_CONTRACT_BLOCK]
+    if _KEY_OF["contracts"](row) in store.contracts:
         raise ValueError("contracts: duplicate (address, version)")
-    if row.address not in store.balances:
+    if address not in store.balances:
         raise ValueError("contracts: address dangling")
-    if row.block_hash is not None and row.block_hash not in store.blocks:
+    if block_hash is not None and block_hash not in store.blocks:
         raise ValueError("contracts: block_hash dangling")
     _put_row(store, "contracts", row)
     return _drop_row, store, "contracts", row
@@ -374,11 +466,14 @@ def _insert_contracts(store: Store, op: InsertRow) -> tuple:
 
 def _insert_tokens(store: Store, op: InsertRow) -> tuple:
     row = op.row
-    if row.address in store.tokens:
+    if row.__class__ is not Token:
+        raise _wrong_row("tokens", row)
+    address, block_hash = row[_TOKEN_ADDRESS], row[_TOKEN_BLOCK]
+    if address in store.tokens:
         raise ValueError("tokens: duplicate address")
-    if row.address not in store.balances:
+    if address not in store.balances:
         raise ValueError("tokens: address dangling")
-    if row.block_hash is not None and row.block_hash not in store.blocks:
+    if block_hash is not None and block_hash not in store.blocks:
         raise ValueError("tokens: block_hash dangling")
     _put_row(store, "tokens", row)
     return _drop_row, store, "tokens", row
@@ -386,14 +481,16 @@ def _insert_tokens(store: Store, op: InsertRow) -> tuple:
 
 def _insert_token_transactions(store: Store, op: InsertRow) -> tuple:
     row = op.row
+    if row.__class__ is not TokenTransaction:
+        raise _wrong_row("token_transactions", row)
     # The generic row move is too slow for the commonest insert of a window batch.
-    tx_hash = row.transaction_hash
-    key = (tx_hash, row.log_index)
+    tx_hash = row[_TTX_HASH]
+    key = (tx_hash, row[_TTX_LOG])
     if key in store.token_txs:
         raise ValueError("token_transactions: duplicate (transaction_hash, log_index)")
     if tx_hash not in store.transactions:
         raise ValueError("token_transactions: transaction_hash dangling")
-    if row.token_address not in store.tokens:
+    if row[_TTX_TOKEN] not in store.tokens:
         raise ValueError("token_transactions: token_address dangling")
     store.token_txs[key] = row
     members = store.ttx_by_tx.get(tx_hash)
@@ -406,11 +503,13 @@ def _insert_token_transactions(store: Store, op: InsertRow) -> tuple:
 
 def _insert_withdrawals(store: Store, op: InsertRow) -> tuple:
     row = op.row
-    if (row.hash, row.withdrawal_index) in store.withdrawals:
+    if row.__class__ is not Withdrawal:
+        raise _wrong_row("withdrawals", row)
+    if _KEY_OF["withdrawals"](row) in store.withdrawals:
         raise ValueError("withdrawals: duplicate (hash, withdrawal_index)")
-    if row.hash not in store.blocks:
+    if row[_WD_HASH] not in store.blocks:
         raise ValueError("withdrawals: hash dangling")
-    if row.address not in store.balances:
+    if row[_WD_ADDRESS] not in store.balances:
         raise ValueError("withdrawals: address dangling")
     _put_row(store, "withdrawals", row)
     return _drop_row, store, "withdrawals", row
@@ -435,7 +534,11 @@ def _delete_transactions(store: Store, op: DeleteRow) -> tuple:
         raise ValueError("transactions: no such row")
     if store.ttx_by_tx.get(tx_hash):
         raise ValueError("transactions: still referenced by token_transactions")
-    _drop_transactions(store, row)
+    # _drop_transactions, inlined: this is a window batch's commonest delete.
+    block_hash = row[_TX_BLOCK]
+    del store.transactions[tx_hash]
+    store.tx_slots.discard((block_hash, row[_TX_INDEX]))
+    store.tx_by_block[block_hash].discard(tx_hash)
     return _put_transactions, store, row
 
 
@@ -445,7 +548,7 @@ def _delete_token_transactions(store: Store, op: DeleteRow) -> tuple:
     if row is None:
         raise ValueError("token_transactions: no such row")
     del store.token_txs[key]
-    store.ttx_by_tx[row.transaction_hash].discard(key)
+    store.ttx_by_tx[row[_TTX_HASH]].discard(key)
     return _put_row, store, "token_transactions", row
 
 
@@ -458,37 +561,37 @@ def _delete_withdrawals(store: Store, op: DeleteRow) -> tuple:
 
 
 def _update_balance(store: Store, op: UpdateBalance) -> tuple:
-    address, balances = op.address, store.balances
+    address, delta = op
+    balances = store.balances
     if address not in balances:
         raise ValueError(f"addresses: no such row {encode_hex(address)}")
     old = balances[address]
-    new = old + op.delta
+    new = old + delta
     if not 0 <= new < WEI_MAX:
         raise ValueError(f"addresses: balance out of range for {encode_hex(address)}")
     balances[address] = new
     return dict.__setitem__, balances, address, old
 
 
+def _null_out(store: Store, table: str, key) -> tuple:
+    """Set a tokens or contracts row's block_hash to NULL; unlink it from its block."""
+    rows, index, parent = _LAYOUT[table]
+    row = getattr(store, rows).get(key)
+    if row is None:
+        raise ValueError(f"{table}: no such row")
+    getattr(store, rows)[key] = row._replace(block_hash=None)
+    if row[parent] is not None:
+        getattr(store, index)[row[parent]].discard(key)
+    return _put_row, store, table, row
+
+
 def _null_tokens(store: Store, op: NullBlockHash) -> tuple:
     (address,) = op.key
-    row = store.tokens.get(address)
-    if row is None:
-        raise ValueError("tokens: no such row")
-    store.tokens[address] = row._replace(block_hash=None)
-    if row.block_hash is not None:
-        store.tokens_by_block[row.block_hash].discard(address)
-    return _put_row, store, "tokens", row
+    return _null_out(store, "tokens", address)
 
 
 def _null_contracts(store: Store, op: NullBlockHash) -> tuple:
-    key = op.key
-    row = store.contracts.get(key)
-    if row is None:
-        raise ValueError("contracts: no such row")
-    store.contracts[key] = row._replace(block_hash=None)
-    if row.block_hash is not None:
-        store.contracts_by_block[row.block_hash].discard(key)
-    return _put_row, store, "contracts", row
+    return _null_out(store, "contracts", op.key)
 
 
 _HANDLERS: dict[type, dict[str, Callable[[Store, Mutation], tuple]]] = {

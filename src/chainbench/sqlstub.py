@@ -97,7 +97,7 @@ class _Form:
 def _keyed(record: str, table: str, n: int) -> str:
     """Source of a record naming a table and a tuple of ``n`` values: an
     insert's row or a keyed write's key."""
-    return f"{record}({table!r}, ({'{}, ' * n}))"
+    return f"_new({record}, ({table!r}, ({'{}, ' * n})))"
 
 
 def _forms() -> dict[str, list[_Form]]:
@@ -118,7 +118,7 @@ def _forms() -> dict[str, list[_Form]]:
     kind = dict(SCHEMA["addresses"])[key]
     balance = f"{SQL_TABLE_NAMES['addresses']} SET eth_balance = eth_balance {_pattern('sign')} ([0-9]+)"
     balance += f" WHERE {key} = {_pattern(kind)};"
-    updates.append(_Form(balance, ("sign", "int", kind), "UpdateBalance({2}, {0} * {1})"))
+    updates.append(_Form(balance, ("sign", "int", kind), "_new(UpdateBalance, ({2}, {0} * {1}))"))
     return {
         "INSERT INTO ": inserts,
         "DELETE FROM ": deletes,
@@ -127,10 +127,12 @@ def _forms() -> dict[str, list[_Form]]:
     }
 
 
-# What a builder's source names: the record classes, and each value kind's
-# converter as ``_<kind>``.
+# What a builder's source names: the record classes, ``tuple.__new__``, which
+# builds a record without a Python-level call, and each value kind's converter
+# as ``_<kind>``.
 _BUILD_GLOBALS = {
     "__name__": __name__,
+    "_new": tuple.__new__,
     **{cls.__name__: cls for cls in (InsertRow, DeleteRow, NullBlockHash, UpdateBalance)},
     **{f"_{kind}": convert for kind, (_, convert) in _VALUE_FORMS.items()},
 }
@@ -236,9 +238,9 @@ def parse_script(script: str) -> list[Mutation]:
 def to_mutations(records: list[Mutation]) -> list[Mutation]:
     """The records for store-backed targets: each insert's row retyped as its
     table's row type, every other record passed through as it is."""
+    new = tuple.__new__
     return [
-        InsertRow(r.table, tuple.__new__(ROW_TYPES[r.table], r.row)) if r.__class__ is InsertRow else r
-        for r in records
+        new(InsertRow, (r.table, new(ROW_TYPES[r.table], r.row))) if r.__class__ is InsertRow else r for r in records
     ]
 
 

@@ -25,6 +25,8 @@ from .chain_model import (
     Withdrawal,
 )
 
+_TWOPI = 2.0 * math.pi  # as random.gauss has it
+
 _SYLLABLES = (
     "vel", "mor", "tan", "qui", "zor", "lim", "pax", "dru",
     "fen", "gal", "hex", "ilo", "jun", "kra", "nym", "oss",
@@ -107,26 +109,40 @@ def _poisson(draw, lam: float) -> int:
 def generate(cfg: SynthConfig) -> ChainDataset:
     """Produce a dataset for ``cfg``; equal configs yield identical datasets.
 
-    Every draw goes through the bound methods of one ``random.Random``, in a
-    fixed order. Log-uniform values are ``int(10 ** (lo + (hi - lo) * random()))``,
-    the formula ``Random.uniform`` uses, and Zipf ranks are drawn inline as
-    :meth:`ZipfSampler.sample` draws them.
+    Every draw comes from one ``random.Random``, in a fixed order. The hot
+    draws are written out inline, exactly as the ``Random`` methods make
+    them (their source is the same in CPython 3.10 to 3.13), to save a
+    Python-level call each:
+
+    - ``uniform``: a log-uniform value is ``int(10 ** (lo + (hi - lo) * random()))``;
+    - ``randrange(lo, hi)``: ``lo + r``, where ``r = getrandbits(k)`` with
+      ``k = (hi - lo).bit_length()`` is drawn again until ``r < hi - lo``;
+    - ``randbytes(n)``: ``getrandbits(8 * n).to_bytes(n, "little")``;
+    - ``gauss``: each pair of ``random()`` draws gives two values, and the
+      second is kept for the next call;
+    - Zipf ranks, as :meth:`ZipfSampler.sample` draws them.
+
+    Rows are built by ``tuple.__new__``, without their Python-level constructor.
     """
     rng = random.Random(cfg.seed)
     random_ = rng.random
     randrange = rng.randrange
     randbytes = rng.randbytes
-    gauss = rng.gauss
+    bits = rng.getrandbits
+    new = tuple.__new__
 
     addr_seen: set[bytes] = set()
     pool: list[bytes] = []
     for _ in range(cfg.address_pool):
-        addr = randbytes(20)
+        addr = bits(160).to_bytes(20, "little")
         while addr in addr_seen:
-            addr = randbytes(20)
+            addr = bits(160).to_bytes(20, "little")
         addr_seen.add(addr)
         pool.append(addr)
     n_pool = len(pool)
+    if not n_pool:
+        raise ValueError("address_pool must be >= 1: every block draws its miner from it")
+    k_pool = n_pool.bit_length()
     pool_index = {addr: i for i, addr in enumerate(pool)}
     addr_cum = ZipfSampler(n_pool, cfg.address_zipf_s).cum
     addr_total = addr_cum[-1] if addr_cum else 0.0
@@ -137,19 +153,33 @@ def generate(cfg: SynthConfig) -> ChainDataset:
     hash_seen: set[bytes] = set()
     blocks: list[Block] = []
     for i in range(n_blocks):
-        block_hash = randbytes(32)
+        block_hash = bits(256).to_bytes(32, "little")
         while block_hash in hash_seen:
-            block_hash = randbytes(32)
+            block_hash = bits(256).to_bytes(32, "little")
         hash_seen.add(block_hash)
+        n = bits(4)  # randrange(0, 9)
+        while n >= 9:
+            n = bits(4)
+        extra_data = bits(8 * n).to_bytes(n, "little")
+        base_fee = int(10 ** (9 + 2 * random_()))
+        size = bits(18)  # randrange(20_000, 200_000)
+        while size >= 180_000:
+            size = bits(18)
+        miner = bits(k_pool)  # randrange(n_pool)
+        while miner >= n_pool:
+            miner = bits(k_pool)
         blocks.append(
-            Block(
-                block_hash,
-                start_number + i,
-                cfg.start_timestamp + i * cfg.block_interval,
-                randbytes(randrange(0, 9)),
-                int(10 ** (9 + 2 * random_())),
-                randrange(20_000, 200_000),
-                pool[randrange(n_pool)],
+            new(
+                Block,
+                (
+                    block_hash,
+                    start_number + i,
+                    cfg.start_timestamp + i * cfg.block_interval,
+                    extra_data,
+                    base_fee,
+                    20_000 + size,
+                    pool[miner],
+                ),
             )
         )
 
@@ -252,6 +282,9 @@ def generate(cfg: SynthConfig) -> ChainDataset:
     contract_pool = [pool[i] for i in contract_addrs]
     n_contract_pool = len(contract_pool)
 
+    k_contracts = n_contract_pool.bit_length()
+    gauss_next = None
+
     for offset, block in enumerate(blocks):
         block_hash = block.hash
         active = bisect_right(activation_numbers, block.number)
@@ -270,7 +303,10 @@ def generate(cfg: SynthConfig) -> ChainDataset:
             elif random_() < 0.01:
                 to = None  # contract creation: no receiver, no value moved
             elif n_contract_pool and random_() < 0.3:
-                to = contract_pool[randrange(n_contract_pool)]
+                r = bits(k_contracts)  # randrange(n_contract_pool)
+                while r >= n_contract_pool:
+                    r = bits(k_contracts)
+                to = contract_pool[r]
             else:
                 to = pool[bisect_left(addr_cum, random_() * addr_total, 0, n_pool)]
             if to is None:
@@ -287,46 +323,53 @@ def generate(cfg: SynthConfig) -> ChainDataset:
             tx_type = 2 if roll < 0.85 else (0 if roll < 0.95 else 1)
             prio = int(10 ** (8 + 2 * random_())) if tx_type == 2 else None
             if to is None:
-                payload = randbytes(randrange(100, 300))
+                n = bits(8)  # randrange(100, 300)
+                while n >= 200:
+                    n = bits(8)
+                payload = bits(8 * (100 + n)).to_bytes(100 + n, "little")
             elif transfers or random_() < 0.2:
-                payload = randbytes(4 + 32 * randrange(0, 3))
+                n = bits(2)  # randrange(0, 3)
+                while n >= 3:
+                    n = bits(2)
+                payload = bits(8 * (4 + 32 * n)).to_bytes(4 + 32 * n, "little")
             else:
                 payload = b""
 
-            tx_hash = randbytes(32)
+            tx_hash = bits(256).to_bytes(32, "little")
             while tx_hash in hash_seen:
-                tx_hash = randbytes(32)
+                tx_hash = bits(256).to_bytes(32, "little")
             hash_seen.add(tx_hash)
             nonce = nonces[sender]
             nonces[sender] = nonce + 1
+            gas = bits(20)  # randrange(21_000, 1_000_000)
+            while gas >= 979_000:
+                gas = bits(20)
             add_tx(
-                Transaction(
-                    tx_hash,
-                    tx_index,
-                    value,
-                    sender,
-                    to,
-                    randrange(21_000, 1_000_000),
-                    prio,
-                    payload,
-                    block_hash,
-                    tx_type,
-                    nonce,
+                new(
+                    Transaction,
+                    (tx_hash, tx_index, value, sender, to, 21_000 + gas, prio, payload, block_hash, tx_type, nonce),
                 )
             )
             for tok_idx in transfers:
                 if drift:
-                    token_value = max(0, int(10 ** gauss(mu, 1.0)))
+                    # gauss(mu, 1.0)
+                    if gauss_next is None:
+                        x2pi = random_() * _TWOPI
+                        g2rad = math.sqrt(-2.0 * math.log(1.0 - random_()))
+                        z, gauss_next = math.cos(x2pi) * g2rad, math.sin(x2pi) * g2rad
+                    else:
+                        z, gauss_next = gauss_next, None
+                    token_value = max(0, int(10 ** (mu + z)))
                 else:
                     token_value = int(10 ** (6 + 8 * random_()))
-                add_token_tx(TokenTransaction(tx_hash, log_index, token_addrs[tok_idx], token_value))
+                add_token_tx(new(TokenTransaction, (tx_hash, log_index, token_addrs[tok_idx], token_value)))
                 log_index += 1
 
         for w_index in range(_poisson(random_, withdrawal_rate)):
             addr = pool[bisect_left(addr_cum, random_() * addr_total, 0, n_pool)]
             amount = int(10 ** (15 + 3 * random_()))
             balances[addr] += amount
-            withdrawals.append(Withdrawal(block_hash, w_index, pool_index[addr], addr, amount))
+            withdrawals.append(new(Withdrawal, (block_hash, w_index, pool_index[addr], addr, amount)))
 
     return ChainDataset(
         blocks=tuple(blocks),

@@ -22,9 +22,10 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from operator import add
+from itertools import repeat
+from operator import add, attrgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .chain_model import (
     AddressRow,
@@ -37,7 +38,7 @@ from .chain_model import (
 )
 from .gcpause import collector_paused
 from .ingest_slice import build_ledger, extract_slice, slice_closure
-from .memstore import DeleteRow, InsertRow, Mutation, NullBlockHash, UpdateBalance
+from .memstore import DeleteRow, InsertRow, Mutation, NullBlockHash, UpdateBalance, records
 
 log = logging.getLogger(__name__)
 
@@ -137,25 +138,23 @@ class Manifest:
 
 def _dataset_ops(ds: ChainDataset) -> tuple[Mutation, ...]:
     """FK-safe insert sequence materializing a whole dataset state."""
-    ops: list[Mutation] = []
-    for a in sorted(ds.addresses, key=lambda r: r.address):
-        ops.append(InsertRow("addresses", a))
     number_of = {b.hash: b.number for b in ds.blocks}
-    for b in sorted(ds.blocks, key=lambda r: r.number):
-        ops.append(InsertRow("blocks", b))
-    for tk in sorted(ds.tokens, key=lambda r: r.address):
-        ops.append(InsertRow("tokens", tk))
-    for c in sorted(ds.contracts, key=lambda r: (r.address, r.version)):
-        ops.append(InsertRow("contracts", c))
-    for w in sorted(ds.withdrawals, key=lambda r: (number_of[r.hash], r.withdrawal_index)):
-        ops.append(InsertRow("withdrawals", w))
-    tx_order = {}
-    for t in sorted(ds.transactions, key=lambda r: (number_of[r.block_hash], r.transaction_index)):
-        tx_order[t.hash] = len(tx_order)
-        ops.append(InsertRow("transactions", t))
-    for tt in sorted(ds.token_transactions, key=lambda r: (tx_order[r.transaction_hash], r.log_index)):
-        ops.append(InsertRow("token_transactions", tt))
-    return tuple(ops)
+    withdrawals = sorted(ds.withdrawals, key=lambda r: (number_of[r.hash], r.withdrawal_index))
+    transactions = sorted(ds.transactions, key=lambda r: (number_of[r.block_hash], r.transaction_index))
+    tx_order = {t.hash: i for i, t in enumerate(transactions)}
+    return (
+        *records(InsertRow, "addresses", sorted(ds.addresses, key=attrgetter("address"))),
+        *records(InsertRow, "blocks", sorted(ds.blocks, key=attrgetter("number"))),
+        *records(InsertRow, "tokens", sorted(ds.tokens, key=attrgetter("address"))),
+        *records(InsertRow, "contracts", sorted(ds.contracts, key=attrgetter("address", "version"))),
+        *records(InsertRow, "withdrawals", withdrawals),
+        *records(InsertRow, "transactions", transactions),
+        *records(
+            InsertRow,
+            "token_transactions",
+            sorted(ds.token_transactions, key=lambda r: (tx_order[r.transaction_hash], r.log_index)),
+        ),
+    )
 
 
 def gen_initial(ds: ChainDataset, cfg: WorkloadConfig) -> Batch:
@@ -170,6 +169,12 @@ def gen_initial(ds: ChainDataset, cfg: WorkloadConfig) -> Batch:
         raise WorkloadError(f"init_blocks {cfg.init_blocks} exceeds dataset ({last - first + 1} blocks)")
     initial_state = extract_slice(ds, first, init_hi)
     return Batch(index=0, kind="load", block_lo=first, block_hi=init_hi, ops=_dataset_ops(initial_state))
+
+
+def _keys(table: str, rows) -> Iterator[tuple]:
+    """Each row's primary key, as the tuple a keyed record holds."""
+    key = attrgetter(*PRIMARY_KEYS[table])
+    return map(key, rows) if len(PRIMARY_KEYS[table]) > 1 else zip(map(key, rows))
 
 
 class _SeenTracker:
@@ -257,30 +262,30 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
         if cfg.expire:
             expire_lo = window_lo
             expire_hi = expire_lo + size - 1
-            exp_ops: list[Mutation] = []
             exp_nums = range(expire_lo, min(expire_hi, window_hi) + 1)
-            for n in exp_nums:
-                for t in txs_by_block.get(n, ()):
-                    for tt in ttx_by_tx.get(t.hash, ()):
-                        exp_ops.append(DeleteRow("token_transactions", (tt.transaction_hash, tt.log_index)))
-            for n in exp_nums:
-                for t in txs_by_block.get(n, ()):
-                    exp_ops.append(DeleteRow("transactions", (t.hash,)))
-            for n in exp_nums:
-                for w in wds_by_block.get(n, ()):
-                    exp_ops.append(DeleteRow("withdrawals", (w.hash, w.withdrawal_index)))
+            exp_txs = [t for n in exp_nums for t in txs_by_block.get(n, ())]
+            exp_ttxs = [tt for t in exp_txs for tt in ttx_by_tx.get(t.hash, ())]
+            exp_wds = [w for n in exp_nums for w in wds_by_block.get(n, ())]
             # Null out token/contract links into the expiring blocks before the
             # block rows disappear, so no foreign key ever dangles.
-            for addr in sorted(a for a, n in seen.tokens.items() if n is not None and expire_lo <= n <= expire_hi):
-                exp_ops.append(NullBlockHash("tokens", (addr,)))
-                seen.tokens[addr] = None
-            for key in sorted(k for k, n in seen.contracts.items() if n is not None and expire_lo <= n <= expire_hi):
-                exp_ops.append(NullBlockHash("contracts", key))
-                seen.contracts[key] = None
-            for n in exp_nums:
-                exp_ops.append(DeleteRow("blocks", (blocks_by_number[n].hash,)))
+            nulled_tokens = sorted(
+                a for a, n in seen.tokens.items() if n is not None and expire_lo <= n <= expire_hi
+            )
+            nulled_contracts = sorted(
+                k for k, n in seen.contracts.items() if n is not None and expire_lo <= n <= expire_hi
+            )
+            exp_ops = (
+                *records(DeleteRow, "token_transactions", _keys("token_transactions", exp_ttxs)),
+                *records(DeleteRow, "transactions", _keys("transactions", exp_txs)),
+                *records(DeleteRow, "withdrawals", _keys("withdrawals", exp_wds)),
+                *records(NullBlockHash, "tokens", zip(nulled_tokens)),
+                *records(NullBlockHash, "contracts", nulled_contracts),
+                *records(DeleteRow, "blocks", _keys("blocks", map(blocks_by_number.__getitem__, exp_nums))),
+            )
+            seen.tokens.update(dict.fromkeys(nulled_tokens))
+            seen.contracts.update(dict.fromkeys(nulled_contracts))
             window_lo = expire_hi + 1
-            expire_batch = Batch(index=index, kind="expire", block_lo=expire_lo, block_hi=expire_hi, ops=tuple(exp_ops))
+            expire_batch = Batch(index=index, kind="expire", block_lo=expire_lo, block_hi=expire_hi, ops=exp_ops)
 
         batch_nums = range(lo, hi + 1)
         # An expire wider than the window empties it; the batch then starts it anew.
@@ -326,34 +331,31 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
                 seen.contracts[key] = num
             return row
 
-        ops: list[Mutation] = []
         refs = referenced_addresses(
             batch_blocks, batch_txs, batch_wds, new_tokens.values(), new_contracts.values()
         )
         new_addrs = sorted(refs - seen.addresses)
+        address_rows = []
         for addr in new_addrs:
             base = ledger.balance_at(addr, lo - 1)
             if base < 0:
                 log.warning("address %s enters with negative balance %d; clamped", encode_hex(addr), base)
                 base = 0
-            ops.append(InsertRow("addresses", AddressRow(addr, base)))
-            seen.addresses.add(addr)
-        for b in batch_blocks:
-            ops.append(InsertRow("blocks", b))
-        for addr in sorted(new_tokens):
-            ops.append(InsertRow("tokens", place(new_tokens[addr], "token", addr)))
-        for key in sorted(new_contracts):
-            ops.append(InsertRow("contracts", place(new_contracts[key], "contract", key)))
-        for w in batch_wds:
-            ops.append(InsertRow("withdrawals", w))
-        for t in batch_txs:
-            ops.append(InsertRow("transactions", t))
-        for tt in batch_ttxs:
-            ops.append(InsertRow("token_transactions", tt))
-        for addr, delta in sorted(ledger.touched_in_range(lo, hi).items()):
-            ops.append(UpdateBalance(addr, delta))
+            address_rows.append(AddressRow(addr, base))
+        seen.addresses.update(new_addrs)
+        ops = (
+            *records(InsertRow, "addresses", address_rows),
+            *records(InsertRow, "blocks", batch_blocks),
+            *records(InsertRow, "tokens", [place(new_tokens[a], "token", a) for a in sorted(new_tokens)]),
+            *records(InsertRow, "contracts", [place(new_contracts[k], "contract", k) for k in sorted(new_contracts)]),
+            *records(InsertRow, "withdrawals", batch_wds),
+            *records(InsertRow, "transactions", batch_txs),
+            *records(InsertRow, "token_transactions", batch_ttxs),
+            # Each (address, delta) pair becomes its UpdateBalance in C.
+            *map(tuple.__new__, repeat(UpdateBalance), sorted(ledger.touched_in_range(lo, hi).items())),
+        )
 
-        upsert = Batch(index=index, kind="upsert", block_lo=lo, block_hi=hi, ops=tuple(ops))
+        upsert = Batch(index=index, kind="upsert", block_lo=lo, block_hi=hi, ops=ops)
         pairs.append(BatchPair(expire=expire_batch, upsert=upsert))
         infos.append(
             BatchInfo(

@@ -1,0 +1,88 @@
+"""Check the generator and workload-file pins with the standard library alone.
+
+``synth_chain.generate`` writes out ``random.Random``'s draw algorithms
+inline, so its output must not depend on the Python version. This script
+runs where pytest is not installed:
+
+    python tests/stdlib_pins.py
+
+It checks the ``test_generate_output_is_pinned`` digests (read from
+``tests/test_synth_chain.py``) and the sha256 of the ``sha256sum``-style
+listing of every file ``write_workload`` writes for each benchmark workload
+at seed 7. It prints one line per check and exits 1 if any fails.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
+
+from bench_workloads import WORKLOADS  # noqa: E402
+
+from chainbench.chain_model import SCHEMA  # noqa: E402
+from chainbench.synth_chain import SynthConfig, generate  # noqa: E402
+from chainbench.workload_gen import write_workload  # noqa: E402
+
+# sha256 of "<sha256>  <name>\n" per file, by name, of write_workload's output
+# for each benchmark workload at seed 7.
+LISTINGS = {
+    "drift-window": "5527eb9260fe1e529110bc3ce38c347de53c97afb9ed62caeeaa6ba5b766f77c",
+    "replay-fine": "4e62323b97d2a5fafa7e2f28d01e8421f7fdd1a611e439ad30fb9369f9339570",
+    "stub-expire": "7236c80c294aa5e3a348a0bececb5eeb22f50fcecae6b7c3fbe3d3ed5390101c",
+}
+
+
+def generate_pins() -> tuple:
+    """The ``_PINNED`` (config, digest) pairs of ``tests/test_synth_chain.py``."""
+    tree = ast.parse((ROOT / "tests" / "test_synth_chain.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_PINNED"]:
+            # Literals and dict(...) calls only: no other name is bound.
+            return eval(compile(ast.Expression(node.value), "_PINNED", "eval"), {"__builtins__": {}, "dict": dict})
+    raise LookupError("_PINNED not found")
+
+
+def dataset_digest(ds) -> str:
+    """As ``test_synth_chain._feed_dataset`` hashes a dataset."""
+    h = hashlib.sha256()
+    for table, cols in SCHEMA.items():
+        for row in ds.table(table):
+            h.update(repr(tuple(getattr(row, name) for name, _ in cols)).encode())
+    h.update(repr(sorted(ds.final_balances.items())).encode())
+    h.update(repr(ds.final_block).encode())
+    return h.hexdigest()
+
+
+def listing_digest(directory: Path) -> str:
+    listing = "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n" for path in sorted(directory.iterdir())
+    )
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
+def main() -> int:
+    failed = 0
+    for config, digest in generate_pins():
+        got = dataset_digest(generate(SynthConfig(**config)))
+        failed += got != digest
+        label = f"seed={config['seed']} n_blocks={config['n_blocks']}"
+        print(f"{'ok' if got == digest else 'FAIL'} generate {label}: {got[:8]}")
+    for name, digest in LISTINGS.items():
+        w = WORKLOADS[name]
+        with tempfile.TemporaryDirectory() as out:
+            write_workload(generate(w.synth_config(7)), w.workload_config(), out)
+            got = listing_digest(Path(out))
+        failed += got != digest
+        print(f"{'ok' if got == digest else 'FAIL'} write_workload {name}: {got[:8]}")
+    print(f"python {sys.version.split()[0]}: {'all pins hold' if not failed else f'{failed} pin(s) differ'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

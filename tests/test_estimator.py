@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainbench import memstore
-from chainbench.chain_model import AddressRow
+from chainbench.chain_model import SCHEMA, AddressRow
 from chainbench.estimator import (
     EstimateError,
     build_column_stats,
@@ -259,3 +259,25 @@ def test_role_split_catalog_estimates_equal_the_full_catalog(seed, prefix, max_t
         q = SPJQuery.build(tables={"t": table}, filters=[Filter("t", column, "eq", None)])
         with pytest.raises(EstimateError, match=f"only a distinct count for {table}.{column}"):
             estimate(split, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), prefix=st.integers(0, 6), expire=st.booleans())
+def test_a_primary_key_distinct_count_equals_a_scan(seed, prefix, expire):
+    # A join-only column that is its table's whole primary key takes its
+    # table's row count; every other distinct count is scanned.
+    ds = generate(SynthConfig(seed=seed, n_blocks=24, mean_tx_per_block=5, address_pool=25, n_tokens=4))
+    cfg = WorkloadConfig(init_blocks=10, granularity=3, expire=expire)
+    store = Store()
+    memstore.apply(store, gen_initial(ds, cfg))
+    for pair in gen_batches(ds, cfg)[0][:prefix]:
+        if pair.expire is not None:
+            memstore.apply(store, pair.expire)
+        memstore.apply(store, pair.upsert)
+    every = {(table, name) for table, cols in SCHEMA.items() for name, _ in cols}
+    columns = probe_columns(enumerate_subqueries(q1_spj(), 5))
+    split = refresh(store, label="S", columns=columns.filtered, distinct=every)
+    scanned = {(t, c): len(set(store.column(t, c)) - {None}) for t, c in every - columns.filtered}
+    assert split.distinct == scanned
+    assert {("transactions", "hash"), ("tokens", "address"), ("addresses", "address")} <= set(scanned)
+    assert split.columns == refresh(store, label="S", columns=columns.filtered).columns

@@ -18,6 +18,7 @@ from chainbench.memstore import (
     apply_ops,
 )
 from chainbench.synth_chain import SynthConfig, generate
+from chainbench.sqlstub import parse_script
 from chainbench.workload_gen import Batch, WorkloadConfig, gen_batches, gen_initial, render_sql
 
 from util import _oracle_matches, addr, hsh, make_block, make_tx, nested_loop_count, random_spj, tiny_dataset
@@ -281,6 +282,13 @@ _REFUSALS = {
         0,
         "blocks: duplicate hash 0x0000000100000001000000010000000100000001000000010000000100000001",
     ),
+    "insert-addresses-null": ([InsertRow("addresses", AddressRow(None, 1))], 0, "addresses: NULL address"),
+    "insert-blocks-null-hash": ([InsertRow("blocks", make_block(9)._replace(hash=None))], 0, "blocks: NULL hash"),
+    "insert-transactions-null-hash": (
+        [InsertRow("transactions", make_tx(9, 2, A1, A2, 1, nonce=0, index=5)._replace(hash=None))],
+        0,
+        "transactions: NULL hash",
+    ),
     "insert-blocks-duplicate-number": (
         [InsertRow("blocks", make_block(9)._replace(number=1))],
         0,
@@ -460,7 +468,11 @@ def test_every_refusal_reason_is_pinned(case):
 
 @pytest.mark.parametrize(
     "malformed, error",
-    [(DeleteRow("withdrawals", [b"x", 1]), TypeError), (InsertRow("blocks", AddressRow(NEW, 1)), AttributeError)],
+    [
+        (DeleteRow("withdrawals", [b"x", 1]), TypeError),
+        (InsertRow("blocks", AddressRow(NEW, 1)), AttributeError),
+        (InsertRow("transactions", tuple(make_tx(9, 0, NEW, None, 0, nonce=0))), TypeError),
+    ],
 )
 def test_any_exception_rolls_the_batch_back_and_propagates_unchanged(malformed, error):
     store = Store()
@@ -495,6 +507,7 @@ def _failing_ops(store: Store) -> dict[str, tuple]:
     failures = {name: (op, BatchRejected) for name, op in failures.items()}
     failures["unhashable key"] = (DeleteRow("withdrawals", [h, 0]), TypeError)
     failures["row of the wrong table"] = (InsertRow("blocks", AddressRow(u, 0)), AttributeError)
+    failures["plain tuple row"] = (InsertRow("token_transactions", tuple(_TTX)), TypeError)
     for table in SCHEMA:
         rows = list(store.rows(table))
         if rows:
@@ -557,3 +570,65 @@ def test_every_structured_write_reaches_the_patched_apply_ops(monkeypatch):
     load = render_sql(gen_initial(_TINY, WorkloadConfig(init_blocks=3, granularity=1)))
     replay_driver.MemstoreTarget().apply_script("load.sql", load)
     assert calls == ["memstore", "memstore", "replay_driver"]
+
+
+# -- the mutation records ----------------------------------------------------
+
+_FIELDS = st.one_of(st.text(max_size=3), st.binary(max_size=3), st.integers(), st.none())
+_KEYED = (InsertRow, DeleteRow, NullBlockHash)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(_KEYED + (UpdateBalance,)), first=_FIELDS, second=st.tuples(_FIELDS), data=st.data())
+def test_records_compare_by_class_and_fields(kind, first, second, data):
+    record, twin = kind(first, second), kind(first, second)
+    assert record == twin and not record != twin and hash(record) == hash(twin)
+    other = data.draw(st.sampled_from([k for k in _KEYED + (UpdateBalance,) if k is not kind]))
+    assert record != other(first, second) and not record == other(first, second)
+    assert record != (first, second) and (first, second) != record
+    assert repr(record).startswith(f"{kind.__name__}(")
+    for name in kind._fields + ("anything",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert UpdateBalance(first, second).table == "addresses"
+
+
+def test_a_delete_never_equals_a_null_out_of_the_same_key():
+    assert DeleteRow("tokens", (A1,)) != NullBlockHash("tokens", (A1,))
+    assert len({DeleteRow("tokens", (A1,)), NullBlockHash("tokens", (A1,))}) == 2
+    assert [DeleteRow("tokens", (A1,))] != [NullBlockHash("tokens", (A1,))]
+
+
+@st.composite
+def _small_workloads(draw):
+    n_blocks = draw(st.integers(2, 20))
+    ds = generate(
+        SynthConfig(
+            seed=draw(st.integers(0, 2**16)),
+            n_blocks=n_blocks,
+            mean_tx_per_block=draw(st.integers(0, 6)),
+            address_pool=draw(st.integers(2, 15)),
+            n_tokens=draw(st.integers(0, 3)),
+        )
+    )
+    cfg = WorkloadConfig(draw(st.integers(1, n_blocks - 1)), draw(st.integers(1, 5)), expire=draw(st.booleans()))
+    return [gen_initial(ds, cfg)] + [b for pair in gen_batches(ds, cfg)[0] for b in (pair.expire, pair.upsert) if b]
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches=_small_workloads())
+def test_parsed_records_equal_the_generated_ones_class_for_class(batches):
+    for batch in batches:
+        parsed = parse_script(render_sql(batch))
+        assert len(parsed) == len(batch.ops)
+        for got, want in zip(parsed, batch.ops):
+            assert got.__class__ is want.__class__ and got == want
+
+
+@pytest.mark.parametrize("table", [t for t in SCHEMA if t != "blocks"])
+def test_a_row_of_the_wrong_type_is_refused_before_it_is_read(table):
+    # The handlers read cells by position, so a row must be its table's row type.
+    row = next(iter(Store.from_dataset(_TINY).rows(table)))
+    store = Store.from_dataset(_TINY)
+    with pytest.raises(TypeError, match=f"^{table}: row is a tuple, not a {type(row).__name__}$"):
+        apply_ops(store, [InsertRow(table, tuple(row))])
