@@ -258,7 +258,9 @@ def replay(
                     continue
                 start = time.perf_counter()
                 try:
-                    target.apply_script(name, (wdir / name).read_text(encoding="utf-8"))
+                    # Bytes decoded as strict UTF-8: no newline translation
+                    # touches a \r inside a text literal.
+                    target.apply_script(name, (wdir / name).read_bytes().decode("utf-8"))
                 except ReplayError as exc:
                     raise ReplayError(str(exc), batch_index=index, statement=exc.statement) from exc
                 elapsed = (time.perf_counter() - start) * 1000.0

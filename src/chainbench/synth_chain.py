@@ -65,9 +65,11 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")
-        for name in ("mean_tx_per_block", "address_pool", "n_tokens", "initial_balance"):
+        for name in ("mean_tx_per_block", "n_tokens", "initial_balance"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.address_pool < 1:
+            raise ValueError("address_pool must be >= 1: every block draws its miner from it")
         for name in ("token_tx_prob", "contract_fraction", "us_name_fraction", "zero_supply_fraction"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -140,8 +142,6 @@ def generate(cfg: SynthConfig) -> ChainDataset:
         addr_seen.add(addr)
         pool.append(addr)
     n_pool = len(pool)
-    if not n_pool:
-        raise ValueError("address_pool must be >= 1: every block draws its miner from it")
     k_pool = n_pool.bit_length()
     pool_index = {addr: i for i, addr in enumerate(pool)}
     addr_cum = ZipfSampler(n_pool, cfg.address_zipf_s).cum

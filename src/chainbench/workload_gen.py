@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, attrgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -381,93 +382,122 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
 
 # ---------------------------------------------------------------------------
 # SQL rendering
+#
+# One function per (record class, table), compiled once at import from
+# SCHEMA, PRIMARY_KEYS and SQL_TABLE_NAMES: it unpacks the record into
+# locals and returns the whole statement, newline included, from one
+# f-string, testing for None only where the column may be NULL (elsewhere a
+# None fails the render or is written as text the parser refuses). The source
+# compiles on Python 3.10, where an f-string's expressions may hold neither a
+# backslash nor the string's own quote (PEP 701 lifts both in 3.12): the
+# f-string is quoted with ', and its expressions use " only.
 
 
-def _bytea(value: bytes) -> str:
-    return f"'\\x{value.hex()}'::bytea"
+def _sighashes(values) -> str:
+    items = ", ".join([f"'\\x{value.hex()}'::bytea" for value in values])
+    return f"ARRAY[{items}]" if items else "ARRAY[]::bytea[]"
 
 
-def _text(value: str) -> str:
-    escaped = value.replace("'", "''")
-    return f"'{escaped}'"
-
-
-def _boolean(value) -> str:
-    return "TRUE" if value else "FALSE"
-
-
-def _bytea_array(value) -> str:
-    if not value:
-        return "ARRAY[]::bytea[]"
-    return f"ARRAY[{', '.join(map(_bytea, value))}]"
-
-
-# Column kind (without the nullable "?") -> encoder of a non-None value.
-_ENCODERS = {
-    "hash": _bytea,
-    "address": _bytea,
-    "bytes": _bytea,
-    "int": str,
-    "bool": _boolean,
-    "text": _text,
-    "sighashes": _bytea_array,
+# Value kind -> how a value in the local ``%(v)s`` is written: its f-string
+# source, and a statement that prepares the local first (None: none). The
+# value kinds are the column kinds (without the nullable "?") and a balance
+# UPDATE's signed amount.
+_BYTEA = r"\'\\x{%(v)s.hex()}\'::bytea"
+_CELLS = {
+    "hash": (_BYTEA, None),
+    "address": (_BYTEA, None),
+    "bytes": (_BYTEA, None),
+    "int": ("{%(v)s}", None),
+    "bool": ('{("FALSE", "TRUE")[%(v)s]}', None),
+    "text": (r"\'{%(v)s}\'", """%(v)s = %(v)s.replace("'", "''")"""),
+    "sighashes": ("{_sighashes(%(v)s)}", None),
+    "delta": ('{"+" if %(v)s >= 0 else "-"} {abs(%(v)s)}', None),
 }
 
 
-def _literals(encoders, values) -> list[str]:
-    """One SQL literal per value; None is NULL in any column."""
-    return ["NULL" if v is None else encode(v) for encode, v in zip(encoders, values)]
+def _literal_source(text: str) -> str:
+    """``text`` as the source of a literal part of an f-string quoted with '."""
+    for char, escaped in (("\\", "\\\\"), ("'", "\\'"), ("\n", "\\n"), ("{", "{{"), ("}", "}}")):
+        text = text.replace(char, escaped)
+    return text
 
 
-@dataclass(frozen=True)
-class _Template:
-    """One table's statement text, compiled once from ``SCHEMA`` and
-    ``PRIMARY_KEYS``: each statement's head, an encoder per column (a row is
-    its values in column order), and the WHERE clause's ``col = `` parts
-    with an encoder each."""
+def _renderer(fields: str, parts: list) -> Callable[[Mutation], str]:
+    """A record's statement: ``fields`` is the unpacking target that takes
+    the record apart into locals, and ``parts`` the statement's text, with a
+    (local, value kind) pair wherever a value goes."""
+    body = [f"def render(op):\n    {fields} = op\n"]
+    fstring = []
+    for part in parts:
+        if isinstance(part, str):
+            fstring.append(_literal_source(part))
+            continue
+        v, kind = part
+        cell, prepare = _CELLS[kind.rstrip("?")]
+        cell = cell % {"v": v}
+        if prepare is not None:
+            prepare = prepare % {"v": v}
+        if kind.endswith("?"):
+            # NULL, or the value's own text, is in the local before the statement.
+            body.append(f'    if {v} is None:\n        {v} = "NULL"\n    else:\n')
+            if prepare is not None:
+                body.append(f"        {prepare}\n")
+            body.append(f"        {v} = f'{cell}'\n")
+            fstring.append(f"{{{v}}}")
+        else:
+            if prepare is not None:
+                body.append(f"    {prepare}\n")
+            fstring.append(cell)
+    body.append(f"    return f'{''.join(fstring)};\\n'\n")
+    built: dict = {}
+    exec("".join(body), {"__name__": __name__, "_sighashes": _sighashes}, built)
+    return built["render"]
 
-    insert: str
-    encoders: tuple[Callable[[object], str], ...]
-    delete: str
-    null_out: str
-    key_columns: tuple[str, ...]
-    key_encoders: tuple[Callable[[object], str], ...]
 
-    def where(self, key: tuple) -> str:
-        return " AND ".join(map(add, self.key_columns, _literals(self.key_encoders, key)))
-
-
-def _template(table: str) -> _Template:
-    names = [name for name, _ in SCHEMA[table]]
-    encoders = {name: _ENCODERS[kind.rstrip("?")] for name, kind in SCHEMA[table]}
-    sql_name = SQL_TABLE_NAMES[table]
-    return _Template(
-        insert=f"INSERT INTO {sql_name} ({', '.join(names)}) VALUES (",
-        encoders=tuple(encoders.values()),
-        delete=f"DELETE FROM {sql_name} WHERE ",
-        null_out=f"UPDATE {sql_name} SET block_hash = NULL WHERE ",
-        key_columns=tuple(f"{col} = " for col in PRIMARY_KEYS[table]),
-        key_encoders=tuple(encoders[col] for col in PRIMARY_KEYS[table]),
+def _compile_renderers() -> dict[type, dict[str, Callable[[Mutation], str]]]:
+    """Record class -> table -> renderer: an INSERT, keyed DELETE and
+    block_hash NULL-out for every table, and the balance UPDATE."""
+    renderers: dict[type, dict[str, Callable[[Mutation], str]]] = {
+        InsertRow: {},
+        DeleteRow: {},
+        NullBlockHash: {},
+        UpdateBalance: {},
+    }
+    for table, columns in SCHEMA.items():
+        name = SQL_TABLE_NAMES[table]
+        cells = {col: (f"c{i}", kind) for i, (col, kind) in enumerate(columns)}
+        values = [f"INSERT INTO {name} ({', '.join(cells)}) VALUES ("]
+        for i, cell in enumerate(cells.values()):
+            values += [", " if i else "", cell]
+        where = [" WHERE "]
+        for i, col in enumerate(PRIMARY_KEYS[table]):
+            where += [f"{' AND ' if i else ''}{col} = ", cells[col]]
+        row = f"_, ({', '.join(v for v, _ in cells.values())},)"
+        key = f"_, ({', '.join(cells[col][0] for col in PRIMARY_KEYS[table])},)"
+        renderers[InsertRow][table] = _renderer(row, [*values, ")"])
+        renderers[DeleteRow][table] = _renderer(key, [f"DELETE FROM {name}", *where])
+        renderers[NullBlockHash][table] = _renderer(key, [f"UPDATE {name} SET block_hash = NULL", *where])
+    (col,) = PRIMARY_KEYS[UpdateBalance.table]
+    address = dict(SCHEMA[UpdateBalance.table])[col]
+    balance = f"UPDATE {SQL_TABLE_NAMES[UpdateBalance.table]} SET eth_balance = eth_balance "
+    renderers[UpdateBalance][UpdateBalance.table] = _renderer(
+        "c0, delta", [balance, ("delta", "delta"), f" WHERE {col} = ", ("c0", address)]
     )
+    return renderers
 
 
-_TEMPLATES = {table: _template(table) for table in SCHEMA}
+_RENDERERS = _compile_renderers()
 
 
-def _render_op(op: Mutation) -> str:
-    if isinstance(op, InsertRow):
-        t = _TEMPLATES[op.table]
-        return f"{t.insert}{', '.join(_literals(t.encoders, op.row))});"
-    if isinstance(op, UpdateBalance):
-        sign, amount = ("+", op.delta) if op.delta >= 0 else ("-", -op.delta)
-        address = "NULL" if op.address is None else _bytea(op.address)
-        return f"UPDATE Addresses SET eth_balance = eth_balance {sign} {amount} WHERE address = {address};"
-    if isinstance(op, DeleteRow):
-        t = _TEMPLATES[op.table]
-        return f"{t.delete}{t.where(op.key)};"
-    if isinstance(op, NullBlockHash):
-        t = _TEMPLATES[op.table]
-        return f"{t.null_out}{t.where(op.key)};"
+def _resolve(op) -> Callable[[Mutation], str]:
+    """Renderer of an op the direct lookup misses (its class subclasses a
+    mutation record), or the refusal of one no renderer takes."""
+    for kind, by_table in _RENDERERS.items():
+        if isinstance(op, kind):
+            try:
+                return by_table[op.table]
+            except KeyError:
+                raise ValueError(f"no {kind.__name__} statement for table {op.table!r}") from None
     raise ValueError(f"unknown mutation {type(op).__name__}")
 
 
@@ -475,31 +505,38 @@ def render_sql(batch: Batch, dialect: str = "postgres") -> str:
     """One transaction per batch file; one statement per mutation, in order."""
     if dialect != "postgres":
         raise WorkloadError(f"unsupported dialect {dialect!r}")
-    lines = [
-        f"-- {batch.kind} batch {batch.index}: blocks [{batch.block_lo}, {batch.block_hi}]",
-        "BEGIN;",
-    ]
-    lines.extend(_render_op(op) for op in batch.ops)
-    lines.append("COMMIT;")
-    return "\n".join(lines) + "\n"
+    try:
+        statements = [_RENDERERS[op.__class__][op.table](op) for op in batch.ops]
+    except KeyError:
+        statements = [_resolve(op)(op) for op in batch.ops]
+    head = f"-- {batch.kind} batch {batch.index}: blocks [{batch.block_lo}, {batch.block_hi}]\nBEGIN;\n"
+    return f"{head}{''.join(statements)}COMMIT;\n"
 
 
 @collector_paused
 def write_workload(ds: ChainDataset, cfg: WorkloadConfig, out_dir: str | Path, dialect: str = "postgres") -> Manifest:
-    """Render load + batches to ``out_dir`` and write ``manifest.json``."""
+    """Render load + batches to ``out_dir`` and write ``manifest.json``.
+    Each SQL file is its rendered text in UTF-8, written to the descriptor
+    with ``os.write`` (once, unless the kernel writes less), through no
+    Python-level buffer or text wrapper."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    load = gen_initial(ds, cfg)
-    (out / "load.sql").write_text(render_sql(load, dialect), encoding="utf-8")
+
+    def write(name: str, batch: Batch) -> None:
+        data = memoryview(render_sql(batch, dialect).encode())
+        fd = os.open(out / name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
+
+    write("load.sql", gen_initial(ds, cfg))
     pairs, manifest = gen_batches(ds, cfg)
     for pair in pairs:
         if pair.expire is not None:
-            (out / f"expire-{pair.expire.index:06d}.sql").write_text(
-                render_sql(pair.expire, dialect), encoding="utf-8"
-            )
-        (out / f"upserts-{pair.upsert.index:06d}.sql").write_text(
-            render_sql(pair.upsert, dialect), encoding="utf-8"
-        )
+            write(f"expire-{pair.expire.index:06d}.sql", pair.expire)
+        write(f"upserts-{pair.upsert.index:06d}.sql", pair.upsert)
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -7,9 +7,12 @@ runs where pytest is not installed:
     python tests/stdlib_pins.py
 
 It checks the ``test_generate_output_is_pinned`` digests (read from
-``tests/test_synth_chain.py``) and the sha256 of the ``sha256sum``-style
+``tests/test_synth_chain.py``), the sha256 of the ``sha256sum``-style
 listing of every file ``write_workload`` writes for each benchmark workload
-at seed 7. It prints one line per check and exits 1 if any fails.
+at seed 7, and the sha256 of ``render_sql`` of one batch that holds every
+statement form with edge values (``util.edge_ops``), so the renderer's
+compiled source is checked on each version too. It prints one line per check
+and exits 1 if any fails.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 from bench_workloads import WORKLOADS  # noqa: E402
+from util import edge_ops  # noqa: E402
 
 from chainbench.chain_model import SCHEMA  # noqa: E402
 from chainbench.synth_chain import SynthConfig, generate  # noqa: E402
-from chainbench.workload_gen import write_workload  # noqa: E402
+from chainbench.workload_gen import Batch, render_sql, write_workload  # noqa: E402
 
 # sha256 of "<sha256>  <name>\n" per file, by name, of write_workload's output
 # for each benchmark workload at seed 7.
@@ -36,6 +40,9 @@ LISTINGS = {
     "replay-fine": "4e62323b97d2a5fafa7e2f28d01e8421f7fdd1a611e439ad30fb9369f9339570",
     "stub-expire": "7236c80c294aa5e3a348a0bececb5eeb22f50fcecae6b7c3fbe3d3ed5390101c",
 }
+
+# sha256 of render_sql(Batch(1, "upsert", 0, 0, edge_ops())) in UTF-8.
+RENDER = "4a1b8f0c85cfec0410503548c2f25a86b40b88cd5578563c4ed008d269ed0e12"
 
 
 def generate_pins() -> tuple:
@@ -80,6 +87,9 @@ def main() -> int:
             got = listing_digest(Path(out))
         failed += got != digest
         print(f"{'ok' if got == digest else 'FAIL'} write_workload {name}: {got[:8]}")
+    got = hashlib.sha256(render_sql(Batch(1, "upsert", 0, 0, edge_ops())).encode()).hexdigest()
+    failed += got != RENDER
+    print(f"{'ok' if got == RENDER else 'FAIL'} render_sql every statement form: {got[:8]}")
     print(f"python {sys.version.split()[0]}: {'all pins hold' if not failed else f'{failed} pin(s) differ'}")
     return 1 if failed else 0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tempfile
@@ -24,7 +25,7 @@ from chainbench.replay_driver import (
     replay,
 )
 from chainbench.synth_chain import SynthConfig, generate
-from chainbench.workload_gen import WorkloadConfig, gen_batches, gen_initial, write_workload
+from chainbench.workload_gen import Manifest, WorkloadConfig, gen_batches, gen_initial, write_workload
 
 
 def _write_test_workload(path):
@@ -90,6 +91,50 @@ def test_replay_sqlstub_target(workload):
     replay(target, wdir)
     expected = _expected_store(ds, cfg)
     assert target.engine.table_multisets() == expected.table_multisets()
+
+
+# Token text the replay must store exactly as written: carriage returns,
+# alone and before a newline, doubled quotes and non-ASCII characters.
+_RAW_TEXTS = ("na\r\nme", "sym\rbol", "it''s", "\u00e9t\u00e9 \u20ac", "\r", "a'\r\n'b")
+
+
+@pytest.mark.parametrize("target_class", [MemstoreTarget, SqlStubTarget])
+def test_replay_keeps_carriage_returns_and_non_ascii_in_text(tmp_path, target_class):
+    ds = generate(SynthConfig(seed=61, n_blocks=40, mean_tx_per_block=6, address_pool=40, n_tokens=8))
+    tokens = tuple(
+        tk._replace(symbol=_RAW_TEXTS[i % len(_RAW_TEXTS)], name=_RAW_TEXTS[(i + 1) % len(_RAW_TEXTS)])
+        for i, tk in enumerate(ds.tokens)
+    )
+    ds = dataclasses.replace(ds, tokens=tokens)
+    cfg = WorkloadConfig(init_blocks=25, granularity=5, expire=True)
+    write_workload(ds, cfg, tmp_path)
+    target = target_class()
+    replay(target, tmp_path)
+    expected = _expected_store(ds, cfg).table_multisets()
+    assert any("\r" in row[2] for row in expected["tokens"])  # the text reaches the files
+    got = target.store.table_multisets() if target_class is MemstoreTarget else target.engine.table_multisets()
+    assert got == expected
+
+
+@pytest.mark.parametrize("target_class", [MemstoreTarget, SqlStubTarget])
+def test_a_hand_written_script_with_crlf_line_endings_replays(tmp_path, target_class):
+    manifest = Manifest(initial_lo=0, initial_hi=0, granularity=1, expire=False, batches=[])
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest.to_dict()), encoding="utf-8")
+    one, two = "'\\x" + "01" * 20 + "'::bytea", "'\\x" + "02" * 20 + "'::bytea"
+    script = [
+        "-- written by hand, with CRLF line endings",
+        "BEGIN;",
+        f"INSERT INTO Addresses (address, eth_balance) VALUES ({one}, 5);",
+        f"INSERT INTO Addresses (address, eth_balance) VALUES ({two}, 0);",
+        f"UPDATE Addresses SET eth_balance = eth_balance - 2 WHERE address = {one};",
+        "COMMIT;",
+    ]
+    (tmp_path / "load.sql").write_bytes("\r\n".join(script).encode() + b"\r\n")
+    target = target_class()
+    report = replay(target, tmp_path)
+    assert [entry["file"] for entry in report.applied] == ["load.sql"]
+    got = target.store.table_multisets() if target_class is MemstoreTarget else target.engine.table_multisets()
+    assert got["addresses"] == {(b"\x01" * 20, 3): 1, (b"\x02" * 20, 0): 1}
 
 
 def test_pacing_formula(workload):

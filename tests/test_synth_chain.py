@@ -127,6 +127,13 @@ def test_config_validation():
         SynthConfig(address_zipf_s=-0.1)
 
 
+def test_an_empty_address_pool_is_refused_at_config_time():
+    with pytest.raises(ValueError, match="address_pool must be >= 1: every block draws its miner from it"):
+        SynthConfig(address_pool=0)
+    ds = generate(SynthConfig(seed=1, n_blocks=3, mean_tx_per_block=2, address_pool=1, n_tokens=0))
+    assert len({b.miner for b in ds.blocks}) == 1
+
+
 def _feed_dataset(h, ds) -> None:
     # Cell tuples in SCHEMA order, so the digest does not depend on the row class.
     for table, cols in SCHEMA.items():

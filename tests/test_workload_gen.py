@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainbench import memstore, workload_gen
-from chainbench.chain_model import validate_dataset
-from chainbench.memstore import Store, UpdateBalance
+from chainbench.chain_model import PRIMARY_KEYS, ROW_TYPES, SCHEMA, WEI_MAX, validate_dataset
+from chainbench.memstore import DeleteRow, InsertRow, NullBlockHash, Store, UpdateBalance
+from chainbench.sqlstub import SqlParseError, parse_script
 from chainbench.synth_chain import SynthConfig, generate
 from chainbench.workload_gen import (
     Batch,
@@ -17,7 +21,7 @@ from chainbench.workload_gen import (
     write_workload,
 )
 
-from util import addr
+from util import addr, edge_ops, reference_render
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +221,102 @@ def test_render_rejects_unknown_dialect():
         render_sql(Batch(1, "upsert", 0, 0, ()), dialect="oracle")
 
 
+def test_render_refuses_an_unknown_mutation():
+    with pytest.raises(ValueError, match="unknown mutation tuple"):
+        render_sql(Batch(1, "upsert", 0, 0, (UpdateBalance(addr(1), 1), ("addresses", (addr(2), 0)))))
+    with pytest.raises(ValueError, match="no InsertRow statement for table 'ledger'"):
+        render_sql(Batch(1, "upsert", 0, 0, (InsertRow("ledger", (1,)),)))
+
+
+def test_render_takes_a_subclass_of_a_mutation_record():
+    class Marked(DeleteRow):
+        __slots__ = ()
+
+    ops = (Marked("blocks", (b"\x01",)),)
+    assert render_sql(Batch(1, "expire", 0, 0, ops)) == reference_render(Batch(1, "expire", 0, 0, ops))
+
+
+def test_the_edge_batch_holds_every_form_and_renders_as_the_reference():
+    ops = edge_ops()
+    forms = {(type(op).__name__, op.table) for op in ops}
+    assert forms == {(kind, table) for kind in ("InsertRow", "DeleteRow", "NullBlockHash") for table in SCHEMA} | {
+        ("UpdateBalance", "addresses")
+    }
+    batch = Batch(7, "upsert", 3, 4, ops)
+    assert render_sql(batch) == reference_render(batch)
+
+
+def test_none_where_the_column_is_not_nullable_is_never_written_as_a_value():
+    # The renderers test for None only where SCHEMA allows NULL.
+    refused = 0
+    for op in edge_ops():
+        if not isinstance(op, InsertRow):
+            continue
+        for col, kind in SCHEMA[op.table]:
+            if kind.endswith("?"):
+                continue
+            batch = Batch(1, "upsert", 0, 0, (InsertRow(op.table, op.row._replace(**{col: None})),))
+            try:
+                script = render_sql(batch)
+            except (AttributeError, TypeError):
+                refused += 1
+                continue
+            with pytest.raises(SqlParseError, match="not in the rendered form"):
+                parse_script(script)
+    assert refused
+
+
+# Text with quotes, line breaks, non-ASCII characters, and what an f-string
+# or a SQL literal could take for its own syntax.
+_TEXT = st.lists(
+    st.sampled_from(["'", "''", "\r", "\n", "\r\n", "\u00e9", "a", " ", "\\", "{", "}", "%s"]), max_size=8
+).map("".join)
+_VALUES = {
+    "hash": st.binary(max_size=32),
+    "address": st.binary(max_size=20),
+    "bytes": st.binary(max_size=8),
+    "int": st.one_of(st.sampled_from([0, -1, WEI_MAX - 1]), st.integers(-(2**70), 2**260)),
+    "bool": st.booleans(),
+    "text": _TEXT,
+    "sighashes": st.lists(st.binary(min_size=4, max_size=4), max_size=3).map(tuple),
+}
+
+
+def _value(kind: str):
+    base = _VALUES[kind.rstrip("?")]
+    return st.one_of(st.none(), base) if kind.endswith("?") else base
+
+
+def _row(table: str):
+    return st.builds(ROW_TYPES[table], **{col: _value(kind) for col, kind in SCHEMA[table]})
+
+
+def _key(table: str):
+    kinds = dict(SCHEMA[table])
+    return st.tuples(*(_value(kinds[col]) for col in PRIMARY_KEYS[table]))
+
+
+_TABLES = st.sampled_from(sorted(SCHEMA))
+_MUTATIONS = st.one_of(
+    _TABLES.flatmap(lambda t: st.builds(InsertRow, st.just(t), _row(t))),
+    _TABLES.flatmap(lambda t: st.builds(DeleteRow, st.just(t), _key(t))),
+    _TABLES.flatmap(lambda t: st.builds(NullBlockHash, st.just(t), _key(t))),
+    st.builds(UpdateBalance, st.binary(min_size=20, max_size=20), st.one_of(st.just(0), st.integers(-(2**260), 2**260))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ops=st.lists(_MUTATIONS, max_size=8),
+    kind=st.sampled_from(["load", "upsert", "expire"]),
+    index=st.integers(0, 10**6),
+    lo=st.integers(0, 10**9),
+)
+def test_render_sql_equals_the_reference_renderer(ops, kind, index, lo):
+    batch = Batch(index, kind, lo, lo + index, tuple(ops))
+    assert render_sql(batch) == reference_render(batch)
+
+
 def test_write_workload_files(tmp_path):
     ds = generate(SynthConfig(seed=16, n_blocks=40, mean_tx_per_block=3, address_pool=20, n_tokens=2))
     manifest = write_workload(ds, WorkloadConfig(init_blocks=20, granularity=5, expire=True), tmp_path)
@@ -229,3 +329,16 @@ def test_write_workload_files(tmp_path):
     ]
     assert (tmp_path / "manifest.json").exists()
     assert len(manifest.batches) == 4
+
+
+def test_write_workload_finishes_a_file_the_kernel_writes_in_parts(monkeypatch, tmp_path):
+    ds = generate(SynthConfig(seed=16, n_blocks=40, mean_tx_per_block=3, address_pool=20, n_tokens=2))
+    cfg = WorkloadConfig(init_blocks=20, granularity=5, expire=True)
+    write_workload(ds, cfg, tmp_path / "whole")
+    real = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real(fd, data[:1000]))
+    write_workload(ds, cfg, tmp_path / "parts")
+    monkeypatch.undo()
+    whole = {p.name: p.read_bytes() for p in (tmp_path / "whole").iterdir()}
+    assert max(map(len, whole.values())) > 1000
+    assert {p.name: p.read_bytes() for p in (tmp_path / "parts").iterdir()} == whole

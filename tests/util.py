@@ -13,7 +13,10 @@ import re
 
 from chainbench.chain_model import (
     PRIMARY_KEYS,
+    ROW_TYPES,
+    SCHEMA,
     SQL_TABLE_NAMES,
+    WEI_MAX,
     AddressRow,
     Block,
     ChainDataset,
@@ -506,3 +509,81 @@ def tiny_dataset() -> ChainDataset:
         final_balances=balances,
         final_block=2,
     )
+
+
+# ---------------------------------------------------------------------------
+# SQL text the plain way: one literal per value, one statement per record,
+# read from SCHEMA at every call (never from workload_gen's renderer).
+
+
+def reference_literal(kind: str, value) -> str:
+    """A value's SQL literal; None is NULL."""
+    if value is None:
+        return "NULL"
+    kind = kind.rstrip("?")
+    if kind in ("hash", "address", "bytes"):
+        return "'\\x" + value.hex() + "'::bytea"
+    if kind == "int":
+        return str(value)
+    if kind == "bool":
+        return "TRUE" if value else "FALSE"
+    if kind == "text":
+        return "'" + value.replace("'", "''") + "'"
+    if kind == "sighashes":
+        if not value:
+            return "ARRAY[]::bytea[]"
+        return "ARRAY[" + ", ".join(reference_literal("bytes", item) for item in value) + "]"
+    raise AssertionError(kind)
+
+
+def reference_statement(op: Mutation) -> str:
+    if isinstance(op, UpdateBalance):
+        sign = "+" if op.delta >= 0 else "-"
+        address = reference_literal("address", op.address)
+        return f"UPDATE Addresses SET eth_balance = eth_balance {sign} {abs(op.delta)} WHERE address = {address};"
+    name, kinds = SQL_TABLE_NAMES[op.table], dict(SCHEMA[op.table])
+    if isinstance(op, InsertRow):
+        values = ", ".join(reference_literal(kind, value) for kind, value in zip(kinds.values(), op.row, strict=True))
+        return f"INSERT INTO {name} ({', '.join(kinds)}) VALUES ({values});"
+    keys = PRIMARY_KEYS[op.table]
+    where = " AND ".join(f"{col} = {reference_literal(kinds[col], v)}" for col, v in zip(keys, op.key, strict=True))
+    if isinstance(op, DeleteRow):
+        return f"DELETE FROM {name} WHERE {where};"
+    if isinstance(op, NullBlockHash):
+        return f"UPDATE {name} SET block_hash = NULL WHERE {where};"
+    raise AssertionError(op)
+
+
+def reference_render(batch) -> str:
+    head = f"-- {batch.kind} batch {batch.index}: blocks [{batch.block_lo}, {batch.block_hi}]"
+    return "\n".join([head, "BEGIN;", *map(reference_statement, batch.ops), "COMMIT;"]) + "\n"
+
+
+# Column kind -> two values at the edges of its rendered form.
+_EDGE_VALUES = {
+    "hash": (bytes(range(32)), b""),
+    "address": (b"\xff" * 20, bytes(20)),
+    "bytes": (b"", b"\x00'\\{"),
+    "int": (0, WEI_MAX - 1),
+    "bool": (True, False),
+    "text": ("it's \r\n\u00e9t\u00e9", "''\r{x}\\"),
+    "sighashes": ((), (b"\x01\x02\x03\x04", b"\xa9\x05\x9c\xbb")),
+}
+
+
+def edge_ops() -> tuple[Mutation, ...]:
+    """Every statement form at its edges: per table, an insert of each
+    column's first edge value, one of its second with NULL in every nullable
+    column, and a keyed DELETE and block_hash NULL-out of each; then balance
+    UPDATEs by zero, negative and positive deltas."""
+    ops: list[Mutation] = []
+    for table, columns in SCHEMA.items():
+        first = ROW_TYPES[table](*(_EDGE_VALUES[kind.rstrip("?")][0] for _, kind in columns))
+        second = ROW_TYPES[table](
+            *(None if kind.endswith("?") else _EDGE_VALUES[kind][1] for _, kind in columns)
+        )
+        key = tuple(getattr(first, col) for col in PRIMARY_KEYS[table])
+        ops += [InsertRow(table, first), InsertRow(table, second), DeleteRow(table, key), NullBlockHash(table, key)]
+    address = _EDGE_VALUES["address"][0]
+    ops += [UpdateBalance(address, delta) for delta in (0, -1, 1, -(WEI_MAX - 1), WEI_MAX - 1)]
+    return tuple(ops)
