@@ -1,4 +1,4 @@
-"""Core domain model: the seven ledger tables, hex codecs, and integrity checks.
+"""Core domain model: the seven ledger tables, their integrity rules, and hex codecs.
 
 ``SCHEMA`` is the one declaration of each table's columns, in order, with
 their value kinds. The row types are ``collections.namedtuple`` classes built
@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import repeat
+from operator import itemgetter
+from typing import Callable, Sequence
 
 HASH_LEN = 32
 ADDRESS_LEN = 20
@@ -180,6 +182,44 @@ PRIMARY_KEYS: dict[str, tuple[str, ...]] = {
     "withdrawals": ("hash", "withdrawal_index"),
 }
 
+# The integrity rules beside the keys. validate_dataset checks a dataset
+# against them, and a differential test ties memstore's handlers to them.
+#
+# Foreign keys: (child table, column, parent table). The parent column is the
+# parent's whole one-column primary key. A "?" column may hold NULL, which
+# names no parent row. A parent row that is still referenced may not be deleted.
+FOREIGN_KEYS: tuple[tuple[str, str, str], ...] = (
+    ("blocks", "miner", "addresses"),
+    ("transactions", "block_hash", "blocks"),
+    ("transactions", "from_address", "addresses"),
+    ("transactions", "to_address", "addresses"),
+    ("contracts", "address", "addresses"),
+    ("contracts", "block_hash", "blocks"),
+    ("tokens", "address", "addresses"),
+    ("tokens", "block_hash", "blocks"),
+    ("token_transactions", "transaction_hash", "transactions"),
+    ("token_transactions", "token_address", "tokens"),
+    ("withdrawals", "hash", "blocks"),
+    ("withdrawals", "address", "addresses"),
+)
+# Keys besides the primary key: (table, columns) no two rows share.
+UNIQUE_KEYS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("blocks", ("number",)),
+    ("transactions", ("block_hash", "transaction_index")),
+)
+# (table, column, lo, hi): the column holds ints in [lo, hi).
+VALUE_RANGES: tuple[tuple[str, str, int, int], ...] = (
+    ("blocks", "base_fee_per_gas", 0, WEI_MAX),
+    ("addresses", "eth_balance", 0, WEI_MAX),
+    ("transactions", "value", 0, WEI_MAX),
+    ("transactions", "transaction_type", 0, 0x80),
+    ("tokens", "total_supply", 0, WEI_MAX),
+    ("token_transactions", "value", 0, WEI_MAX),
+    ("withdrawals", "amount", 0, WEI_MAX),
+)
+# The byte length of every cell of a column kind (nullable or not).
+BYTE_LENGTHS = {"hash": HASH_LEN, "address": ADDRESS_LEN}
+
 # Table name as written in rendered SQL text. The SQL stub engine reads it back
 # exactly as written.
 SQL_TABLE_NAMES: dict[str, str] = {
@@ -241,174 +281,116 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _check_bytes(report: ValidationReport, table: str, col: str, value, length: int, ident: str) -> None:
-    if not isinstance(value, bytes) or len(value) != length:
-        report.add(table, f"{col} bad length", f"{ident}: expected {length} bytes")
-
-
-def _check_amount(report: ValidationReport, table: str, col: str, value, ident: str) -> None:
-    if not isinstance(value, int) or value < 0 or value >= WEI_MAX:
-        report.add(table, f"{col} out of range", f"{ident}: {value!r}")
+def _shown(value) -> str:
+    """A cell as a violation names it: hex for bytes, ``repr`` otherwise."""
+    return encode_hex(value) if isinstance(value, bytes) else repr(value)
 
 
 def validate_dataset(ds: ChainDataset) -> ValidationReport:
-    """Check every key, foreign-key, and value invariant of the dataset.
+    """Check the dataset against every declared rule (byte lengths, value
+    ranges, primary, unique and foreign keys) and the three dataset-wide ones.
 
     Violations are data, not failures: the report lists each one with the
-    owning table, the broken rule, and the offending row identifier.
+    owning table, the broken rule, and the offending row's identifier (its
+    primary-key cells joined by ``#``). Each rule first tests a whole column
+    at once; only a column that fails is scanned cell by cell for the rows
+    to name.
     """
     report = ValidationReport()
+    add = report.add
+    columns: dict[str, dict[str, tuple]] = {}
+    identify: dict[str, Callable[[int], str]] = {}
+    keys: dict[str, set] = {}  # each table's primary-key cells, for the foreign keys into it
+    for table, schema in SCHEMA.items():
+        rows = ds.table(table)
+        cells = columns[table] = dict(zip((name for name, _ in schema), zip(*rows) if rows else repeat(())))
+        key_cells = [cells[name] for name in PRIMARY_KEYS[table]]
+        ident = identify[table] = lambda i, key_cells=key_cells: "#".join([_shown(c[i]) for c in key_cells])
+        for name, kind in schema:
+            length = BYTE_LENGTHS.get(kind.rstrip("?"))
+            if length is None:
+                continue
+            nullable, values = kind.endswith("?"), cells[name]
+            present = [v for v in values if v is not None] if nullable else values
+            if set(map(type, present)) <= {bytes} and set(map(len, present)) <= {length}:
+                continue
+            for i, v in enumerate(values):
+                if not (isinstance(v, bytes) and len(v) == length or nullable and v is None):
+                    add(table, f"{name} bad length", f"{ident(i)}: expected {length} bytes")
+        for _, name, lo, hi in [r for r in VALUE_RANGES if r[0] == table]:
+            values = cells[name]
+            if set(map(type, values)) <= {int} and (not values or lo <= min(values) and max(values) < hi):
+                continue
+            for i, v in enumerate(values):
+                if not (isinstance(v, int) and lo <= v < hi):
+                    add(table, f"{name} out of range", f"{ident(i)}: {v!r}")
+        for key in (PRIMARY_KEYS[table], *(key for t, key in UNIQUE_KEYS if t == table)):
+            values = cells[key[0]] if len(key) == 1 else list(zip(*(cells[name] for name in key)))
+            distinct = set(values)
+            keys.setdefault(table, distinct)  # the primary key's, which comes first
+            if len(distinct) == len(values):
+                continue
+            rule = f"duplicate {key[0]}" if len(key) == 1 else f"duplicate ({', '.join(key)})"
+            seen: set = set()
+            for i, v in enumerate(values):
+                if v in seen:
+                    add(table, rule, ident(i))
+                seen.add(v)
+    for child, name, parent in FOREIGN_KEYS:
+        values = columns[child][name]
+        dangling = set(values) - keys[parent]
+        if dict(SCHEMA[child])[name].endswith("?"):
+            dangling.discard(None)
+        if dangling:
+            ident = identify[child]
+            for i, v in enumerate(values):
+                if v in dangling:
+                    add(child, f"{name} dangling", ident(i))
 
-    block_by_hash: dict[bytes, Block] = {}
-    numbers_seen: set[int] = set()
-    for b in ds.blocks:
-        ident = encode_hex(b.hash) if isinstance(b.hash, bytes) else repr(b.hash)
-        _check_bytes(report, "blocks", "hash", b.hash, HASH_LEN, ident)
-        _check_bytes(report, "blocks", "miner", b.miner, ADDRESS_LEN, ident)
-        _check_amount(report, "blocks", "base_fee_per_gas", b.base_fee_per_gas, ident)
-        if b.hash in block_by_hash:
-            report.add("blocks", "duplicate hash", ident)
-        else:
-            block_by_hash[b.hash] = b
-        if b.number in numbers_seen:
-            report.add("blocks", "duplicate number", str(b.number))
-        numbers_seen.add(b.number)
-    by_number = sorted(ds.blocks, key=lambda b: b.number)
+    # Dataset-wide rules, written out here: each spans many rows of a table.
+    blocks, txs = columns["blocks"], columns["transactions"]
+    timestamps = blocks["timestamp"]
+    by_number = sorted(range(len(timestamps)), key=blocks["number"].__getitem__)
     for prev, cur in zip(by_number, by_number[1:]):
-        if cur.timestamp < prev.timestamp:
-            report.add("blocks", "timestamps decrease", f"block {cur.number}")
-
-    addr_set: set[bytes] = set()
-    for a in ds.addresses:
-        ident = encode_hex(a.address) if isinstance(a.address, bytes) else repr(a.address)
-        _check_bytes(report, "addresses", "address", a.address, ADDRESS_LEN, ident)
-        _check_amount(report, "addresses", "eth_balance", a.eth_balance, ident)
-        if a.address in addr_set:
-            report.add("addresses", "duplicate address", ident)
-        addr_set.add(a.address)
-
-    for b in ds.blocks:
-        if b.miner not in addr_set:
-            report.add("blocks", "miner dangling", encode_hex(b.hash))
-
-    tx_by_hash: dict[bytes, Transaction] = {}
-    slot_seen: set[tuple[bytes, int]] = set()
-    for t in ds.transactions:
-        ident = encode_hex(t.hash)
-        _check_bytes(report, "transactions", "hash", t.hash, HASH_LEN, ident)
-        _check_amount(report, "transactions", "value", t.value, ident)
-        if t.hash in tx_by_hash:
-            report.add("transactions", "duplicate hash", ident)
-        else:
-            tx_by_hash[t.hash] = t
-        slot = (t.block_hash, t.transaction_index)
-        if slot in slot_seen:
-            report.add("transactions", "duplicate (block_hash, transaction_index)", ident)
-        slot_seen.add(slot)
-        if t.block_hash not in block_by_hash:
-            report.add("transactions", "block_hash dangling", ident)
-        if t.from_address not in addr_set:
-            report.add("transactions", "from_address dangling", ident)
-        if t.to_address is not None and t.to_address not in addr_set:
-            report.add("transactions", "to_address dangling", ident)
-        if not 0 <= t.transaction_type <= 0x7F:
-            report.add("transactions", "transaction_type out of range", f"{ident}: {t.transaction_type}")
-
-    # Per sender, nonces must form one consecutive run in block/index order.
+        if timestamps[cur] < timestamps[prev]:
+            add("blocks", "timestamps decrease", f"block {blocks['number'][cur]}")
+    # Per sender, nonces form one consecutive run in block/index order. A
+    # transaction whose block is missing is left out; of two blocks with one
+    # hash, the first counts.
+    number_of = dict(zip(reversed(blocks["hash"]), reversed(blocks["number"])))
     by_sender: dict[bytes, list[tuple[int, int, int]]] = {}
-    for t in ds.transactions:
-        blk = block_by_hash.get(t.block_hash)
-        if blk is None:
-            continue
-        by_sender.setdefault(t.from_address, []).append((blk.number, t.transaction_index, t.nonce))
+    for sender, block_hash, index, nonce in zip(
+        txs["from_address"], txs["block_hash"], txs["transaction_index"], txs["nonce"]
+    ):
+        number = number_of.get(block_hash)
+        if number is not None:
+            by_sender.setdefault(sender, []).append((number, index, nonce))
     for sender, entries in by_sender.items():
         entries.sort()
-        for (_, _, n0), (num, idx, n1) in zip(entries, entries[1:]):
+        for (_, _, n0), (number, index, n1) in zip(entries, entries[1:]):
             if n1 != n0 + 1:
-                report.add(
-                    "transactions",
-                    "nonce not consecutive",
-                    f"sender {encode_hex(sender)} at block {num} index {idx}: {n0} -> {n1}",
-                )
-
-    contract_keys: set[tuple[bytes, int]] = set()
-    for c in ds.contracts:
-        ident = f"{encode_hex(c.address)} v{c.version}"
-        _check_bytes(report, "contracts", "address", c.address, ADDRESS_LEN, ident)
-        key = (c.address, c.version)
-        if key in contract_keys:
-            report.add("contracts", "duplicate (address, version)", ident)
-        contract_keys.add(key)
-        if c.address not in addr_set:
-            report.add("contracts", "address dangling", ident)
-        if c.block_hash is not None and c.block_hash not in block_by_hash:
-            report.add("contracts", "block_hash dangling", ident)
-
-    token_set: set[bytes] = set()
-    for tk in ds.tokens:
-        ident = encode_hex(tk.address)
-        _check_bytes(report, "tokens", "address", tk.address, ADDRESS_LEN, ident)
-        _check_amount(report, "tokens", "total_supply", tk.total_supply, ident)
-        if tk.address in token_set:
-            report.add("tokens", "duplicate address", ident)
-        token_set.add(tk.address)
-        if tk.address not in addr_set:
-            report.add("tokens", "address dangling", ident)
-        if tk.block_hash is not None and tk.block_hash not in block_by_hash:
-            report.add("tokens", "block_hash dangling", ident)
-
-    tt_seen: set[tuple[bytes, int]] = set()
-    for tt in ds.token_transactions:
-        ident = f"{encode_hex(tt.transaction_hash)}#{tt.log_index}"
-        _check_amount(report, "token_transactions", "value", tt.value, ident)
-        key = (tt.transaction_hash, tt.log_index)
-        if key in tt_seen:
-            report.add("token_transactions", "duplicate (transaction_hash, log_index)", ident)
-        tt_seen.add(key)
-        if tt.transaction_hash not in tx_by_hash:
-            report.add("token_transactions", "transaction_hash dangling", ident)
-        if tt.token_address not in token_set:
-            report.add("token_transactions", "token_address dangling", ident)
-
-    wd_seen: set[tuple[bytes, int]] = set()
-    for w in ds.withdrawals:
-        ident = f"{encode_hex(w.hash)}#{w.withdrawal_index}"
-        _check_amount(report, "withdrawals", "amount", w.amount, ident)
-        key = (w.hash, w.withdrawal_index)
-        if key in wd_seen:
-            report.add("withdrawals", "duplicate (hash, withdrawal_index)", ident)
-        wd_seen.add(key)
-        if w.hash not in block_by_hash:
-            report.add("withdrawals", "hash dangling", ident)
-        if w.address not in addr_set:
-            report.add("withdrawals", "address dangling", ident)
-
-    for addr, bal in ds.final_balances.items():
-        if not isinstance(bal, int) or bal < 0 or bal >= WEI_MAX:
-            report.add("addresses", "final balance out of range", encode_hex(addr))
-
+                detail = f"sender {_shown(sender)} at block {number} index {index}: {n0} -> {n1}"
+                add("transactions", "nonce not consecutive", detail)
+    for address, balance in ds.final_balances.items():
+        if not (isinstance(balance, int) and 0 <= balance < WEI_MAX):
+            add("addresses", "final balance out of range", _shown(address))
     return report
 
 
-def referenced_addresses(
-    blocks: Iterable[Block],
-    transactions: Iterable[Transaction],
-    withdrawals: Iterable[Withdrawal],
-    tokens: Iterable[Token] = (),
-    contracts: Iterable[Contract] = (),
-) -> set[bytes]:
-    """Every address named by the given rows (the FK closure over Addresses)."""
+# The cell getter of each foreign key into addresses, per child table.
+_ADDRESS_REFERENCES = tuple(
+    (child, itemgetter([name for name, _ in SCHEMA[child]].index(column)))
+    for child, column, parent in FOREIGN_KEYS
+    if parent == "addresses"
+)
+
+
+def referenced_addresses(tables: dict[str, Sequence]) -> set[bytes]:
+    """Every address named by the rows of ``{table: rows}``, through the
+    foreign keys into addresses (the closure over Addresses); NULL names none."""
     out: set[bytes] = set()
-    for b in blocks:
-        out.add(b.miner)
-    for t in transactions:
-        out.add(t.from_address)
-        if t.to_address is not None:
-            out.add(t.to_address)
-    for w in withdrawals:
-        out.add(w.address)
-    for tk in tokens:
-        out.add(tk.address)
-    for c in contracts:
-        out.add(c.address)
+    for child, cell in _ADDRESS_REFERENCES:
+        if child in tables:
+            out.update(map(cell, tables[child]))
+    out.discard(None)
     return out

@@ -33,7 +33,7 @@ from typing import Callable
 
 from .chain_model import (
     ADDRESS_LEN,
-    HASH_LEN,
+    BYTE_LENGTHS,
     AddressRow,
     ChainDataset,
     FormatError,
@@ -119,8 +119,7 @@ def _text_decoder(col: str) -> Callable[[str], str]:
 # maker of the column's decoder from its name). Text and sighashes read the
 # empty field as a value; every other kind reads it as NULL.
 _CSV_KINDS = {
-    "hash": (encode_hex, lambda col: lambda text: decode_hex(text, HASH_LEN, col)),
-    "address": (encode_hex, lambda col: lambda text: decode_hex(text, ADDRESS_LEN, col)),
+    **{kind: (encode_hex, lambda col, n=n: lambda text: decode_hex(text, n, col)) for kind, n in BYTE_LENGTHS.items()},
     "bytes": (encode_hex, _bytes_decoder),
     "int": (str, _int_decoder),
     "bool": (lambda value: "true" if value else "false", _bool_decoder),
@@ -317,8 +316,7 @@ def slice_closure(ds: ChainDataset, block_hashes: set[bytes], transactions, toke
                 tk = tk._replace(block_hash=None)
             tokens.append(tk)
 
-    touched = {t.from_address for t in transactions}
-    touched |= {t.to_address for t in transactions if t.to_address is not None}
+    touched = referenced_addresses({"transactions": transactions})
     contracts = []
     for c in ds.contracts:
         created_here = c.block_hash in block_hashes
@@ -352,8 +350,12 @@ def extract_slice(ds: ChainDataset, lo: int, hi: int) -> ChainDataset:
     withdrawals = tuple(w for w in ds.withdrawals if w.hash in block_hashes)
     token_txs = tuple(tt for tt in ds.token_transactions if tt.transaction_hash in tx_hashes)
 
-    tokens_t, contracts_t = slice_closure(ds, block_hashes, transactions, token_txs)
-    refs = referenced_addresses(blocks, transactions, withdrawals, tokens_t, contracts_t)
+    tokens, contracts = slice_closure(ds, block_hashes, transactions, token_txs)
+    tables = dict(
+        blocks=blocks, transactions=transactions, contracts=contracts, tokens=tokens,
+        token_transactions=token_txs, withdrawals=withdrawals,
+    )
+    refs = referenced_addresses(tables)
     balances_at_hi = _rollback_balances(ds, hi, block_number)
     final_balances: dict[bytes, int] = {}
     addresses = []
@@ -365,17 +367,7 @@ def extract_slice(ds: ChainDataset, lo: int, hi: int) -> ChainDataset:
         final_balances[addr] = bal
         addresses.append(AddressRow(addr, bal))
 
-    return ChainDataset(
-        blocks=blocks,
-        addresses=tuple(addresses),
-        transactions=transactions,
-        contracts=contracts_t,
-        tokens=tokens_t,
-        token_transactions=token_txs,
-        withdrawals=withdrawals,
-        final_balances=final_balances,
-        final_block=hi,
-    )
+    return ChainDataset(addresses=tuple(addresses), **tables, final_balances=final_balances, final_block=hi)
 
 
 @dataclass

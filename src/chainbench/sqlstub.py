@@ -15,8 +15,9 @@ and a balance UPDATE that leaves ``[0, WEI_MAX)``, are refused.
 statement forms are built once, per table, from ``SCHEMA``, ``PRIMARY_KEYS``
 and ``SQL_TABLE_NAMES`` (never from the renderer's code, so the stub stays an
 independent check): the INSERT with the full column list in schema order, the
-keyed DELETE and block_hash NULL-out with the WHERE clause fixed by the
-primary key, the balance UPDATE, BEGIN, COMMIT and ``--`` comment lines, each
+keyed DELETE with the WHERE clause fixed by the primary key, the same for the
+block_hash NULL-out of each table where that column may be NULL (tokens and
+contracts), the balance UPDATE, BEGIN, COMMIT and ``--`` comment lines, each
 followed by any whitespace. Each form types its positions (hex digits in a
 bytea, an optional sign and digits in an integer, ``''`` escapes in text, the
 bytea ARRAY) and has one converter per position, and is compiled at import
@@ -112,8 +113,9 @@ def _forms() -> dict[str, list[_Form]]:
         keys = tuple(dict(columns)[col] for col in PRIMARY_KEYS[table])
         where = " AND ".join(f"{col} = {_pattern(kind)}" for col, kind in zip(PRIMARY_KEYS[table], keys))
         deletes.append(_Form(f"{name} WHERE {where};", keys, _keyed("DeleteRow", table, len(keys))))
-        nulled = f"{name} SET block_hash = NULL WHERE {where};"
-        updates.append(_Form(nulled, keys, _keyed("NullBlockHash", table, len(keys))))
+        if ("block_hash", "hash?") in columns:
+            nulled = f"{name} SET block_hash = NULL WHERE {where};"
+            updates.append(_Form(nulled, keys, _keyed("NullBlockHash", table, len(keys))))
     (key,) = PRIMARY_KEYS["addresses"]
     kind = dict(SCHEMA["addresses"])[key]
     balance = f"{SQL_TABLE_NAMES['addresses']} SET eth_balance = eth_balance {_pattern('sign')} ([0-9]+)"
@@ -252,14 +254,6 @@ class SqlStubEngine:
         self._key_pos = {
             t: [[name for name, _ in cols].index(c) for c in PRIMARY_KEYS[t]] for t, cols in SCHEMA.items()
         }
-        # Tables whose rows may lose their creating block: position of the
-        # nullable block_hash column.
-        self._nullable_block_hash = {
-            t: i
-            for t, cols in SCHEMA.items()
-            for i, (name, kind) in enumerate(cols)
-            if (name, kind) == ("block_hash", "hash?")
-        }
 
     def execute(self, script: str) -> None:
         """Parse and apply a whole script atomically."""
@@ -312,10 +306,8 @@ class SqlStubEngine:
         old = table.get(s.key)
         if old is None:
             raise SqlParseError(f"{s.table}: no such row {s.key!r}")
-        bh = self._nullable_block_hash.get(s.table)
-        if bh is None:
-            raise SqlParseError(f"{s.table}: block_hash is not nullable")
-        table[s.key] = old[:bh] + (None,) + old[bh + 1 :]
+        # Only tables whose block_hash may be NULL have a NULL-out form.
+        table[s.key] = tuple(ROW_TYPES[s.table]._make(old)._replace(block_hash=None))
         return table, s.key, old
 
     def table_multisets(self) -> dict[str, dict[tuple, int]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
@@ -101,18 +101,7 @@ class Manifest:
             "granularity": self.granularity,
             "expire": self.expire,
             "batch_count": len(self.batches),
-            "batches": [
-                {
-                    "index": b.index,
-                    "lo": b.lo,
-                    "hi": b.hi,
-                    "first_timestamp": b.first_timestamp,
-                    "short": b.short,
-                    "expire_lo": b.expire_lo,
-                    "expire_hi": b.expire_hi,
-                }
-                for b in self.batches
-            ],
+            "batches": [asdict(b) for b in self.batches],
         }
 
     @classmethod
@@ -122,18 +111,7 @@ class Manifest:
             initial_hi=data["initial"]["hi"],
             granularity=data["granularity"],
             expire=data["expire"],
-            batches=[
-                BatchInfo(
-                    index=b["index"],
-                    lo=b["lo"],
-                    hi=b["hi"],
-                    first_timestamp=b["first_timestamp"],
-                    short=b["short"],
-                    expire_lo=b.get("expire_lo"),
-                    expire_hi=b.get("expire_hi"),
-                )
-                for b in data["batches"]
-            ],
+            batches=[BatchInfo(**b) for b in data["batches"]],
         )
 
 
@@ -241,7 +219,10 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
     init_ttxs = [tt for t in init_txs for tt in ttx_by_tx.get(t.hash, ())]
     init_tokens, init_contracts = slice_closure(ds, {b.hash for b in init_blocks}, init_txs, init_ttxs)
     init_wds = [w for n in init_nums for w in wds_by_block.get(n, ())]
-    init_addrs = referenced_addresses(init_blocks, init_txs, init_wds, init_tokens, init_contracts)
+    init_addrs = referenced_addresses(
+        dict(blocks=init_blocks, transactions=init_txs, withdrawals=init_wds,
+             tokens=init_tokens, contracts=init_contracts)
+    )
     seen = _SeenTracker(number_of, init_addrs, init_tokens, init_contracts)
     # The window is always the contiguous block range [window_lo, window_hi]:
     # expiry drops its oldest blocks and each batch appends the next ones.
@@ -305,8 +286,7 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
                 if tk.address not in seen.tokens:
                     new_tokens[tk.address] = tk
 
-        touched_addrs = {t.from_address for t in batch_txs}
-        touched_addrs |= {t.to_address for t in batch_txs if t.to_address is not None}
+        touched_addrs = referenced_addresses({"transactions": batch_txs})
         new_contracts: dict[tuple[bytes, int], object] = {}
         for addr in sorted(touched_addrs | set(new_tokens)):
             for c in contracts_by_addr.get(addr, ()):
@@ -333,7 +313,8 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
             return row
 
         refs = referenced_addresses(
-            batch_blocks, batch_txs, batch_wds, new_tokens.values(), new_contracts.values()
+            dict(blocks=batch_blocks, transactions=batch_txs, withdrawals=batch_wds,
+                 tokens=new_tokens.values(), contracts=new_contracts.values())
         )
         new_addrs = sorted(refs - seen.addresses)
         address_rows = []
@@ -455,8 +436,9 @@ def _renderer(fields: str, parts: list) -> Callable[[Mutation], str]:
 
 
 def _compile_renderers() -> dict[type, dict[str, Callable[[Mutation], str]]]:
-    """Record class -> table -> renderer: an INSERT, keyed DELETE and
-    block_hash NULL-out for every table, and the balance UPDATE."""
+    """Record class -> table -> renderer: an INSERT and keyed DELETE for
+    every table, a block_hash NULL-out where that column may be NULL, and
+    the balance UPDATE."""
     renderers: dict[type, dict[str, Callable[[Mutation], str]]] = {
         InsertRow: {},
         DeleteRow: {},
@@ -476,7 +458,8 @@ def _compile_renderers() -> dict[type, dict[str, Callable[[Mutation], str]]]:
         key = f"_, ({', '.join(cells[col][0] for col in PRIMARY_KEYS[table])},)"
         renderers[InsertRow][table] = _renderer(row, [*values, ")"])
         renderers[DeleteRow][table] = _renderer(key, [f"DELETE FROM {name}", *where])
-        renderers[NullBlockHash][table] = _renderer(key, [f"UPDATE {name} SET block_hash = NULL", *where])
+        if ("block_hash", "hash?") in columns:
+            renderers[NullBlockHash][table] = _renderer(key, [f"UPDATE {name} SET block_hash = NULL", *where])
     (col,) = PRIMARY_KEYS[UpdateBalance.table]
     address = dict(SCHEMA[UpdateBalance.table])[col]
     balance = f"UPDATE {SQL_TABLE_NAMES[UpdateBalance.table]} SET eth_balance = eth_balance "

@@ -12,7 +12,9 @@ listing of every file ``write_workload`` writes for each benchmark workload
 at seed 7, and the sha256 of ``render_sql`` of one batch that holds every
 statement form with edge values (``util.edge_ops``), so the renderer's
 compiled source is checked on each version too. It prints one line per check
-and exits 1 if any fails.
+and exits 1 if any fails. ``test_workload_file_pins_hold`` runs the listing
+and render checks under pytest; ``test_generate_output_is_pinned`` covers the
+generate pins there.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import ast
 import hashlib
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
@@ -42,7 +46,7 @@ LISTINGS = {
 }
 
 # sha256 of render_sql(Batch(1, "upsert", 0, 0, edge_ops())) in UTF-8.
-RENDER = "4a1b8f0c85cfec0410503548c2f25a86b40b88cd5578563c4ed008d269ed0e12"
+RENDER = "694959486d15f3ec8ad22d1680c5f0a71d936d2855a7f39bf84a692c67a327f0"
 
 
 def generate_pins() -> tuple:
@@ -73,23 +77,30 @@ def listing_digest(directory: Path) -> str:
     return hashlib.sha256(listing.encode()).hexdigest()
 
 
-def main() -> int:
-    failed = 0
+def generate_checks() -> Iterator[tuple[str, str, str]]:
+    """(label, digest, pinned digest) of each ``generate`` pin."""
     for config, digest in generate_pins():
-        got = dataset_digest(generate(SynthConfig(**config)))
-        failed += got != digest
-        label = f"seed={config['seed']} n_blocks={config['n_blocks']}"
-        print(f"{'ok' if got == digest else 'FAIL'} generate {label}: {got[:8]}")
+        label = f"generate seed={config['seed']} n_blocks={config['n_blocks']}"
+        yield label, dataset_digest(generate(SynthConfig(**config))), digest
+
+
+def workload_file_checks() -> Iterator[tuple[str, str, str]]:
+    """(label, digest, pinned digest) of each ``write_workload`` listing pin
+    and of the ``render_sql`` pin."""
     for name, digest in LISTINGS.items():
         w = WORKLOADS[name]
         with tempfile.TemporaryDirectory() as out:
             write_workload(generate(w.synth_config(7)), w.workload_config(), out)
-            got = listing_digest(Path(out))
-        failed += got != digest
-        print(f"{'ok' if got == digest else 'FAIL'} write_workload {name}: {got[:8]}")
+            yield f"write_workload {name}", listing_digest(Path(out)), digest
     got = hashlib.sha256(render_sql(Batch(1, "upsert", 0, 0, edge_ops())).encode()).hexdigest()
-    failed += got != RENDER
-    print(f"{'ok' if got == RENDER else 'FAIL'} render_sql every statement form: {got[:8]}")
+    yield "render_sql every statement form", got, RENDER
+
+
+def main() -> int:
+    failed = 0
+    for label, got, pinned in chain(generate_checks(), workload_file_checks()):
+        failed += got != pinned
+        print(f"{'ok' if got == pinned else 'FAIL'} {label}: {got[:8]}")
     print(f"python {sys.version.split()[0]}: {'all pins hold' if not failed else f'{failed} pin(s) differ'}")
     return 1 if failed else 0
 

@@ -21,7 +21,17 @@ from chainbench.synth_chain import SynthConfig, generate
 from chainbench.sqlstub import parse_script
 from chainbench.workload_gen import Batch, WorkloadConfig, gen_batches, gen_initial, render_sql
 
-from util import _oracle_matches, addr, hsh, make_block, make_tx, nested_loop_count, random_spj, tiny_dataset
+from util import (
+    _oracle_matches,
+    addr,
+    containers,
+    hsh,
+    make_block,
+    make_tx,
+    nested_loop_count,
+    random_spj,
+    tiny_dataset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -437,33 +447,22 @@ _REFUSALS = {
 }
 
 
-def _containers(store: Store) -> dict:
-    """Copies of the store's containers, leaving out empty reverse-index sets."""
-    state = {}
-    for name, container in vars(store).items():
-        if isinstance(container, dict) and any(isinstance(v, set) for v in container.values()):
-            state[name] = {k: set(v) for k, v in container.items() if v}
-        else:
-            state[name] = container.copy()
-    return state
-
-
 def test_the_store_has_fourteen_containers():
     store = Store.from_dataset(_TINY)
     assert len(vars(store)) == 14
-    assert all(_containers(store).values())
+    assert all(containers(store).values())
 
 
 @pytest.mark.parametrize("case", list(_REFUSALS))
 def test_every_refusal_reason_is_pinned(case):
     ops, op_index, reason = _REFUSALS[case]
     store = Store.from_dataset(_TINY)
-    before = _containers(store)
+    before = containers(store)
     with pytest.raises(BatchRejected) as rejected:
         apply_ops(store, ops)
     assert (rejected.value.op_index, rejected.value.reason) == (op_index, reason)
     assert str(rejected.value) == f"batch rejected at op {op_index}: {reason}"
-    assert _containers(store) == before
+    assert containers(store) == before
 
 
 @pytest.mark.parametrize(
@@ -479,7 +478,7 @@ def test_any_exception_rolls_the_batch_back_and_propagates_unchanged(malformed, 
     with pytest.raises(error) as raised:
         apply_ops(store, [InsertRow("addresses", AddressRow(addr(5), 5)), malformed])
     assert not isinstance(raised.value, BatchRejected)
-    assert _containers(store) == _containers(Store())
+    assert containers(store) == containers(Store())
 
 
 _UNKNOWN_ADDRESS, _UNKNOWN_HASH = b"\xee" * 20, b"\xee" * 32
@@ -542,12 +541,12 @@ def test_a_refused_op_anywhere_leaves_every_container_as_it_was(seed, data):
     apply_ops(ahead, ops[:i])
     failures = _failing_ops(ahead)
     bad, error = failures[data.draw(st.sampled_from(sorted(failures)), label="failure")]
-    before = _containers(store)
+    before = containers(store)
     with pytest.raises(error) as raised:
         apply_ops(store, [*ops[:i], bad, *ops[i:]])
     if error is BatchRejected:
         assert raised.value.op_index == i
-    assert _containers(store) == before
+    assert containers(store) == before
     apply_ops(store, ops)
 
 

@@ -440,6 +440,17 @@ def two_pass_parse_script(script: str) -> list[Mutation]:
     return parsed
 
 
+def containers(store: Store) -> dict:
+    """Copies of the store's containers, leaving out empty reverse-index sets."""
+    state = {}
+    for name, container in vars(store).items():
+        if isinstance(container, dict) and any(isinstance(v, set) for v in container.values()):
+            state[name] = {k: set(v) for k, v in container.items() if v}
+        else:
+            state[name] = container.copy()
+    return state
+
+
 # ---------------------------------------------------------------------------
 # Handcrafted rows for edge-case tests
 
@@ -574,8 +585,9 @@ _EDGE_VALUES = {
 def edge_ops() -> tuple[Mutation, ...]:
     """Every statement form at its edges: per table, an insert of each
     column's first edge value, one of its second with NULL in every nullable
-    column, and a keyed DELETE and block_hash NULL-out of each; then balance
-    UPDATEs by zero, negative and positive deltas."""
+    column, a keyed DELETE of each, and a block_hash NULL-out where that
+    column may be NULL; then balance UPDATEs by zero, negative and positive
+    deltas."""
     ops: list[Mutation] = []
     for table, columns in SCHEMA.items():
         first = ROW_TYPES[table](*(_EDGE_VALUES[kind.rstrip("?")][0] for _, kind in columns))
@@ -583,7 +595,9 @@ def edge_ops() -> tuple[Mutation, ...]:
             *(None if kind.endswith("?") else _EDGE_VALUES[kind][1] for _, kind in columns)
         )
         key = tuple(getattr(first, col) for col in PRIMARY_KEYS[table])
-        ops += [InsertRow(table, first), InsertRow(table, second), DeleteRow(table, key), NullBlockHash(table, key)]
+        ops += [InsertRow(table, first), InsertRow(table, second), DeleteRow(table, key)]
+        if ("block_hash", "hash?") in columns:
+            ops.append(NullBlockHash(table, key))
     address = _EDGE_VALUES["address"][0]
     ops += [UpdateBalance(address, delta) for delta in (0, -1, 1, -(WEI_MAX - 1), WEI_MAX - 1)]
     return tuple(ops)
