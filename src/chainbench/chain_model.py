@@ -217,6 +217,10 @@ VALUE_RANGES: tuple[tuple[str, str, int, int], ...] = (
     ("token_transactions", "value", 0, WEI_MAX),
     ("withdrawals", "amount", 0, WEI_MAX),
 )
+# Tables rows may be deleted from, by primary key: the rows an expiring
+# window drops. Addresses are never deleted, and tokens and contracts only
+# lose their block_hash link, since later rows may still reference them.
+DELETABLE_TABLES: tuple[str, ...] = ("blocks", "transactions", "token_transactions", "withdrawals")
 # The byte length of every cell of a column kind (nullable or not).
 BYTE_LENGTHS = {"hash": HASH_LEN, "address": ADDRESS_LEN}
 
@@ -286,9 +290,30 @@ def _shown(value) -> str:
     return encode_hex(value) if isinstance(value, bytes) else repr(value)
 
 
+def _compared_rows(add, columns, identify, table: str, read: tuple[str, ...], ints: tuple[str, ...]) -> list[tuple]:
+    """The ``read`` cells of each row of ``table`` whose ``ints`` cells are
+    all ints, for a dataset-wide rule to compare; every other value in an
+    ``ints`` column is reported, and its row left out."""
+    cells = columns[table]
+    rows = list(zip(*(cells[name] for name in read)))
+    bad: set[int] = set()
+    for name in ints:
+        values = cells[name]
+        if set(map(type, values)) <= {int}:
+            continue
+        for i, v in enumerate(values):
+            if not isinstance(v, int):
+                add(table, f"{name} not an int", f"{identify[table](i)}: {v!r}")
+                bad.add(i)
+    return [row for i, row in enumerate(rows) if i not in bad] if bad else rows
+
+
 def validate_dataset(ds: ChainDataset) -> ValidationReport:
     """Check the dataset against every declared rule (byte lengths, value
-    ranges, primary, unique and foreign keys) and the three dataset-wide ones.
+    ranges, primary, unique and foreign keys) and the three dataset-wide ones,
+    whose int cells are checked first: a block's number or timestamp, or a
+    transaction's index or nonce, that is not an int is reported, and its
+    row left out of those rules.
 
     Violations are data, not failures: the report lists each one with the
     owning table, the broken rule, and the offending row's identifier (its
@@ -347,21 +372,23 @@ def validate_dataset(ds: ChainDataset) -> ValidationReport:
                 if v in dangling:
                     add(child, f"{name} dangling", ident(i))
 
-    # Dataset-wide rules, written out here: each spans many rows of a table.
-    blocks, txs = columns["blocks"], columns["transactions"]
-    timestamps = blocks["timestamp"]
-    by_number = sorted(range(len(timestamps)), key=blocks["number"].__getitem__)
-    for prev, cur in zip(by_number, by_number[1:]):
-        if timestamps[cur] < timestamps[prev]:
-            add("blocks", "timestamps decrease", f"block {blocks['number'][cur]}")
+    # Dataset-wide rules, written out here: each spans many rows of a table
+    # and compares the int cells _compared_rows checks first.
+    blocks = _compared_rows(add, columns, identify, "blocks", ("hash", "number", "timestamp"), ("number", "timestamp"))
+    by_number = sorted(blocks, key=itemgetter(1))
+    for (_, _, t0), (_, number, t1) in zip(by_number, by_number[1:]):
+        if t1 < t0:
+            add("blocks", "timestamps decrease", f"block {number}")
     # Per sender, nonces form one consecutive run in block/index order. A
     # transaction whose block is missing is left out; of two blocks with one
     # hash, the first counts.
-    number_of = dict(zip(reversed(blocks["hash"]), reversed(blocks["number"])))
+    number_of = {block_hash: number for block_hash, number, _ in reversed(blocks)}
     by_sender: dict[bytes, list[tuple[int, int, int]]] = {}
-    for sender, block_hash, index, nonce in zip(
-        txs["from_address"], txs["block_hash"], txs["transaction_index"], txs["nonce"]
-    ):
+    txs = _compared_rows(
+        add, columns, identify, "transactions",
+        ("from_address", "block_hash", "transaction_index", "nonce"), ("transaction_index", "nonce"),
+    )
+    for sender, block_hash, index, nonce in txs:
         number = number_of.get(block_hash)
         if number is not None:
             by_sender.setdefault(sender, []).append((number, index, nonce))

@@ -7,6 +7,11 @@ Subcommands map one-to-one onto the library: ``synth`` (generate an export),
 (estimate-vs-actual points for one state), ``plan-matrix`` (regret matrix
 from recorded measurements), and ``scenario`` (full manifest-driven run).
 
+``--log-level LEVEL``, given before the subcommand, sets the level of the
+library's loggers (``chainbench.ingest_slice``, ``chainbench.workload_gen``)
+for the run and writes their records to stderr, one message per line. Without
+it, logging is left as the interpreter has it.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -14,9 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from . import estimator, memstore, reports
 from .chain_model import TABLE_NAMES, validate_dataset
@@ -93,8 +101,8 @@ def _cmd_gen_updates(args: argparse.Namespace) -> int:
         {"export": str(args.export), "init_blocks": args.init, "granularity": args.granularity, "expire": args.expire},
     )
     n = len(manifest.batches)
-    expire_note = f", {n} expire files" if cfg.expire else ""
-    print(f"wrote load.sql, {n} upsert files{expire_note} to {args.out}")
+    expire_note = f", {n} expire scripts" if cfg.expire else ""
+    print(f"wrote workload.sql (the load, {n} upsert scripts{expire_note}) and its index scripts.json to {args.out}")
     return 0
 
 
@@ -131,7 +139,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             "resume": args.resume,
         },
     )
-    print(f"applied {len(report.applied)} batch files against {target.kind}; report at {out_path}")
+    print(f"applied {len(report.applied)} scripts against {target.kind}; report at {out_path}")
     return 0
 
 
@@ -234,8 +242,15 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chainbench", description=__doc__)
+    parser.add_argument(
+        "--log-level", type=str.upper, choices=_LOG_LEVELS, metavar="LEVEL",
+        help=f"level of the library's log messages on stderr: one of {', '.join(_LOG_LEVELS)}",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset export")
@@ -323,15 +338,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _logging_at(level: str | None) -> Iterator[None]:
+    """The package logger at ``level``, with a stderr handler, for the
+    duration; both are put back afterwards. None leaves logging alone."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    previous = logger.level
+    logger.setLevel(level)
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
+
+
 @collector_paused
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except Exception as exc:  # runtime failure -> exit 1 with a message
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _logging_at(args.log_level):
+        try:
+            return args.func(args)
+        except Exception as exc:  # runtime failure -> exit 1 with a message
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -1,15 +1,28 @@
 """Apply a generated workload directory to a target, in order, with optional
 real-time pacing and checkpointed resume.
 
-Order is strict: the load first, then per batch the expire file (when
-present) followed by the upsert file. Each file is applied atomically by the
-target, and a checkpoint is written after every batch, so a halted replay can
-resume without re-applying completed batches. The crash window between a
-target commit and the checkpoint write is the target's concern: durable
-targets should bind the checkpoint into the same transaction or tolerate
-replayed duplicates. The bundled targets are in-process (``durable`` is
-False): their state dies with the process, so only the same target object
-can resume, and the CLI refuses ``--resume`` for them.
+A workload directory holds ``workload.sql``, every script in replay order,
+and its index ``scripts.json``: one ``[name, offset, length]`` per script,
+in bytes (see ``workload_gen``). When a replay opens the directory it checks
+the index against the file and the manifest: the scripts follow one another
+from byte 0, their lengths sum to the file's size, and the index names
+exactly the scripts the manifest implies, in replay order. A directory
+without ``workload.sql`` or ``scripts.json`` (such as one holding a file per
+script) is a ``ReplayError`` that says to regenerate it with ``gen-updates``.
+The replay then reads one script at a time with ``os.pread`` from one
+descriptor, so it never holds more of the file than the script it applies.
+
+Order is strict: the load first, then per batch the expire script (when
+present) followed by the upsert script. Each script is applied atomically by
+the target under its name (``load.sql``, ``expire-000001.sql``,
+``upserts-000001.sql``, ...), and a checkpoint is written after every
+batch, so a halted replay can resume without re-applying completed batches.
+The crash window between a target commit and the checkpoint write is the
+target's concern: durable targets should bind the checkpoint into the same
+transaction or tolerate replayed duplicates. The bundled targets are
+in-process (``durable`` is False): their state dies with the process, so
+only the same target object can resume, and the CLI refuses ``--resume`` for
+them.
 
 The checkpoint is an append-only log of JSON lines in ``replay.ckpt.json``:
 one ``json.dumps(..., sort_keys=True)`` record and a newline per checkpoint,
@@ -34,13 +47,14 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .gcpause import collector_paused
 from .memstore import BatchRejected, Store, apply_ops
 from .sqlstub import SqlParseError, SqlStubEngine, parse_script, to_mutations
-from .workload_gen import Manifest
+from .workload_gen import INDEX_FILE, MANIFEST_FILE, WORKLOAD_FILE, Manifest
 
 
 class ReplayError(RuntimeError):
@@ -134,7 +148,7 @@ class ReplayCheckpoint:
 @dataclass
 class ReplayReport:
     resumed_from: int | None
-    applied: list[dict] = field(default_factory=list)  # {"index", "files", "ms"}
+    applied: list[dict] = field(default_factory=list)  # {"index", "file", "ms"}: one per script
     hook_errors: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -142,12 +156,60 @@ class ReplayReport:
 
 
 def manifest_hash(workload_dir: str | Path) -> str:
-    return hashlib.sha256((Path(workload_dir) / "manifest.json").read_bytes()).hexdigest()
+    return hashlib.sha256((Path(workload_dir) / MANIFEST_FILE).read_bytes()).hexdigest()
 
 
 def read_manifest(workload_dir: str | Path) -> Manifest:
-    with open(Path(workload_dir) / "manifest.json", encoding="utf-8") as fh:
+    with open(Path(workload_dir) / MANIFEST_FILE, encoding="utf-8") as fh:
         return Manifest.from_dict(json.load(fh))
+
+
+def read_index(workload_dir: str | Path, manifest: Manifest) -> dict[str, tuple[int, int]]:
+    """Script name -> (offset, length) in ``workload.sql``, once the index
+    is checked against the file and the manifest; a ``ReplayError`` names
+    what does not hold."""
+    wdir = Path(workload_dir)
+    for name in (WORKLOAD_FILE, INDEX_FILE):
+        if not (wdir / name).is_file():
+            # A file per script is the layout replay read before workload.sql.
+            layout = " but a file per script" if (wdir / "load.sql").exists() else ""
+            raise ReplayError(f"{wdir} has no {name}{layout}: regenerate the workload with gen-updates")
+    try:
+        entries = json.loads((wdir / INDEX_FILE).read_bytes())
+        if not isinstance(entries, list):
+            raise TypeError(f"a JSON {type(entries).__name__}, not a list")
+        entries = [(name, offset, length) for name, offset, length in entries]
+    except (ValueError, TypeError) as exc:
+        raise ReplayError(f"{INDEX_FILE} is corrupt: {exc}") from exc
+    end = 0
+    for name, offset, length in entries:
+        if not (isinstance(name, str) and type(offset) is int and type(length) is int and length >= 0):
+            raise ReplayError(f"{INDEX_FILE} is corrupt: {[name, offset, length]!r} is no [name, offset, length] entry")
+        if offset != end:
+            raise ReplayError(f"{INDEX_FILE}: {name} starts at byte {offset}, not at {end}, where the one before ends")
+        end += length
+    size = (wdir / WORKLOAD_FILE).stat().st_size
+    if size != end:
+        problem = "is truncated" if size < end else "has bytes no script covers"
+        raise ReplayError(f"{WORKLOAD_FILE} {problem}: it holds {size} bytes, and {INDEX_FILE} indexes {end}")
+    implied = [name for _, names in manifest.units() for name in names]
+    listed = [name for name, _, _ in entries]
+    if listed != implied:
+        missing = [name for name in implied if name not in listed]
+        detail = f"no {missing[0]}" if missing else "scripts the manifest does not imply, or not in replay order"
+        raise ReplayError(f"{INDEX_FILE} disagrees with {MANIFEST_FILE}: it lists {detail}")
+    return {name: (offset, length) for name, offset, length in entries}
+
+
+def _read_script(fd: int, name: str, offset: int, length: int) -> bytes:
+    """The script's bytes, read with ``os.pread`` (again after a short read)."""
+    data = os.pread(fd, length, offset)
+    while len(data) < length:
+        more = os.pread(fd, length - len(data), offset + len(data))
+        if not more:
+            raise ReplayError(f"{WORKLOAD_FILE} ends inside {name}: it was truncated during the replay")
+        data += more
+    return data
 
 
 def pacing_delays(manifest: Manifest, scale: float) -> list[float]:
@@ -224,14 +286,21 @@ def replay(
     wdir = Path(workload_dir)
     manifest = read_manifest(wdir)
     digest = manifest_hash(wdir)
+    index = read_index(wdir, manifest)
 
     completed = -1
     partial: set[str] = set()
     resumed_from = None
-    # One descriptor for the whole replay: a fresh run truncates the log, a
-    # resume trims a torn tail and appends after the last complete record.
+    # One descriptor on the checkpoint log for the whole replay: a fresh run
+    # truncates the log, a resume trims a torn tail and appends after the
+    # last complete record. One more reads the scripts.
     flags = os.O_RDWR | os.O_CREAT | os.O_APPEND | (0 if from_checkpoint else os.O_TRUNC)
-    fd = os.open(_checkpoint_path(wdir), flags, 0o666)
+    scripts = os.open(wdir / WORKLOAD_FILE, os.O_RDONLY)
+    try:
+        fd = os.open(_checkpoint_path(wdir), flags, 0o666)
+    except BaseException:
+        os.close(scripts)
+        raise
     try:
         if from_checkpoint:
             with open(fd, "rb", closefd=False) as fh:
@@ -245,13 +314,13 @@ def replay(
             os.ftruncate(fd, end)
 
         report = ReplayReport(resumed_from=resumed_from)
-        delays = pacing_delays(manifest, scale) if mode == "realtime" else None
 
-        def run_unit(index: int, names: list[str]) -> None:
-            # A batch may span two files (expire + upserts). Each file is one
-            # target transaction, so the checkpoint tracks file progress: a
-            # crash between the files resumes with the remaining file only.
-            # After the last file, the batch-complete record below is the next.
+        def run_unit(batch: int, names: list[str]) -> None:
+            # A batch may span two scripts (expire + upserts). Each script is
+            # one target transaction, so the checkpoint tracks script
+            # progress: a crash between the scripts resumes with the remaining
+            # one only. After the last script, the batch-complete record below
+            # is the next.
             nonlocal completed, partial
             for name in names:
                 if name in partial:
@@ -260,34 +329,29 @@ def replay(
                 try:
                     # Bytes decoded as strict UTF-8: no newline translation
                     # touches a \r inside a text literal.
-                    target.apply_script(name, (wdir / name).read_bytes().decode("utf-8"))
+                    target.apply_script(name, _read_script(scripts, name, *index[name]).decode("utf-8"))
                 except ReplayError as exc:
-                    raise ReplayError(str(exc), batch_index=index, statement=exc.statement) from exc
+                    raise ReplayError(str(exc), batch_index=batch, statement=exc.statement) from exc
                 elapsed = (time.perf_counter() - start) * 1000.0
                 partial.add(name)
                 if name != names[-1]:
                     _append_checkpoint(fd, ReplayCheckpoint(digest, completed, sorted(partial), time.time()))
-                report.applied.append({"index": index, "file": name, "ms": elapsed})
-            completed = index
+                report.applied.append({"index": batch, "file": name, "ms": elapsed})
+            completed = batch
             partial = set()
             _append_checkpoint(fd, ReplayCheckpoint(digest, completed, [], time.time()))
 
-        if completed < 0:
-            run_unit(0, ["load.sql"])
-            _run_hooks(hooks, 0, target, report)
-
-        for pos, info in enumerate(manifest.batches):
-            if info.index <= completed:
+        # The load is never paced; each batch after it is.
+        delays = [0.0, *pacing_delays(manifest, scale)] if mode == "realtime" else repeat(0.0)
+        for (batch, names), delay in zip(manifest.units(), delays):
+            if batch <= completed:
                 continue
-            if delays is not None and delays[pos] > 0:
-                sleep(delays[pos])
-            names = []
-            if manifest.expire:
-                names.append(f"expire-{info.index:06d}.sql")
-            names.append(f"upserts-{info.index:06d}.sql")
-            run_unit(info.index, names)
-            _run_hooks(hooks, info.index, target, report)
+            if delay > 0:
+                sleep(delay)
+            run_unit(batch, names)
+            _run_hooks(hooks, batch, target, report)
     finally:
         os.close(fd)
+        os.close(scripts)
 
     return report

@@ -15,8 +15,9 @@ and a balance UPDATE that leaves ``[0, WEI_MAX)``, are refused.
 statement forms are built once, per table, from ``SCHEMA``, ``PRIMARY_KEYS``
 and ``SQL_TABLE_NAMES`` (never from the renderer's code, so the stub stays an
 independent check): the INSERT with the full column list in schema order, the
-keyed DELETE with the WHERE clause fixed by the primary key, the same for the
-block_hash NULL-out of each table where that column may be NULL (tokens and
+keyed DELETE with the WHERE clause fixed by the primary key for each table of
+``DELETABLE_TABLES`` (the others have none), the same for the block_hash
+NULL-out of each table where that column may be NULL (tokens and
 contracts), the balance UPDATE, BEGIN, COMMIT and ``--`` comment lines, each
 followed by any whitespace. Each form types its positions (hex digits in a
 bytea, an optional sign and digits in an integer, ``''`` escapes in text, the
@@ -38,7 +39,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .chain_model import PRIMARY_KEYS, ROW_TYPES, SCHEMA, SQL_TABLE_NAMES, WEI_MAX
+from .chain_model import DELETABLE_TABLES, PRIMARY_KEYS, ROW_TYPES, SCHEMA, SQL_TABLE_NAMES, WEI_MAX
 from .memstore import DeleteRow, InsertRow, Mutation, NullBlockHash, UpdateBalance
 
 
@@ -112,7 +113,8 @@ def _forms() -> dict[str, list[_Form]]:
         inserts.append(_Form(head + values + r"\);", kinds, _keyed("InsertRow", table, len(kinds))))
         keys = tuple(dict(columns)[col] for col in PRIMARY_KEYS[table])
         where = " AND ".join(f"{col} = {_pattern(kind)}" for col, kind in zip(PRIMARY_KEYS[table], keys))
-        deletes.append(_Form(f"{name} WHERE {where};", keys, _keyed("DeleteRow", table, len(keys))))
+        if table in DELETABLE_TABLES:
+            deletes.append(_Form(f"{name} WHERE {where};", keys, _keyed("DeleteRow", table, len(keys))))
         if ("block_hash", "hash?") in columns:
             nulled = f"{name} SET block_hash = NULL WHERE {where};"
             updates.append(_Form(nulled, keys, _keyed("NullBlockHash", table, len(keys))))

@@ -7,7 +7,15 @@ aggregated balance UPDATE per touched address. With expiration enabled, each
 batch is preceded by an expire batch deleting the oldest blocks' rows so the
 state keeps a constant number of blocks (a moving window). Batches exist in
 two equivalent forms: structured mutations (for the in-memory store) and
-rendered SQL text (``load.sql`` / ``upserts-*.sql`` / ``expire-*.sql``).
+rendered SQL text, one script per batch.
+
+A workload directory holds ``workload.sql``, every script in replay order
+(the load, then per batch its expire script when expiring and its upsert
+script), so ``psql -f workload.sql`` applies the whole sequence, one
+transaction per script; ``scripts.json``, the index of that file: one
+``[name, offset, length]`` per script, in bytes, under the script's name
+(``load.sql``, ``expire-000001.sql``, ``upserts-000001.sql``, ...); and
+``manifest.json``, the batches' block ranges.
 
 Notes on semantics the schema forces:
 - Addresses are never deleted; they are the referential hub.
@@ -29,6 +37,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .chain_model import (
+    DELETABLE_TABLES,
     AddressRow,
     ChainDataset,
     PRIMARY_KEYS,
@@ -87,6 +96,18 @@ class BatchInfo:
     expire_hi: int | None = None
 
 
+# The files of a workload directory.
+WORKLOAD_FILE = "workload.sql"
+INDEX_FILE = "scripts.json"
+MANIFEST_FILE = "manifest.json"
+
+
+def script_name(kind: str, index: int) -> str:
+    """The name a batch's script goes by in the index, the replay report and
+    the checkpoint: ``load.sql``, ``expire-NNNNNN.sql``, ``upserts-NNNNNN.sql``."""
+    return "load.sql" if kind == "load" else f"{'upserts' if kind == 'upsert' else kind}-{index:06d}.sql"
+
+
 @dataclass
 class Manifest:
     initial_lo: int
@@ -113,6 +134,14 @@ class Manifest:
             expire=data["expire"],
             batches=[BatchInfo(**b) for b in data["batches"]],
         )
+
+    def units(self) -> list[tuple[int, list[str]]]:
+        """The replay order: each batch's index (0 for the load) and the
+        names of its scripts, the expire script first where there is one."""
+        kinds = ("expire", "upsert") if self.expire else ("upsert",)
+        return [(0, [script_name("load", 0)])] + [
+            (b.index, [script_name(kind, b.index) for kind in kinds]) for b in self.batches
+        ]
 
 
 def _dataset_ops(ds: ChainDataset) -> tuple[Mutation, ...]:
@@ -436,9 +465,9 @@ def _renderer(fields: str, parts: list) -> Callable[[Mutation], str]:
 
 
 def _compile_renderers() -> dict[type, dict[str, Callable[[Mutation], str]]]:
-    """Record class -> table -> renderer: an INSERT and keyed DELETE for
-    every table, a block_hash NULL-out where that column may be NULL, and
-    the balance UPDATE."""
+    """Record class -> table -> renderer: an INSERT for every table, a keyed
+    DELETE for each of ``DELETABLE_TABLES``, a block_hash NULL-out where that
+    column may be NULL, and the balance UPDATE."""
     renderers: dict[type, dict[str, Callable[[Mutation], str]]] = {
         InsertRow: {},
         DeleteRow: {},
@@ -457,7 +486,8 @@ def _compile_renderers() -> dict[type, dict[str, Callable[[Mutation], str]]]:
         row = f"_, ({', '.join(v for v, _ in cells.values())},)"
         key = f"_, ({', '.join(cells[col][0] for col in PRIMARY_KEYS[table])},)"
         renderers[InsertRow][table] = _renderer(row, [*values, ")"])
-        renderers[DeleteRow][table] = _renderer(key, [f"DELETE FROM {name}", *where])
+        if table in DELETABLE_TABLES:
+            renderers[DeleteRow][table] = _renderer(key, [f"DELETE FROM {name}", *where])
         if ("block_hash", "hash?") in columns:
             renderers[NullBlockHash][table] = _renderer(key, [f"UPDATE {name} SET block_hash = NULL", *where])
     (col,) = PRIMARY_KEYS[UpdateBalance.table]
@@ -496,31 +526,55 @@ def render_sql(batch: Batch, dialect: str = "postgres") -> str:
     return f"{head}{''.join(statements)}COMMIT;\n"
 
 
-@collector_paused
-def write_workload(ds: ChainDataset, cfg: WorkloadConfig, out_dir: str | Path, dialect: str = "postgres") -> Manifest:
-    """Render load + batches to ``out_dir`` and write ``manifest.json``.
-    Each SQL file is its rendered text in UTF-8, written to the descriptor
-    with ``os.write`` (once, unless the kernel writes less), through no
-    Python-level buffer or text wrapper."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+class ScriptWriter:
+    """Writes a workload's scripts into ``out_dir``: ``add`` appends a
+    script's UTF-8 bytes to ``workload.sql`` through one descriptor with
+    ``os.write`` (again after a short write), through no Python-level buffer
+    or text wrapper; leaving the ``with`` block without an error closes the
+    file and writes its index, ``scripts.json``."""
 
-    def write(name: str, batch: Batch) -> None:
-        data = memoryview(render_sql(batch, dialect).encode())
-        fd = os.open(out / name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        try:
-            while data:
-                data = data[os.write(fd, data) :]
-        finally:
-            os.close(fd)
+    def __init__(self, out_dir: str | Path):
+        self.out = Path(out_dir)
+        self.index: list[tuple[str, int, int]] = []  # (name, offset, length) in bytes
+        self.size = 0
+        self.fd = os.open(self.out / WORKLOAD_FILE, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
 
-    write("load.sql", gen_initial(ds, cfg))
-    pairs, manifest = gen_batches(ds, cfg)
-    for pair in pairs:
-        if pair.expire is not None:
-            write(f"expire-{pair.expire.index:06d}.sql", pair.expire)
-        write(f"upserts-{pair.upsert.index:06d}.sql", pair.upsert)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    def add(self, name: str, text: str) -> None:
+        data = memoryview(text.encode())
+        self.index.append((name, self.size, len(data)))
+        self.size += len(data)
+        while data:
+            data = data[os.write(self.fd, data) :]
+
+    def __enter__(self) -> "ScriptWriter":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        os.close(self.fd)
+        if exc_type is None:
+            entries = ",\n".join(json.dumps(entry) for entry in self.index)
+            (self.out / INDEX_FILE).write_text(f"[\n{entries}\n]\n", encoding="utf-8")
+
+
+def write_manifest(out_dir: str | Path, manifest: Manifest) -> None:
+    with open(Path(out_dir) / MANIFEST_FILE, "w", encoding="utf-8") as fh:
         json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+@collector_paused
+def write_workload(ds: ChainDataset, cfg: WorkloadConfig, out_dir: str | Path, dialect: str = "postgres") -> Manifest:
+    """Render the load and every batch into ``out_dir``: each script is
+    appended to ``workload.sql`` as soon as it is rendered, then
+    ``scripts.json`` and ``manifest.json`` are written."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with ScriptWriter(out) as scripts:
+        scripts.add(script_name("load", 0), render_sql(gen_initial(ds, cfg), dialect))
+        pairs, manifest = gen_batches(ds, cfg)
+        for pair in pairs:
+            for batch in (pair.expire, pair.upsert):
+                if batch is not None:
+                    scripts.add(script_name(batch.kind, batch.index), render_sql(batch, dialect))
+    write_manifest(out, manifest)
     return manifest

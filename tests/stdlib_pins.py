@@ -8,8 +8,9 @@ runs where pytest is not installed:
 
 It checks the ``test_generate_output_is_pinned`` digests (read from
 ``tests/test_synth_chain.py``), the sha256 of the ``sha256sum``-style
-listing of every file ``write_workload`` writes for each benchmark workload
-at seed 7, and the sha256 of ``render_sql`` of one batch that holds every
+listing of every script ``write_workload`` writes, by name as its index
+names it, and of its ``manifest.json``, for each benchmark workload at seed
+7, and the sha256 of ``render_sql`` of one batch that holds every
 statement form with edge values (``util.edge_ops``), so the renderer's
 compiled source is checked on each version too. It prints one line per check
 and exits 1 if any fails. ``test_workload_file_pins_hold`` runs the listing
@@ -31,14 +32,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 from bench_workloads import WORKLOADS  # noqa: E402
-from util import edge_ops  # noqa: E402
+from util import edge_ops, read_scripts  # noqa: E402
 
 from chainbench.chain_model import SCHEMA  # noqa: E402
 from chainbench.synth_chain import SynthConfig, generate  # noqa: E402
 from chainbench.workload_gen import Batch, render_sql, write_workload  # noqa: E402
 
-# sha256 of "<sha256>  <name>\n" per file, by name, of write_workload's output
-# for each benchmark workload at seed 7.
+# sha256 of "<sha256>  <name>\n" per script and for manifest.json, by name, of
+# write_workload's output for each benchmark workload at seed 7.
 LISTINGS = {
     "drift-window": "5527eb9260fe1e529110bc3ce38c347de53c97afb9ed62caeeaa6ba5b766f77c",
     "replay-fine": "4e62323b97d2a5fafa7e2f28d01e8421f7fdd1a611e439ad30fb9369f9339570",
@@ -46,7 +47,7 @@ LISTINGS = {
 }
 
 # sha256 of render_sql(Batch(1, "upsert", 0, 0, edge_ops())) in UTF-8.
-RENDER = "694959486d15f3ec8ad22d1680c5f0a71d936d2855a7f39bf84a692c67a327f0"
+RENDER = "23b01ef11f9b4c32fd1cab3ad9c480aabe07dc6afd443efcbb26508feb07009f"
 
 
 def generate_pins() -> tuple:
@@ -71,9 +72,11 @@ def dataset_digest(ds) -> str:
 
 
 def listing_digest(directory: Path) -> str:
-    listing = "".join(
-        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n" for path in sorted(directory.iterdir())
-    )
+    """The listing as ``sha256sum`` prints it over one file per script and
+    the manifest: each script's bytes read back through ``scripts.json``."""
+    files = {name: text.encode() for name, text in read_scripts(directory).items()}
+    files["manifest.json"] = (directory / "manifest.json").read_bytes()
+    listing = "".join(f"{hashlib.sha256(files[name]).hexdigest()}  {name}\n" for name in sorted(files))
     return hashlib.sha256(listing.encode()).hexdigest()
 
 

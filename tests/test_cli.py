@@ -1,14 +1,23 @@
+import dataclasses
 import hashlib
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainbench
 from chainbench import estimator, memstore
 from chainbench.chain_model import TABLE_NAMES, ChainDataset
 from chainbench.cli import main
 from chainbench.eval_harness import enumerate_subqueries, probe_columns
 from chainbench.ingest_slice import load_export, write_export
 from chainbench.query_assets import q1_spj
+
+from util import addr, read_scripts, tiny_dataset
 
 
 def _synth(tmp_path, name="export", blocks=40, extra=()):
@@ -69,21 +78,24 @@ def test_gen_updates_file_layout(tmp_path):
         ["gen-updates", "--export", str(out), "--init", "20", "--granularity", "5", "--expire", "--schema", "--out", str(wl)]
     )
     assert rc == 0
-    assert (wl / "load.sql").exists()
-    assert len(list(wl.glob("upserts-*.sql"))) == 4
-    assert len(list(wl.glob("expire-*.sql"))) == 4
-    assert (wl / "create.sql").exists()
+    files = sorted(p.name for p in wl.iterdir())
+    assert files == ["create.sql", "manifest.json", "run.json", "scripts.json", "workload.sql"]
+    names = list(read_scripts(wl))
+    assert names[0] == "load.sql"
+    assert sum(name.startswith("upserts-") for name in names) == 4
+    assert sum(name.startswith("expire-") for name in names) == 4
 
 
 def test_gen_updates_moving_window_shape(tmp_path):
     # 2,000 blocks, initial 1,000, granularity 100 with expiration: ten
-    # upsert files, ten expire files, one manifest.
+    # upsert scripts, ten expire scripts, one manifest.
     export = tmp_path / "big"
     assert main(["synth", "--seed", "2", "--blocks", "2000", "--tx-per-block", "1", "--pool", "30", "--tokens", "3", "--out", str(export)]) == 0
     wl = tmp_path / "wl"
     assert main(["gen-updates", "--export", str(export), "--init", "1000", "--granularity", "100", "--expire", "--out", str(wl)]) == 0
-    assert len(list(wl.glob("upserts-*.sql"))) == 10
-    assert len(list(wl.glob("expire-*.sql"))) == 10
+    names = list(read_scripts(wl))
+    assert sum(name.startswith("upserts-") for name in names) == 10
+    assert sum(name.startswith("expire-") for name in names) == 10
     manifest = json.loads((wl / "manifest.json").read_text())
     assert manifest["batch_count"] == 10
     assert manifest["initial"] == {"lo": 0, "hi": 999}
@@ -260,3 +272,51 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope"
     assert main(["ingest", "--export", str(missing)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _inconsistent_export(tmp_path):
+    """An export whose final balances leave an address negative mid-way."""
+    ds = tiny_dataset()
+    export = tmp_path / "inconsistent"
+    write_export(dataclasses.replace(ds, final_balances={**ds.final_balances, addr(1): 10}), export)
+    return export
+
+
+def _gen_updates(export, out, *flags):
+    return [*flags, "gen-updates", "--export", str(export), "--init", "1", "--out", str(out)]
+
+
+def test_log_level_error_silences_the_ledgers_negative_balance_warning(tmp_path, capsys, caplog):
+    export = _inconsistent_export(tmp_path)
+    assert main(_gen_updates(export, tmp_path / "default")) == 0
+    assert any(record.getMessage().startswith("ledger: balance of ") for record in caplog.records)
+    caplog.clear()
+    capsys.readouterr()
+    logger = logging.getLogger("chainbench")
+    before = (logger.level, list(logger.handlers))
+    assert main(_gen_updates(export, tmp_path / "quiet", "--log-level", "ERROR")) == 0
+    assert caplog.records == []
+    assert capsys.readouterr().err == ""
+    assert main(_gen_updates(export, tmp_path / "loud", "--log-level", "warning")) == 0
+    assert "ledger: balance of 0x" + addr(1).hex() + " negative at block" in capsys.readouterr().err
+    assert (logger.level, list(logger.handlers)) == before
+
+
+def test_without_log_level_stderr_is_what_warning_level_writes(tmp_path):
+    # In a fresh interpreter the warnings reach stderr through logging's
+    # last-resort handler; --log-level WARNING writes the same bytes.
+    export = _inconsistent_export(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(chainbench.__file__).parents[1])}
+    err = []
+    for name, flags in (("default", ()), ("warning", ("--log-level", "WARNING"))):
+        argv = [sys.executable, "-m", "chainbench.cli", *_gen_updates(export, tmp_path / name, *flags)]
+        err.append(subprocess.run(argv, env=env, capture_output=True, check=True).stderr)
+    assert b"ledger: balance of " in err[0]
+    assert err[0] == err[1]
+
+
+def test_an_unknown_log_level_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--log-level", "LOUD", "ingest", "--export", str(tmp_path)])
+    assert exited.value.code == 2
+    assert "--log-level" in capsys.readouterr().err

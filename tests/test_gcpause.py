@@ -23,6 +23,8 @@ from chainbench.sqlstub import SqlParseError
 from chainbench.synth_chain import SynthConfig, generate
 from chainbench.workload_gen import WorkloadConfig, write_workload
 
+from util import edit_script
+
 _SYNTH = {"seed": 32, "n_blocks": 80, "mean_tx_per_block": 6, "address_pool": 40, "n_tokens": 4}
 _WORKLOAD = {"init_blocks": 40, "granularity": 20, "expire": True}
 _MANIFEST = {
@@ -123,8 +125,7 @@ def test_run_scenario_restores_the_collector_after_batch_rejected(prior, tmp_pat
 
 @pytest.mark.parametrize("target", [MemstoreTarget, SqlStubTarget])
 def test_replay_restores_the_collector_after_a_parse_error(target, prior, workload_dir):
-    with open(workload_dir / "upserts-000001.sql", "a", encoding="utf-8") as fh:
-        fh.write("INSERT INTO Nowhere (x) VALUES (1);\n")
+    edit_script(workload_dir, "upserts-000001.sql", lambda text: text + "INSERT INTO Nowhere (x) VALUES (1);\n")
     with pytest.raises(ReplayError, match="unknown table") as failed:
         replay(target(), workload_dir)
     assert isinstance(failed.value.__cause__.__cause__, SqlParseError)
@@ -141,7 +142,7 @@ def test_replay_restores_the_collector_after_a_hook_fails(prior, workload_dir):
 
 
 def test_cli_main_restores_the_collector_after_a_failure_and_a_usage_error(prior, workload_dir, capsys):
-    (workload_dir / "load.sql").write_text("DROP TABLE Blocks;\n", encoding="utf-8")
+    edit_script(workload_dir, "load.sql", lambda _: "DROP TABLE Blocks;\n")
     assert main(["replay", "--workload", str(workload_dir)]) == 1
     assert "unsupported statement" in capsys.readouterr().err
     assert gc.isenabled() is prior

@@ -239,3 +239,50 @@ def test_each_declared_rule_is_enforced_by_the_store_and_reported_by_validate(se
         assert (table, name) in reported
     else:
         assert reported == {(table, name)}
+
+
+# ---------------------------------------------------------------------------
+# Any one cell corrupted: a report, never a crash
+
+_SMALL = generate(SynthConfig(seed=9, n_blocks=6, mean_tx_per_block=3, address_pool=8, n_tokens=2, withdrawal_rate=1.0))
+_CELLS = [
+    (table, row, column)
+    for table in SCHEMA
+    for row in range(len(_SMALL.table(table)))
+    for column, _ in SCHEMA[table]
+]
+# Hashable values of every kind a cell could be mistaken to hold.
+_ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**300), 2**300),
+    st.floats(),
+    st.text(max_size=4),
+    st.binary(max_size=33),
+    st.tuples(st.binary(min_size=4, max_size=4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=st.sampled_from(_CELLS), value=_ANY_VALUE)
+def test_no_single_cell_corruption_makes_validate_raise(cell, value):
+    table, i, column = cell
+    rows = _SMALL.table(table)
+    bad = replace(_SMALL, **{table: (*rows[:i], rows[i]._replace(**{column: value}), *rows[i + 1 :])})
+    report = validate_dataset(bad)
+    if column in ("number", "timestamp", "transaction_index", "nonce") and not isinstance(value, int):
+        assert (table, f"{column} not an int") in {(v.table, v.rule) for v in report.violations}
+
+
+@pytest.mark.parametrize("value", [None, "5", 5.0])
+@pytest.mark.parametrize(
+    "table, column",
+    [("blocks", "number"), ("blocks", "timestamp"), ("transactions", "transaction_index"), ("transactions", "nonce")],
+)
+def test_a_compared_cell_that_is_not_an_int_is_reported_and_its_row_left_out(table, column, value):
+    ds = tiny_dataset()
+    rows = ds.table(table)
+    bad = replace(ds, **{table: (rows[0]._replace(**{column: value}), *rows[1:])})
+    key = "#".join("0x" + getattr(rows[0], col).hex() for col in PRIMARY_KEYS[table])
+    violations = [(v.table, v.rule, v.detail) for v in validate_dataset(bad).violations]
+    assert violations == [(table, f"{column} not an int", f"{key}: {value!r}")]

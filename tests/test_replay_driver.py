@@ -27,6 +27,8 @@ from chainbench.replay_driver import (
 from chainbench.synth_chain import SynthConfig, generate
 from chainbench.workload_gen import Manifest, WorkloadConfig, gen_batches, gen_initial, write_workload
 
+from util import read_scripts, write_scripts
+
 
 def _write_test_workload(path):
     ds = generate(SynthConfig(seed=61, n_blocks=40, mean_tx_per_block=6, address_pool=40, n_tokens=4))
@@ -119,7 +121,6 @@ def test_replay_keeps_carriage_returns_and_non_ascii_in_text(tmp_path, target_cl
 @pytest.mark.parametrize("target_class", [MemstoreTarget, SqlStubTarget])
 def test_a_hand_written_script_with_crlf_line_endings_replays(tmp_path, target_class):
     manifest = Manifest(initial_lo=0, initial_hi=0, granularity=1, expire=False, batches=[])
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest.to_dict()), encoding="utf-8")
     one, two = "'\\x" + "01" * 20 + "'::bytea", "'\\x" + "02" * 20 + "'::bytea"
     script = [
         "-- written by hand, with CRLF line endings",
@@ -129,7 +130,7 @@ def test_a_hand_written_script_with_crlf_line_endings_replays(tmp_path, target_c
         f"UPDATE Addresses SET eth_balance = eth_balance - 2 WHERE address = {one};",
         "COMMIT;",
     ]
-    (tmp_path / "load.sql").write_bytes("\r\n".join(script).encode() + b"\r\n")
+    write_scripts(tmp_path, [("load.sql", "\r\n".join(script) + "\r\n")], manifest)
     target = target_class()
     report = replay(target, tmp_path)
     assert [entry["file"] for entry in report.applied] == ["load.sql"]
@@ -441,3 +442,136 @@ def test_capability_overrides_from_config():
 def test_manifest_hash_stable(workload):
     _, _, wdir = workload
     assert manifest_hash(wdir) == manifest_hash(wdir)
+
+
+# ---------------------------------------------------------------------------
+# The one-file layout: read through the index, one script at a time
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_blocks=st.integers(2, 20),
+    init=st.floats(0, 1),
+    granularity=st.integers(1, 5),
+    expire=st.booleans(),
+)
+def test_replay_onto_both_targets_equals_the_structured_apply(seed, n_blocks, init, granularity, expire):
+    ds = generate(SynthConfig(seed=seed, n_blocks=n_blocks, mean_tx_per_block=3, address_pool=15, n_tokens=3))
+    cfg = WorkloadConfig(1 + round(init * (n_blocks - 2)), granularity, expire)
+    expected = _expected_store(ds, cfg).table_multisets()
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = write_workload(ds, cfg, tmp)
+        memstore_target, stub_target = MemstoreTarget(), SqlStubTarget()
+        report = replay(memstore_target, tmp)
+        replay(stub_target, tmp)
+    assert [(entry["index"], entry["file"]) for entry in report.applied] == [
+        (index, name) for index, names in manifest.units() for name in names
+    ]
+    assert memstore_target.store.table_multisets() == expected
+    assert stub_target.engine.table_multisets() == expected
+
+
+def test_a_replay_reads_each_script_with_one_pread_of_its_index_entry(workload, monkeypatch):
+    _, _, wdir = workload
+    index = json.loads((wdir / "scripts.json").read_text())
+    reads = []
+    real = os.pread
+
+    def spy(fd, length, offset):
+        reads.append((offset, length))
+        return real(fd, length, offset)
+
+    monkeypatch.setattr(os, "pread", spy)
+    replay(MemstoreTarget(), wdir)
+    assert reads == [(offset, length) for _, offset, length in index]
+
+
+def test_a_replay_finishes_a_script_the_kernel_reads_in_parts(workload, monkeypatch):
+    ds, cfg, wdir = workload
+    real = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, length, offset: real(fd, min(length, 1000), offset))
+    target = SqlStubTarget()
+    replay(target, wdir)
+    assert max(length for _, _, length in json.loads((wdir / "scripts.json").read_text())) > 1000
+    assert target.engine.table_multisets() == _expected_store(ds, cfg).table_multisets()
+
+
+def test_a_workload_file_cut_short_during_the_replay_is_a_replay_error(workload, monkeypatch):
+    _, _, wdir = workload
+    real = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, length, offset: real(fd, length, offset)[: length // 2])
+    with pytest.raises(ReplayError, match="workload.sql ends inside load.sql"):
+        replay(MemstoreTarget(), wdir)
+
+
+def _refused(wdir, match):
+    """Replay refuses ``wdir`` before it applies a script or opens the checkpoint log."""
+    target = RecordingTarget()
+    with pytest.raises(ReplayError, match=match):
+        replay(target, wdir)
+    assert target.files == []
+    assert not (wdir / "replay.ckpt.json").exists()
+
+
+def test_a_truncated_workload_file_is_refused(workload):
+    _, _, wdir = workload
+    path = wdir / "workload.sql"
+    os.truncate(path, path.stat().st_size - 1)
+    _refused(wdir, r"workload\.sql is truncated: it holds \d+ bytes, and scripts\.json indexes \d+")
+
+
+def test_trailing_bytes_in_the_workload_file_are_refused(workload):
+    _, _, wdir = workload
+    with open(wdir / "workload.sql", "ab") as fh:
+        fh.write(b"COMMIT;\n")
+    _refused(wdir, "workload.sql has bytes no script covers")
+
+
+def test_an_index_with_a_gap_is_refused(workload):
+    _, _, wdir = workload
+    index = json.loads((wdir / "scripts.json").read_text())
+    index[2][1] += 1
+    (wdir / "scripts.json").write_text(json.dumps(index))
+    _refused(wdir, f"scripts.json: {index[2][0]} starts at byte {index[2][1]}, not at {index[2][1] - 1}, where the one")
+
+
+@pytest.mark.parametrize("bad", ["not json", "{}", '[["load.sql", 0]]', '[["load.sql", "0", 10]]', '[[1, 0, 10]]'])
+def test_a_corrupt_index_is_refused(workload, bad):
+    _, _, wdir = workload
+    (wdir / "scripts.json").write_text(bad)
+    _refused(wdir, "scripts.json is corrupt")
+
+
+def test_an_index_that_disagrees_with_the_manifest_is_refused(workload):
+    _, _, wdir = workload
+    scripts = read_scripts(wdir)
+    write_scripts(wdir, [item for item in scripts.items() if item[0] != "upserts-000003.sql"])
+    _refused(wdir, "scripts.json disagrees with manifest.json: it lists no upserts-000003.sql")
+    # Every script, but in another order.
+    write_scripts(wdir, [*reversed(scripts.items())])
+    _refused(wdir, "scripts.json disagrees with manifest.json: it lists scripts .* not in replay order")
+
+
+def test_a_manifest_with_a_batch_the_index_lacks_is_refused(workload):
+    _, _, wdir = workload
+    data = json.loads((wdir / "manifest.json").read_text())
+    data["batches"].append({**data["batches"][-1], "index": 4})
+    (wdir / "manifest.json").write_text(json.dumps(data))
+    _refused(wdir, "it lists no expire-000004.sql")
+
+
+def test_a_directory_of_one_file_per_script_is_refused(workload):
+    _, _, wdir = workload
+    for name, text in read_scripts(wdir).items():
+        (wdir / name).write_text(text, encoding="utf-8")
+    (wdir / "workload.sql").unlink()
+    (wdir / "scripts.json").unlink()
+    _refused(wdir, "has no workload.sql but a file per script: regenerate the workload with gen-updates")
+
+
+@pytest.mark.parametrize("missing", ["workload.sql", "scripts.json"])
+def test_a_directory_missing_a_layout_file_is_refused(workload, missing):
+    _, _, wdir = workload
+    (wdir / missing).unlink()
+    _refused(wdir, f"has no {missing}: regenerate the workload with gen-updates")

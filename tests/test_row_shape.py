@@ -9,6 +9,8 @@ from chainbench.scenario import ExperimentManifest, run_scenario
 from chainbench.synth_chain import SynthConfig, generate
 from chainbench.workload_gen import WorkloadConfig, write_workload
 
+from util import read_scripts
+
 _CLASS_NAMES = {
     "blocks": "Block",
     "addresses": "AddressRow",
@@ -33,7 +35,7 @@ def test_both_replay_targets_give_plain_tuple_keys_after_null_outs(tmp_path):
         SynthConfig(seed=32, n_blocks=60, mean_tx_per_block=4, address_pool=25, n_tokens=4, contract_fraction=0.5)
     )
     write_workload(ds, WorkloadConfig(init_blocks=10, granularity=5, expire=True), tmp_path)
-    expires = "".join(path.read_text() for path in tmp_path.glob("expire-*.sql"))
+    expires = "".join(text for name, text in read_scripts(tmp_path).items() if name.startswith("expire-"))
     assert "UPDATE Tokens SET block_hash = NULL" in expires
     assert "UPDATE Contracts SET block_hash = NULL" in expires
     memstore_target, stub_target = MemstoreTarget(), SqlStubTarget()

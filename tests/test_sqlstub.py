@@ -13,7 +13,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from chainbench import memstore, sqlstub, workload_gen
-from chainbench.chain_model import PRIMARY_KEYS, ROW_TYPES, SCHEMA, SQL_TABLE_NAMES, WEI_MAX, AddressRow
+from chainbench.chain_model import (
+    DELETABLE_TABLES,
+    PRIMARY_KEYS,
+    ROW_TYPES,
+    SCHEMA,
+    SQL_TABLE_NAMES,
+    WEI_MAX,
+    AddressRow,
+)
 from chainbench.memstore import BatchRejected, DeleteRow, InsertRow, NullBlockHash, Store, UpdateBalance
 from chainbench.replay_driver import MemstoreTarget, ReplayError, SqlStubTarget, replay
 from chainbench.sqlstub import SqlParseError, SqlStubEngine, parse_script, to_mutations
@@ -26,7 +34,7 @@ from chainbench.workload_gen import (
     render_sql,
     write_workload,
 )
-from util import two_pass_parse_script
+from util import read_scripts, reference_statement, two_pass_parse_script
 
 
 def test_unsupported_statement_rejected():
@@ -229,6 +237,30 @@ def test_both_routes_refuse_a_null_out_of_a_required_block_hash(loaded_workload)
         with pytest.raises(ReplayError, match="expire.sql: line 2: not in the rendered form"):
             target.apply_script("expire.sql", script)
     assert stub.engine.table_multisets() == before == structured.store.table_multisets()
+
+
+@pytest.mark.parametrize("table", sorted(set(SCHEMA) - set(DELETABLE_TABLES)))
+def test_both_routes_refuse_a_delete_from_a_table_rows_are_never_deleted_from(loaded_workload, table):
+    load, _ = loaded_workload
+    row = next(op.row for op in load.ops if isinstance(op, InsertRow) and op.table == table)
+    key = tuple(getattr(row, col) for col in PRIMARY_KEYS[table])
+    with pytest.raises(ValueError, match=f"^no DeleteRow statement for table '{table}'$"):
+        render_sql(Batch(1, "expire", 0, 0, (DeleteRow(table, key),)))
+    # Written by hand, the statement is in no rendered form, so both targets
+    # refuse its text: the stub no longer drops a row others still name.
+    script = f"BEGIN;\n{reference_statement(DeleteRow(table, key))}\nCOMMIT;\n"
+    stub, structured = SqlStubTarget(), MemstoreTarget()
+    stub.apply_script("load.sql", render_sql(load))
+    structured.apply_script("load.sql", render_sql(load))
+    before = stub.engine.table_multisets()
+    for target in (stub, structured):
+        with pytest.raises(ReplayError, match="expire.sql: line 2: not in the rendered form"):
+            target.apply_script("expire.sql", script)
+    assert stub.engine.table_multisets() == before == structured.store.table_multisets()
+
+
+def test_the_deletable_tables_are_the_stores_delete_handlers():
+    assert set(memstore._HANDLERS[DeleteRow]) == set(DELETABLE_TABLES)
 
 
 @pytest.mark.parametrize("overshoot", ["below zero", "at WEI_MAX"])
@@ -551,7 +583,7 @@ def _ops(text=_TRICKY_TEXT):
                 InsertRow, st.just(t), st.builds(ROW_TYPES[t], **{c: _column(k, text) for c, k in SCHEMA[t]})
             )
         ),
-        tables.flatmap(lambda t: st.builds(DeleteRow, st.just(t), _key(t))),
+        st.sampled_from(DELETABLE_TABLES).flatmap(lambda t: st.builds(DeleteRow, st.just(t), _key(t))),
         st.sampled_from(_NULLABLE_BLOCK_HASH).flatmap(lambda t: st.builds(NullBlockHash, st.just(t), _key(t))),
         st.builds(UpdateBalance, st.binary(max_size=20), st.integers(-(WEI_MAX - 1), WEI_MAX - 1)),
     )
@@ -932,7 +964,7 @@ def test_every_written_workload_file_takes_the_compiled_tier_only(shape, tmp_pat
     synth, init_blocks, granularity = _BENCH_SHAPES[shape]
     ds = generate(SynthConfig(seed=7, **synth))
     write_workload(ds, WorkloadConfig(init_blocks, granularity, expire=True), tmp_path)
-    scripts = {path.name: path.read_text(encoding="utf-8") for path in sorted(tmp_path.glob("*.sql"))}
+    scripts = read_scripts(tmp_path)
     parsed = {name: parse_script(script) for name, script in scripts.items()}
     for name, script in scripts.items():
         assert parsed[name] == _oracle(script), name

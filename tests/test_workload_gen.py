@@ -1,13 +1,15 @@
 import hashlib
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbench import memstore, workload_gen
-from chainbench.chain_model import PRIMARY_KEYS, ROW_TYPES, SCHEMA, WEI_MAX, validate_dataset
+from chainbench.chain_model import DELETABLE_TABLES, PRIMARY_KEYS, ROW_TYPES, SCHEMA, WEI_MAX, validate_dataset
 from chainbench.memstore import DeleteRow, InsertRow, NullBlockHash, Store, UpdateBalance
 from chainbench.sqlstub import SqlParseError, parse_script
 from chainbench.synth_chain import SynthConfig, generate
@@ -18,10 +20,11 @@ from chainbench.workload_gen import (
     gen_batches,
     gen_initial,
     render_sql,
+    script_name,
     write_workload,
 )
 
-from util import addr, edge_ops, reference_render
+from util import addr, edge_ops, read_scripts, reference_render
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +242,7 @@ def test_render_takes_a_subclass_of_a_mutation_record():
 def test_the_edge_batch_holds_every_form_and_renders_as_the_reference():
     ops = edge_ops()
     forms = {(type(op).__name__, op.table) for op in ops}
-    assert forms == {(kind, table) for kind in ("InsertRow", "DeleteRow") for table in SCHEMA} | {
+    assert forms == {("InsertRow", t) for t in SCHEMA} | {("DeleteRow", t) for t in DELETABLE_TABLES} | {
         ("NullBlockHash", "tokens"),
         ("NullBlockHash", "contracts"),
         ("UpdateBalance", "addresses"),
@@ -309,7 +312,7 @@ def _key(table: str):
 _TABLES = st.sampled_from(sorted(SCHEMA))
 _MUTATIONS = st.one_of(
     _TABLES.flatmap(lambda t: st.builds(InsertRow, st.just(t), _row(t))),
-    _TABLES.flatmap(lambda t: st.builds(DeleteRow, st.just(t), _key(t))),
+    st.sampled_from(DELETABLE_TABLES).flatmap(lambda t: st.builds(DeleteRow, st.just(t), _key(t))),
     st.sampled_from(["contracts", "tokens"]).flatmap(lambda t: st.builds(NullBlockHash, st.just(t), _key(t))),
     st.builds(UpdateBalance, st.binary(min_size=20, max_size=20), st.one_of(st.just(0), st.integers(-(2**260), 2**260))),
 )
@@ -330,15 +333,40 @@ def test_render_sql_equals_the_reference_renderer(ops, kind, index, lo):
 def test_write_workload_files(tmp_path):
     ds = generate(SynthConfig(seed=16, n_blocks=40, mean_tx_per_block=3, address_pool=20, n_tokens=2))
     manifest = write_workload(ds, WorkloadConfig(init_blocks=20, granularity=5, expire=True), tmp_path)
-    assert (tmp_path / "load.sql").exists()
-    assert sorted(p.name for p in tmp_path.glob("upserts-*.sql")) == [
-        f"upserts-{i:06d}.sql" for i in range(1, 5)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "scripts.json", "workload.sql"]
+    assert list(read_scripts(tmp_path)) == [
+        "load.sql",
+        *(f"{kind}-{i:06d}.sql" for i in range(1, 5) for kind in ("expire", "upserts")),
     ]
-    assert sorted(p.name for p in tmp_path.glob("expire-*.sql")) == [
-        f"expire-{i:06d}.sql" for i in range(1, 5)
-    ]
-    assert (tmp_path / "manifest.json").exists()
     assert len(manifest.batches) == 4
+    assert [names for _, names in manifest.units()] == [
+        ["load.sql"],
+        *([f"expire-{i:06d}.sql", f"upserts-{i:06d}.sql"] for i in range(1, 5)),
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_blocks=st.integers(2, 24),
+    init=st.floats(0, 1),
+    granularity=st.integers(1, 6),
+    expire=st.booleans(),
+)
+def test_each_script_read_back_through_the_index_is_its_rendered_batch(seed, n_blocks, init, granularity, expire):
+    ds = generate(SynthConfig(seed=seed, n_blocks=n_blocks, mean_tx_per_block=3, address_pool=15, n_tokens=3))
+    cfg = WorkloadConfig(1 + round(init * (n_blocks - 2)), granularity, expire)
+    load = gen_initial(ds, cfg)
+    pairs, manifest = gen_batches(ds, cfg)
+    batches = [load, *(b for pair in pairs for b in (pair.expire, pair.upsert) if b is not None)]
+    rendered = {script_name(b.kind, b.index): render_sql(b) for b in batches}
+    with tempfile.TemporaryDirectory() as tmp:
+        assert write_workload(ds, cfg, tmp) == manifest
+        scripts = read_scripts(Path(tmp))
+        whole = (Path(tmp) / "workload.sql").read_bytes()
+    assert list(rendered) == [name for _, names in manifest.units() for name in names]
+    assert scripts == rendered
+    assert whole == "".join(rendered.values()).encode()
 
 
 def test_write_workload_finishes_a_file_the_kernel_writes_in_parts(monkeypatch, tmp_path):

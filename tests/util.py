@@ -8,10 +8,14 @@ check.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
+from pathlib import Path
+from typing import Callable, Iterable
 
 from chainbench.chain_model import (
+    DELETABLE_TABLES,
     PRIMARY_KEYS,
     ROW_TYPES,
     SCHEMA,
@@ -29,6 +33,7 @@ from chainbench.chain_model import (
 from chainbench.estimator import ColumnStats
 from chainbench.memstore import DeleteRow, Filter, InsertRow, Mutation, NullBlockHash, SPJQuery, Store, UpdateBalance
 from chainbench.sqlstub import SqlParseError
+from chainbench.workload_gen import INDEX_FILE, WORKLOAD_FILE, Manifest, ScriptWriter, write_manifest
 
 
 def _oracle_matches(f: Filter, row) -> bool:
@@ -585,9 +590,9 @@ _EDGE_VALUES = {
 def edge_ops() -> tuple[Mutation, ...]:
     """Every statement form at its edges: per table, an insert of each
     column's first edge value, one of its second with NULL in every nullable
-    column, a keyed DELETE of each, and a block_hash NULL-out where that
-    column may be NULL; then balance UPDATEs by zero, negative and positive
-    deltas."""
+    column, a keyed DELETE of the first where the table may be deleted from,
+    and a block_hash NULL-out where that column may be NULL; then balance
+    UPDATEs by zero, negative and positive deltas."""
     ops: list[Mutation] = []
     for table, columns in SCHEMA.items():
         first = ROW_TYPES[table](*(_EDGE_VALUES[kind.rstrip("?")][0] for _, kind in columns))
@@ -595,9 +600,44 @@ def edge_ops() -> tuple[Mutation, ...]:
             *(None if kind.endswith("?") else _EDGE_VALUES[kind][1] for _, kind in columns)
         )
         key = tuple(getattr(first, col) for col in PRIMARY_KEYS[table])
-        ops += [InsertRow(table, first), InsertRow(table, second), DeleteRow(table, key)]
+        ops += [InsertRow(table, first), InsertRow(table, second)]
+        if table in DELETABLE_TABLES:
+            ops.append(DeleteRow(table, key))
         if ("block_hash", "hash?") in columns:
             ops.append(NullBlockHash(table, key))
     address = _EDGE_VALUES["address"][0]
     ops += [UpdateBalance(address, delta) for delta in (0, -1, 1, -(WEI_MAX - 1), WEI_MAX - 1)]
     return tuple(ops)
+
+
+# ---------------------------------------------------------------------------
+# Workload directories: written by hand through the library's writer, and
+# read back through the index by slicing the whole file (never through the
+# replay's own reader).
+
+
+def write_scripts(directory: Path, scripts: Iterable[tuple[str, str]], manifest: Manifest | None = None) -> None:
+    """Write ``scripts`` ((name, text) pairs, in replay order) as a workload
+    directory's ``workload.sql`` and ``scripts.json``, and ``manifest`` as
+    its ``manifest.json`` when one is given."""
+    directory.mkdir(parents=True, exist_ok=True)
+    with ScriptWriter(directory) as writer:
+        for name, text in scripts:
+            writer.add(name, text)
+    if manifest is not None:
+        write_manifest(directory, manifest)
+
+
+def read_scripts(directory: Path) -> dict[str, str]:
+    """Each script of a workload directory by name, in index order."""
+    data = (directory / WORKLOAD_FILE).read_bytes()
+    index = json.loads((directory / INDEX_FILE).read_text(encoding="utf-8"))
+    return {name: data[offset : offset + length].decode("utf-8") for name, offset, length in index}
+
+
+def edit_script(directory: Path, name: str, edit: Callable[[str], str]) -> None:
+    """Rewrite a workload directory's scripts with ``edit(text)`` in place of
+    script ``name``'s text; the manifest is left as it is."""
+    scripts = read_scripts(directory)
+    scripts[name] = edit(scripts[name])
+    write_scripts(directory, scripts.items())
