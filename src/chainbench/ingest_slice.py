@@ -15,9 +15,9 @@ read one, so no version accepts it. Each column has one encoder and one
 decoder, built once from ``SCHEMA``.
 
 ``BalanceLedger`` prices any in-range state: ``build_ledger`` nets a dataset's
-flows per block and address, then walks the blocks once in ascending order to
-fill both the per-block entries that ``touched_in_range`` reads and the
-per-address trajectories, which come out sorted without a sort.
+flows per block and address into per-block entries, which ``touched_in_range``
+and ``balances_at`` read; the per-address trajectories are derived from them
+only when something reads them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import csv
 import json
 import logging
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from functools import cached_property
 from operator import methodcaller
 from pathlib import Path
 from typing import Callable
@@ -281,18 +281,19 @@ def load_export(in_dir: str | Path, lo: int | None = None, hi: int | None = None
 
 
 def _rollback_balances(ds: ChainDataset, hi: int, block_number: dict[bytes, int]) -> dict[bytes, int]:
-    """Balances at block ``hi``, derived from the snapshot by undoing later flows."""
+    """Balances at block ``hi``, derived from the snapshot by undoing later
+    flows; a row whose block is not in ``block_number`` is skipped."""
     balances = dict(ds.final_balances)
-    tx_block = {t.hash: block_number.get(t.block_hash) for t in ds.transactions}
+    number = block_number.get
     for t in ds.transactions:
-        num = tx_block[t.hash]
+        num = number(t.block_hash)
         if num is None or num <= hi:
             continue
         balances[t.from_address] = balances.get(t.from_address, 0) + t.value
         if t.to_address is not None:
             balances[t.to_address] = balances.get(t.to_address, 0) - t.value
     for w in ds.withdrawals:
-        num = block_number.get(w.hash)
+        num = number(w.hash)
         if num is None or num <= hi:
             continue
         balances[w.address] = balances.get(w.address, 0) - w.amount
@@ -370,9 +371,8 @@ def extract_slice(ds: ChainDataset, lo: int, hi: int) -> ChainDataset:
     return ChainDataset(addresses=tuple(addresses), **tables, final_balances=final_balances, final_block=hi)
 
 
-@dataclass
 class BalanceLedger:
-    """Per-address balance trajectories over a dataset's block range.
+    """Per-block balance deltas over a dataset's block range.
 
     ``balance_at(a, b)`` is the snapshot balance minus all deltas in blocks
     after ``b``; a block's delta is incoming transfer value minus outgoing
@@ -380,27 +380,48 @@ class BalanceLedger:
     start from 0 before deltas. Gas and fee flows are not in the schema and
     are deliberately not modelled.
 
-    The deltas are also held by block (``by_block``, in ascending block
-    order), so ``touched_in_range`` costs the blocks in the range rather than
-    every address. ``build_ledger`` makes both views in one pass; a ledger
-    given only ``deltas`` derives ``by_block`` from them.
+    The deltas are held by block (``by_block``, in ascending block order), so
+    ``touched_in_range`` and ``balances_at`` cost the blocks they read rather
+    than every address. The per-address trajectories (``deltas``) are derived
+    from them the first time something reads them. A ledger given only
+    ``deltas`` derives ``by_block`` from them instead.
     """
 
-    final_balances: dict[bytes, int]
-    final_block: int
-    first_block: int
-    deltas: dict[bytes, list[tuple[int, int]]]  # address -> sorted (block, delta)
-    by_block: dict[int, list[tuple[bytes, int]]] | None = field(default=None, repr=False, compare=False)
-    _blocks: list[int] = field(init=False, repr=False, compare=False)  # sorted blocks with a delta
-
-    def __post_init__(self) -> None:
-        if self.by_block is None:
-            by_block: dict[int, list[tuple[bytes, int]]] = {}
-            for addr, entries in self.deltas.items():
+    def __init__(
+        self,
+        final_balances: dict[bytes, int],
+        final_block: int,
+        first_block: int,
+        deltas: dict[bytes, list[tuple[int, int]]] | None = None,
+        by_block: dict[int, list[tuple[bytes, int]]] | None = None,
+    ) -> None:
+        self.final_balances = final_balances
+        self.final_block = final_block
+        self.first_block = first_block
+        if deltas is not None:
+            self.deltas = deltas
+        if by_block is None:
+            by_block = {}
+            for addr, entries in (deltas or {}).items():
                 for blk, delta in entries:
                     by_block.setdefault(blk, []).append((addr, delta))
-            self.by_block = dict(sorted(by_block.items()))
-        self._blocks = list(self.by_block)
+            by_block = dict(sorted(by_block.items()))
+        self.by_block = by_block  # block -> [(address, delta)], blocks ascending
+        self._blocks = list(by_block)  # sorted blocks with a delta
+
+    @cached_property
+    def deltas(self) -> dict[bytes, list[tuple[int, int]]]:
+        """Address -> its (block, delta) entries, sorted by block: the walk
+        over the blocks in order appends them sorted without a sort."""
+        deltas: dict[bytes, list[tuple[int, int]]] = {}
+        for blk, entries in self.by_block.items():
+            for addr, d in entries:
+                trajectory = deltas.get(addr)
+                if trajectory is None:
+                    deltas[addr] = [(blk, d)]
+                else:
+                    trajectory.append((blk, d))
+        return deltas
 
     def balance_at(self, address: bytes, block: int) -> int:
         bal = self.final_balances.get(address, 0)
@@ -408,6 +429,16 @@ class BalanceLedger:
             if blk > block:
                 bal -= delta
         return bal
+
+    def balances_at(self, block: int) -> dict[bytes, int]:
+        """Every address's balance at the end of ``block``: the snapshot
+        minus the deltas of the blocks after it."""
+        balances = dict(self.final_balances)
+        blocks, by_block = self._blocks, self.by_block
+        for i in range(bisect_right(blocks, block), len(blocks)):
+            for addr, delta in by_block[blocks[i]]:
+                balances[addr] = balances.get(addr, 0) - delta
+        return balances
 
     def delta_in_range(self, address: bytes, lo: int, hi: int) -> int:
         return sum(d for blk, d in self.deltas.get(address, ()) if lo <= blk <= hi)
@@ -422,27 +453,31 @@ class BalanceLedger:
         return {addr: d for addr, d in net.items() if d}
 
     def consistency_warnings(self) -> list[tuple[bytes, int]]:
-        """(address, block) pairs where the derived balance dips below zero."""
+        """(address, block) pairs where the derived balance dips below zero:
+        the balance after that block, or before the address's first delta
+        (reported at ``first_block - 1``). One walk over the blocks from the
+        last one down, keeping a running balance per address; the pairs come
+        in descending block order."""
         bad: list[tuple[bytes, int]] = []
-        for addr, entries in self.deltas.items():
-            bal = self.final_balances.get(addr, 0)
-            # Walk backwards: balance before each delta block.
-            for blk, delta in reversed(entries):
+        final = self.final_balances
+        running: dict[bytes, int] = {}
+        for blk in reversed(self._blocks):
+            for addr, delta in reversed(self.by_block[blk]):
+                bal = running.get(addr)
+                if bal is None:
+                    bal = final.get(addr, 0)
                 if bal < 0:
                     bad.append((addr, blk))
-                bal -= delta
-            if bal < 0:
-                bad.append((addr, self.first_block - 1))
+                running[addr] = bal - delta
+        bad.extend((addr, self.first_block - 1) for addr, bal in running.items() if bal < 0)
         return bad
 
 
 def build_ledger(ds: ChainDataset) -> BalanceLedger:
     """Derive per-block balance deltas so any in-range state can be priced.
 
-    The transfers and withdrawals are netted per block and address, then the
-    blocks are walked once in ascending order: each nonzero net is appended to
-    its block's entries and to its address's list, which thus comes out
-    sorted without a sort.
+    The transfers and withdrawals are netted per block and address; each
+    block's nonzero nets, in ascending block order, are its entries.
     """
     block_number = {b.hash: b.number for b in ds.blocks}
     rng = ds.block_range
@@ -466,25 +501,12 @@ def build_ledger(ds: ChainDataset) -> BalanceLedger:
             per_addr = net[blk] = {}
         per_addr[w.address] = per_addr.get(w.address, 0) + w.amount
 
-    deltas: dict[bytes, list[tuple[int, int]]] = {}
     by_block: dict[int, list[tuple[bytes, int]]] = {}
     for blk in sorted(net):
         entries = [(addr, d) for addr, d in net[blk].items() if d]
         if entries:
             by_block[blk] = entries
-            for addr, d in entries:
-                trajectory = deltas.get(addr)
-                if trajectory is None:
-                    deltas[addr] = [(blk, d)]
-                else:
-                    trajectory.append((blk, d))
-    ledger = BalanceLedger(
-        final_balances=dict(ds.final_balances),
-        final_block=ds.final_block,
-        first_block=first,
-        deltas=deltas,
-        by_block=by_block,
-    )
+    ledger = BalanceLedger(dict(ds.final_balances), ds.final_block, first, by_block=by_block)
     for addr, blk in ledger.consistency_warnings():
         log.warning("ledger: balance of %s negative at block %d", encode_hex(addr), blk)
     return ledger

@@ -166,13 +166,21 @@ def run_scenario(manifest: ExperimentManifest, out_dir: str | Path) -> ScenarioR
         start = time.perf_counter()
         memstore.apply(store, load)
         result.timings.append({"batch": 0, "ms": (time.perf_counter() - start) * 1000.0})
+        # The state holds what a batch inserted, so an applied batch is
+        # dropped before the next probe: the run holds its window, not its
+        # history. Each free falls outside the timed apply. ``ds`` stays: it
+        # still holds the rows an expire deletes, so none is freed inside one.
+        del load
         probe("W1", store)
-        for i, pair in enumerate(pairs, start=1):
+        pairs.reverse()
+        for i in range(1, len(pairs) + 1):
+            pair = pairs.pop()
             start = time.perf_counter()
             if pair.expire is not None:
                 memstore.apply(store, pair.expire)
             memstore.apply(store, pair.upsert)
             result.timings.append({"batch": i, "ms": (time.perf_counter() - start) * 1000.0})
+            del pair
             probe(f"W{i + 1}", store)
     else:  # slice-compare
         for i, entry in enumerate(manifest.slices):

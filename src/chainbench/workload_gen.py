@@ -253,6 +253,9 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
              tokens=init_tokens, contracts=init_contracts)
     )
     seen = _SeenTracker(number_of, init_addrs, init_tokens, init_contracts)
+    # Every address's balance at the end of the window's newest block: the
+    # balances at the initial window's end, then each batch's net deltas.
+    balances = ledger.balances_at(init_hi)
     # The window is always the contiguous block range [window_lo, window_hi]:
     # expiry drops its oldest blocks and each batch appends the next ones.
     window_lo, window_hi = first, init_hi
@@ -348,12 +351,15 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
         new_addrs = sorted(refs - seen.addresses)
         address_rows = []
         for addr in new_addrs:
-            base = ledger.balance_at(addr, lo - 1)
+            base = balances.get(addr, 0)
             if base < 0:
                 log.warning("address %s enters with negative balance %d; clamped", encode_hex(addr), base)
                 base = 0
             address_rows.append(AddressRow(addr, base))
         seen.addresses.update(new_addrs)
+        touched = ledger.touched_in_range(lo, hi)
+        for addr, delta in touched.items():
+            balances[addr] = balances.get(addr, 0) + delta
         ops = (
             *records(InsertRow, "addresses", address_rows),
             *records(InsertRow, "blocks", batch_blocks),
@@ -363,7 +369,7 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
             *records(InsertRow, "transactions", batch_txs),
             *records(InsertRow, "token_transactions", batch_ttxs),
             # Each (address, delta) pair becomes its UpdateBalance in C.
-            *map(tuple.__new__, repeat(UpdateBalance), sorted(ledger.touched_in_range(lo, hi).items())),
+            *map(tuple.__new__, repeat(UpdateBalance), sorted(touched.items())),
         )
 
         upsert = Batch(index=index, kind="upsert", block_lo=lo, block_hi=hi, ops=ops)

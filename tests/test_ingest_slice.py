@@ -32,7 +32,7 @@ from chainbench.ingest_slice import (
 )
 from chainbench.synth_chain import SynthConfig, generate
 
-from util import addr, tiny_dataset
+from util import addr, per_address_warnings, tiny_dataset
 
 
 def test_export_round_trip(small_dataset, tmp_path):
@@ -242,6 +242,77 @@ def test_touched_in_range_drops_addresses_whose_deltas_cancel(deltas, lo, hi):
     for a in deltas:
         assert ledger.delta_in_range(a, lo, hi) == in_range[a]
         assert ledger.balance_at(a, lo) == -sum(d for b, d in deltas[a].items() if b > lo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    deltas=st.dictionaries(
+        st.binary(min_size=1, max_size=1),
+        st.dictionaries(st.integers(0, 12), st.integers(-4, 4).filter(bool), min_size=1),
+        max_size=6,
+    ),
+    final=st.dictionaries(st.binary(min_size=1, max_size=1), st.integers(-3, 6), max_size=8),
+    first_block=st.integers(-2, 0),  # at or before every delta's block
+)
+def test_ledger_warnings_equal_a_per_address_walk(deltas, final, first_block):
+    # Small balances against deltas of the same size dip below zero often,
+    # before the first delta as well as after any block.
+    trajectories = {a: sorted(per_block.items()) for a, per_block in deltas.items()}
+    expected = per_address_warnings(final, first_block, trajectories)
+    from_deltas = BalanceLedger(final, 12, first_block, trajectories)
+    from_blocks = BalanceLedger(final, 12, first_block, by_block=from_deltas.by_block)
+    for ledger in (from_deltas, from_blocks):
+        warnings = ledger.consistency_warnings()
+        assert len(warnings) == len(expected)
+        assert set(warnings) == expected
+        # One walk from the last block down: the pairs come newest first.
+        assert [blk for _, blk in warnings] == sorted((blk for _, blk in warnings), reverse=True)
+
+
+def test_a_built_ledger_derives_trajectories_only_when_read():
+    ledger = build_ledger(tiny_dataset())
+    assert "deltas" not in vars(ledger)
+    ledger.consistency_warnings()
+    ledger.touched_in_range(0, 2)
+    ledger.balances_at(1)
+    assert "deltas" not in vars(ledger)
+    assert ledger.balance_at(addr(1), 0) == ledger.balances_at(0)[addr(1)]
+    assert "deltas" in vars(ledger)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n_blocks=st.integers(1, 20), data=st.data())
+def test_balances_at_and_rollback_equal_the_snapshot_minus_later_nets(seed, n_blocks, data):
+    ds = generate(SynthConfig(seed=seed, n_blocks=n_blocks, mean_tx_per_block=4, address_pool=12, n_tokens=2))
+    first, last = ds.block_range
+    hi = data.draw(st.integers(first - 1, last + 1))
+
+    def later_nets_undone(dataset):
+        balances = dict(dataset.final_balances)
+        for blk, entries in build_ledger(dataset).by_block.items():
+            if blk > hi:
+                for a, d in entries:
+                    balances[a] = balances.get(a, 0) - d
+        return balances
+
+    def same(got, want):
+        return all(got.get(a, 0) == want.get(a, 0) for a in set(got) | set(want))
+
+    block_number = {b.hash: b.number for b in ds.blocks}
+    expected = later_nets_undone(ds)
+    assert same(ingest_slice._rollback_balances(ds, hi, block_number), expected)
+    assert same(build_ledger(ds).balances_at(hi), expected)
+    # A row whose block is not in block_number is skipped: the result is the
+    # dataset's without that block's transactions and withdrawals.
+    gone = data.draw(st.sampled_from(ds.blocks))
+    rest = replace(
+        ds,
+        blocks=tuple(b for b in ds.blocks if b is not gone),
+        transactions=tuple(t for t in ds.transactions if t.block_hash != gone.hash),
+        withdrawals=tuple(w for w in ds.withdrawals if w.hash != gone.hash),
+    )
+    del block_number[gone.hash]
+    assert same(ingest_slice._rollback_balances(ds, hi, block_number), later_nets_undone(rest))
 
 
 # sha256 over every file an export writes (name, NUL, bytes; by name),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -193,3 +194,41 @@ def test_every_probe_reaches_the_patched_refresh_count_and_evaluate_state(monkey
     # Only Q1's five filter columns get full statistics.
     assert calls.count(("refresh", 5)) == 3
     assert calls.count("count") == 3 * 5
+
+
+def test_a_drift_run_holds_no_applied_batch(monkeypatch, tmp_path):
+    # A window-drift run keeps its window, not its history: the load and
+    # every batch are freed once applied, before the next probe. The
+    # collector is paused, but batches hold no cycles, so reference counting
+    # frees them as soon as the run lets go.
+    applied: list[weakref.ref] = []
+    probes = []
+
+    def keep_ref(apply):
+        def wrapper(store, batch):
+            applied.append(weakref.ref(batch))
+            return apply(store, batch)
+
+        return wrapper
+
+    def check(evaluate_state):
+        def wrapper(label, *args, **kwargs):
+            probes.append((label, len(applied)))
+            assert [ref() for ref in applied] == [None] * len(applied), label
+            return evaluate_state(label, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(memstore, "apply", keep_ref(memstore.apply))
+    monkeypatch.setattr(scenario, "evaluate_state", check(scenario.evaluate_state))
+    manifest = ExperimentManifest.from_dict(
+        {
+            "kind": "window-drift",
+            "source": {"kind": "synth", "config": {"seed": 4, "n_blocks": 30, "mean_tx_per_block": 4, "address_pool": 15}},
+            "workload": {"init_blocks": 12, "granularity": 6, "expire": True},
+            "max_tables": 1,
+        }
+    )
+    run_scenario(manifest, tmp_path)
+    # The load, then an expire and an upsert per batch, each probed after.
+    assert probes == [("W1", 1), ("W2", 3), ("W3", 5), ("W4", 7)]

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainbench import memstore, workload_gen
+from chainbench import ingest_slice, memstore, workload_gen
 from chainbench.chain_model import DELETABLE_TABLES, PRIMARY_KEYS, ROW_TYPES, SCHEMA, WEI_MAX, validate_dataset
+from chainbench.ingest_slice import build_ledger
 from chainbench.memstore import DeleteRow, InsertRow, NullBlockHash, Store, UpdateBalance
 from chainbench.sqlstub import SqlParseError, parse_script
 from chainbench.synth_chain import SynthConfig, generate
@@ -204,6 +205,39 @@ def test_final_balances_after_all_batches():
         memstore.apply(store, pair.upsert)
     for address, balance in store.balances.items():
         assert balance == ds.final_balances[address]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_blocks=st.integers(2, 30),
+    init=st.floats(0, 1),
+    granularity=st.integers(1, 6),
+    expire=st.booleans(),
+)
+def test_an_entering_address_takes_the_ledgers_balance(seed, n_blocks, init, granularity, expire):
+    # gen_batches carries each address's balance forward batch by batch; an
+    # address entering at batch [lo, hi] must hold the ledger's balance at
+    # lo - 1, clamped at zero.
+    ds = generate(SynthConfig(seed=seed, n_blocks=n_blocks, mean_tx_per_block=4, address_pool=15, n_tokens=3))
+    pairs, _ = gen_batches(ds, WorkloadConfig(1 + round(init * (n_blocks - 2)), granularity, expire))
+    ledger = build_ledger(ds)
+    for pair in pairs:
+        for op in pair.upsert.ops:
+            if isinstance(op, InsertRow) and op.table == "addresses":
+                assert op.row.eth_balance == max(0, ledger.balance_at(op.row.address, pair.upsert.block_lo - 1))
+
+
+def test_batch_generation_reads_no_per_address_trajectory(monkeypatch):
+    # The ledger's per-address view is derived on demand; generating batches
+    # must make do with the per-block one.
+    def refuse(_ledger):
+        raise AssertionError("gen_batches read BalanceLedger.deltas")
+
+    monkeypatch.setattr(ingest_slice.BalanceLedger, "deltas", property(refuse))
+    ds = generate(SynthConfig(seed=5, n_blocks=40, mean_tx_per_block=5, address_pool=20, n_tokens=3))
+    pairs, _ = gen_batches(ds, WorkloadConfig(init_blocks=10, granularity=3, expire=True))
+    assert any(isinstance(op, InsertRow) and op.table == "addresses" for pair in pairs for op in pair.upsert.ops)
 
 
 def test_render_empty_batch():

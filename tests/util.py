@@ -445,6 +445,25 @@ def two_pass_parse_script(script: str) -> list[Mutation]:
     return parsed
 
 
+def per_address_warnings(
+    final_balances: dict[bytes, int], first_block: int, deltas: dict[bytes, list[tuple[int, int]]]
+) -> set[tuple[bytes, int]]:
+    """Where a ledger's balance dips below zero, one address at a time: from
+    its snapshot balance back over its (block, delta) entries, newest first,
+    flagging (address, block) when the balance after that block is negative,
+    and (address, first_block - 1) when it is negative before every delta."""
+    bad = set()
+    for address, entries in deltas.items():
+        balance = final_balances.get(address, 0)
+        for block, delta in sorted(entries, reverse=True):
+            if balance < 0:
+                bad.add((address, block))
+            balance -= delta
+        if balance < 0:
+            bad.add((address, first_block - 1))
+    return bad
+
+
 def containers(store: Store) -> dict:
     """Copies of the store's containers, leaving out empty reverse-index sets."""
     state = {}
