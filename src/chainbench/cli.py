@@ -39,7 +39,7 @@ from .gcpause import collector_paused
 from .ingest_slice import load_export, write_export
 from .query_assets import load_workload, schema_sql
 from .replay_driver import ReplayError, connect_target, load_target_config, manifest_hash, replay
-from .scenario import load_manifest, run_scenario
+from .scenario import POLICIES, load_manifest, run_scenario
 from .synth_chain import SynthConfig, generate
 from .workload_gen import WorkloadConfig, write_workload
 
@@ -182,13 +182,12 @@ def _cmd_run_queries(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe_card(args: argparse.Namespace) -> int:
-    ds = load_export(args.export, args.lo, args.hi)
-    store = memstore.Store.from_dataset(ds)
     assets = {a.id: a for a in load_workload(args.queries)}
     asset = assets.get(args.query)
     if asset is None or asset.spj is None:
         raise ValueError(f"query {args.query!r} has no structured form to probe")
     subqueries = enumerate_subqueries(asset.spj, args.max_tables)
+    store = memstore.Store.from_dataset(load_export(args.export, args.lo, args.hi))
     if args.catalog:
         catalog = estimator.load_catalog(args.catalog)
     else:
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", default="Q1")
     p.add_argument("--queries", help="directory of user query files")
     p.add_argument("--max-tables", type=int, default=3)
-    p.add_argument("--policy", choices=("refreshed", "initial"), default="refreshed")
+    p.add_argument("--policy", choices=POLICIES, default="refreshed")
     p.add_argument("--label", default="S1", help="state label for the emitted points")
     p.add_argument("--catalog", help="reuse a saved statistics catalog (stale-policy replay)")
     p.add_argument("--save-catalog", help="save the catalog used")

@@ -1,5 +1,7 @@
-"""Experiment machinery: subquery enumeration, Q-error drift series, latency
-measurement, and plan-regret matrices.
+"""Experiment machinery: subquery enumeration, the probe of one state (each
+policy's catalog, then estimate vs exact count per subquery), latency
+measurement, and plan-regret matrices. A Q-error drift series is the probe
+run on each state in turn, as ``scenario.run_scenario`` does.
 
 Q-error is the multiplicative estimation error max(e, a) / min(e, a) with
 both operands clamped up to 1 first, so a true-zero or estimated-zero
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import estimator, memstore
-from .gcpause import collector_paused
 from .memstore import SPJQuery, Store
 
 
@@ -61,7 +62,10 @@ def enumerate_subqueries(q: SPJQuery, max_tables: int) -> list[SPJQuery]:
 
     Each subquery keeps all filters applicable to its tables and all join
     edges internal to it, in a canonical order (table-set lexicographic).
+    A ``max_tables`` below 1 is refused: it would leave nothing to probe.
     """
+    if max_tables < 1:
+        raise ValueError(f"max_tables must be >= 1, got {max_tables}")
     aliases = sorted(q.alias_map)
     adj: dict[str, set[str]] = {a: set() for a in aliases}
     for e in q.joins:
@@ -181,35 +185,6 @@ def policy_catalogs(
             )
         catalogs[policy] = built
     return catalogs
-
-
-@collector_paused
-def drift_experiment(
-    states: Sequence[tuple[str, Store]],
-    q: SPJQuery,
-    max_tables: int,
-    policy: str,
-    n_buckets: int = 100,
-) -> list[QErrorPoint]:
-    """Q-error series across states for every subquery of ``q``.
-
-    With ``policy="refreshed"`` the catalog is rebuilt on every state; with
-    ``policy="initial"`` the first state's catalog is reused throughout.
-    Actual counts always come from the current state.
-    """
-    if not states:
-        raise ValueError("drift_experiment needs at least one state")
-    if policy not in ("refreshed", "initial"):
-        raise ValueError(f"unknown policy {policy!r}")
-    subqueries = enumerate_subqueries(q, max_tables)
-    columns = probe_columns(subqueries)
-    points: list[QErrorPoint] = []
-    initial = None
-    for label, store in states:
-        catalogs = policy_catalogs((policy,), label, store, initial, n_buckets, columns)
-        initial = catalogs.get("initial")
-        points.extend(evaluate_state(label, store, subqueries, catalogs))
-    return points
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,19 @@ Export format (bit-exact, round-trips through :func:`write_export` /
 ``addresses.csv``, ``transactions.csv``, ``contracts.csv``, ``tokens.csv``,
 ``token_transactions.csv``, ``withdrawals.csv`` plus ``balances.csv``
 (address, eth_balance, as_of_block) and ``manifest.json`` with row counts and
-the block range. Header row carries the exact schema column names, RFC-4180
+the block range. The balance snapshot is written and read as one more table,
+through the same codec. Header row carries the exact column names, RFC-4180
 quoting, hex fields in canonical ``0x...`` form, integers in plain decimal,
 null as the empty field, ``function_sighashes`` as ``|``-separated hex items.
 A row whose text holds a carriage return is quoted in full. Text holding a NUL
 character is refused, on write and on read, with an ``ExportError`` naming
 its table, row and column: Python 3.10's ``csv`` module can neither write nor
 read one, so no version accepts it. Each column has one encoder and one
-decoder, built once from ``SCHEMA``.
+decoder, built once from ``SCHEMA`` and the snapshot's columns.
 
 ``BalanceLedger`` prices any in-range state: ``build_ledger`` nets a dataset's
 flows per block and address into per-block entries, which ``touched_in_range``
-and ``balances_at`` read; the per-address trajectories are derived from them
-only when something reads them.
+and ``balances_at`` read.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ import csv
 import json
 import logging
 from bisect import bisect_left, bisect_right
-from functools import cached_property
 from operator import methodcaller
 from pathlib import Path
 from typing import Callable
 
 from .chain_model import (
-    ADDRESS_LEN,
     BYTE_LENGTHS,
     AddressRow,
     ChainDataset,
@@ -145,9 +143,11 @@ def _decoder(col: str, kind: str) -> Callable[[str], object]:
     return non_null
 
 
-# Per table: one encoder and one decoder per column, in SCHEMA order.
-_ENCODERS = {table: tuple(_CSV_KINDS[kind.rstrip("?")][0] for _, kind in cols) for table, cols in SCHEMA.items()}
-_DECODERS = {table: tuple(_decoder(col, kind) for col, kind in cols) for table, cols in SCHEMA.items()}
+# Each export file's columns: the tables', and the balance snapshot's.
+_COLUMNS = {**SCHEMA, "balances": (("address", "address"), ("eth_balance", "int"), ("as_of_block", "int"))}
+# Per file: one encoder and one decoder per column, in column order.
+_ENCODERS = {table: tuple(_CSV_KINDS[kind.rstrip("?")][0] for _, kind in cols) for table, cols in _COLUMNS.items()}
+_DECODERS = {table: tuple(_decoder(col, kind) for col, kind in cols) for table, cols in _COLUMNS.items()}
 # Per table with text columns: their positions.
 _TEXT_AT = {
     table: positions
@@ -170,10 +170,9 @@ def write_export(ds: ChainDataset, out_dir: str | Path) -> dict:
                     raise ExportError(f"table {table}: row {number}: column {column}: holds a NUL character")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    counts: dict[str, int] = {}
-    for table in TABLE_NAMES:
-        rows = ds.table(table)
-        counts[table] = len(rows)
+    files = {table: ds.table(table) for table in TABLE_NAMES}
+    files["balances"] = [(a, ds.final_balances[a], ds.final_block) for a in sorted(ds.final_balances)]
+    for table, rows in files.items():
         encoders = _ENCODERS[table]
         text_at = _TEXT_AT.get(table, ())
         with open(out / f"{table}.csv", "w", encoding="utf-8", newline="") as fh:
@@ -181,20 +180,15 @@ def write_export(ds: ChainDataset, out_dir: str | Path) -> dict:
             # Before Python 3.13 the writer leaves a lone "\r" unquoted, and it
             # reads back as a line end: a row with one is written fully quoted.
             quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-            writer.writerow([name for name, _ in SCHEMA[table]])
+            writer.writerow([name for name, _ in _COLUMNS[table]])
             for row in rows:
                 cells = ["" if value is None else encode(value) for encode, value in zip(encoders, row)]
                 if text_at and any("\r" in cells[i] for i in text_at):
                     quoted.writerow(cells)
                 else:
                     writer.writerow(cells)
-    with open(out / "balances.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["address", "eth_balance", "as_of_block"])
-        for addr in sorted(ds.final_balances):
-            writer.writerow([encode_hex(addr), str(ds.final_balances[addr]), str(ds.final_block)])
     manifest = {
-        "tables": counts,
+        "tables": {table: len(files[table]) for table in TABLE_NAMES},
         "block_range": list(ds.block_range) if ds.block_range else None,
         "snapshot_block": ds.final_block,
     }
@@ -204,11 +198,15 @@ def write_export(ds: ChainDataset, out_dir: str | Path) -> dict:
     return manifest
 
 
-def _read_table(path: Path, table: str) -> list:
+def _read_table(src: Path, table: str, make: Callable[[list], object]) -> list:
+    """The rows of ``table``'s file in ``src``, each made by ``make`` from
+    its decoded values; a malformed file is refused with its file, line and
+    column."""
+    path = src / f"{table}.csv"
     if not path.exists():
         raise ExportError(f"table {table}: file not found: {path}")
-    names = [name for name, _ in SCHEMA[table]]
-    decoders, make = _DECODERS[table], ROW_TYPES[table]._make
+    names = [name for name, _ in _COLUMNS[table]]
+    decoders = _DECODERS[table]
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(map(_MARK_NULS, fh))
@@ -235,30 +233,11 @@ def read_export(in_dir: str | Path) -> ChainDataset:
     ``final_balances`` is the balance snapshot, valid at ``final_block``
     (the export's last block)."""
     src = Path(in_dir)
-    tables = {table: tuple(_read_table(src / f"{table}.csv", table)) for table in TABLE_NAMES}
-
-    balances: dict[bytes, int] = {}
-    as_of = 0
-    eth_balance, as_of_block = _decoder("eth_balance", "int"), _decoder("as_of_block", "int")
-    bal_path = src / "balances.csv"
-    if not bal_path.exists():
-        raise ExportError(f"table balances: file not found: {bal_path}")
-    with open(bal_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(map(_MARK_NULS, fh))
-        header = next(reader, None)
-        if header != ["address", "eth_balance", "as_of_block"]:
-            raise ExportError(f"balances.csv: bad header {header!r}")
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != 3:
-                raise ExportError(f"balances.csv:{lineno}: expected 3 fields")
-            try:
-                addr = decode_hex(record[0], ADDRESS_LEN, "address")
-                bal = eth_balance(record[1])
-                as_of = as_of_block(record[2])
-            except FormatError as exc:
-                reason = "holds a NUL character" if any(_NUL_MARK in cell for cell in record) else exc
-                raise ExportError(f"balances.csv:{lineno}: {reason}") from exc
-            balances[addr] = bal
+    tables = {table: tuple(_read_table(src, table, ROW_TYPES[table]._make)) for table in TABLE_NAMES}
+    snapshot = _read_table(src, "balances", tuple)
+    balances = {addr: bal for addr, bal, _ in snapshot}
+    # Without a manifest the snapshot's block is its last row's.
+    as_of = snapshot[-1][2] if snapshot else 0
 
     manifest_path = src / "manifest.json"
     if manifest_path.exists():
@@ -374,61 +353,27 @@ def extract_slice(ds: ChainDataset, lo: int, hi: int) -> ChainDataset:
 class BalanceLedger:
     """Per-block balance deltas over a dataset's block range.
 
-    ``balance_at(a, b)`` is the snapshot balance minus all deltas in blocks
-    after ``b``; a block's delta is incoming transfer value minus outgoing
-    transfer value plus withdrawal credits. Addresses absent from the snapshot
-    start from 0 before deltas. Gas and fee flows are not in the schema and
-    are deliberately not modelled.
+    A block's delta for an address is incoming transfer value minus outgoing
+    transfer value plus withdrawal credits; the balance at the end of block
+    ``b`` is the snapshot balance minus the deltas of the blocks after ``b``.
+    Addresses absent from the snapshot start from 0 before deltas. Gas and
+    fee flows are not in the schema and are deliberately not modelled.
 
     The deltas are held by block (``by_block``, in ascending block order), so
     ``touched_in_range`` and ``balances_at`` cost the blocks they read rather
-    than every address. The per-address trajectories (``deltas``) are derived
-    from them the first time something reads them. A ledger given only
-    ``deltas`` derives ``by_block`` from them instead.
+    than every address.
     """
 
     def __init__(
         self,
         final_balances: dict[bytes, int],
-        final_block: int,
         first_block: int,
-        deltas: dict[bytes, list[tuple[int, int]]] | None = None,
-        by_block: dict[int, list[tuple[bytes, int]]] | None = None,
+        by_block: dict[int, list[tuple[bytes, int]]],
     ) -> None:
         self.final_balances = final_balances
-        self.final_block = final_block
         self.first_block = first_block
-        if deltas is not None:
-            self.deltas = deltas
-        if by_block is None:
-            by_block = {}
-            for addr, entries in (deltas or {}).items():
-                for blk, delta in entries:
-                    by_block.setdefault(blk, []).append((addr, delta))
-            by_block = dict(sorted(by_block.items()))
         self.by_block = by_block  # block -> [(address, delta)], blocks ascending
         self._blocks = list(by_block)  # sorted blocks with a delta
-
-    @cached_property
-    def deltas(self) -> dict[bytes, list[tuple[int, int]]]:
-        """Address -> its (block, delta) entries, sorted by block: the walk
-        over the blocks in order appends them sorted without a sort."""
-        deltas: dict[bytes, list[tuple[int, int]]] = {}
-        for blk, entries in self.by_block.items():
-            for addr, d in entries:
-                trajectory = deltas.get(addr)
-                if trajectory is None:
-                    deltas[addr] = [(blk, d)]
-                else:
-                    trajectory.append((blk, d))
-        return deltas
-
-    def balance_at(self, address: bytes, block: int) -> int:
-        bal = self.final_balances.get(address, 0)
-        for blk, delta in self.deltas.get(address, ()):
-            if blk > block:
-                bal -= delta
-        return bal
 
     def balances_at(self, block: int) -> dict[bytes, int]:
         """Every address's balance at the end of ``block``: the snapshot
@@ -439,9 +384,6 @@ class BalanceLedger:
             for addr, delta in by_block[blocks[i]]:
                 balances[addr] = balances.get(addr, 0) - delta
         return balances
-
-    def delta_in_range(self, address: bytes, lo: int, hi: int) -> int:
-        return sum(d for blk, d in self.deltas.get(address, ()) if lo <= blk <= hi)
 
     def touched_in_range(self, lo: int, hi: int) -> dict[bytes, int]:
         """Net nonzero per-address delta over blocks [lo, hi]."""
@@ -506,7 +448,7 @@ def build_ledger(ds: ChainDataset) -> BalanceLedger:
         entries = [(addr, d) for addr, d in net[blk].items() if d]
         if entries:
             by_block[blk] = entries
-    ledger = BalanceLedger(dict(ds.final_balances), ds.final_block, first, by_block=by_block)
+    ledger = BalanceLedger(dict(ds.final_balances), first, by_block)
     for addr, blk in ledger.consistency_warnings():
         log.warning("ledger: balance of %s negative at block %d", encode_hex(addr), blk)
     return ledger

@@ -109,9 +109,6 @@ class MutationSummary:
     deletes: dict[str, int] = field(default_factory=dict)
     updates: dict[str, int] = field(default_factory=dict)
 
-    def total(self) -> int:
-        return sum(self.inserts.values()) + sum(self.deletes.values()) + sum(self.updates.values())
-
 
 # ---------------------------------------------------------------------------
 # Query form
@@ -668,10 +665,6 @@ def apply_ops(store: Store, ops: Iterable[Mutation]) -> MutationSummary:
 def apply(store: Store, batch) -> MutationSummary:
     """Apply a generated batch (anything carrying an ``ops`` sequence)."""
     return apply_ops(store, batch.ops)
-
-
-def snapshot_blocks(store: Store) -> list[int]:
-    return sorted(store.block_by_number)
 
 
 def base_relation(store: Store, table: str, filters: Sequence[Filter]) -> list:

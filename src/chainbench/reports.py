@@ -28,15 +28,6 @@ def write_jsonl(records: Iterable, path: str | Path) -> None:
             fh.write("\n")
 
 
-def read_qerror_points(path: str | Path) -> list[QErrorPoint]:
-    points = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                points.append(QErrorPoint(**json.loads(line)))
-    return points
-
-
 def read_plan_measurements(path: str | Path) -> list[PlanMeasurement]:
     out = []
     with open(path, encoding="utf-8") as fh:

@@ -73,6 +73,8 @@ class ExperimentManifest:
         for policy in m.policies:
             if policy not in POLICIES:
                 raise ManifestError(f"unknown policy {policy!r}")
+        if m.n_buckets < 1:
+            raise ManifestError(f"n_buckets must be >= 1, got {m.n_buckets}")
         if m.kind == "window-drift" and not m.workload:
             raise ManifestError("window-drift needs a 'workload' section")
         if m.kind == "slice-compare" and not m.slices:

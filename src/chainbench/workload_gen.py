@@ -185,20 +185,6 @@ def _keys(table: str, rows) -> Iterator[tuple]:
     return map(key, rows) if len(PRIMARY_KEYS[table]) > 1 else zip(map(key, rows))
 
 
-class _SeenTracker:
-    """Cumulative visibility of addresses/tokens/contracts across batches."""
-
-    def __init__(self, number_of: dict[bytes, int], addresses: set[bytes], tokens, contracts):
-        self.addresses = addresses
-        # Value is the live creating-block number, or None once nulled/absent.
-        self.tokens: dict[bytes, int | None] = {
-            tk.address: (None if tk.block_hash is None else number_of[tk.block_hash]) for tk in tokens
-        }
-        self.contracts: dict[tuple[bytes, int], int | None] = {
-            (c.address, c.version): (None if c.block_hash is None else number_of[c.block_hash]) for c in contracts
-        }
-
-
 def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair], Manifest]:
     """Ordered update batches advancing the state beyond the initial window."""
     rng = ds.block_range
@@ -252,7 +238,15 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
         dict(blocks=init_blocks, transactions=init_txs, withdrawals=init_wds,
              tokens=init_tokens, contracts=init_contracts)
     )
-    seen = _SeenTracker(number_of, init_addrs, init_tokens, init_contracts)
+    # What the state holds so far: its addresses, and its tokens and
+    # contracts, each with its live creating-block number (None once nulled).
+    seen_addrs = init_addrs
+    seen_tokens: dict[bytes, int | None] = {
+        tk.address: (None if tk.block_hash is None else number_of[tk.block_hash]) for tk in init_tokens
+    }
+    seen_contracts: dict[tuple[bytes, int], int | None] = {
+        (c.address, c.version): (None if c.block_hash is None else number_of[c.block_hash]) for c in init_contracts
+    }
     # Every address's balance at the end of the window's newest block: the
     # balances at the initial window's end, then each batch's net deltas.
     balances = ledger.balances_at(init_hi)
@@ -283,10 +277,10 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
             # Null out token/contract links into the expiring blocks before the
             # block rows disappear, so no foreign key ever dangles.
             nulled_tokens = sorted(
-                a for a, n in seen.tokens.items() if n is not None and expire_lo <= n <= expire_hi
+                a for a, n in seen_tokens.items() if n is not None and expire_lo <= n <= expire_hi
             )
             nulled_contracts = sorted(
-                k for k, n in seen.contracts.items() if n is not None and expire_lo <= n <= expire_hi
+                k for k, n in seen_contracts.items() if n is not None and expire_lo <= n <= expire_hi
             )
             exp_ops = (
                 *records(DeleteRow, "token_transactions", _keys("token_transactions", exp_ttxs)),
@@ -296,8 +290,8 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
                 *records(NullBlockHash, "contracts", nulled_contracts),
                 *records(DeleteRow, "blocks", _keys("blocks", map(blocks_by_number.__getitem__, exp_nums))),
             )
-            seen.tokens.update(dict.fromkeys(nulled_tokens))
-            seen.contracts.update(dict.fromkeys(nulled_contracts))
+            seen_tokens.update(dict.fromkeys(nulled_tokens))
+            seen_contracts.update(dict.fromkeys(nulled_contracts))
             window_lo = expire_hi + 1
             expire_batch = Batch(index=index, kind="expire", block_lo=expire_lo, block_hi=expire_hi, ops=exp_ops)
 
@@ -311,11 +305,11 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
 
         new_tokens: dict[bytes, object] = {}
         for tt in batch_ttxs:
-            if tt.token_address not in seen.tokens and tt.token_address not in new_tokens:
+            if tt.token_address not in seen_tokens and tt.token_address not in new_tokens:
                 new_tokens[tt.token_address] = tokens_by_addr[tt.token_address]
         for n in batch_nums:
             for tk in tokens_by_creation.get(n, ()):
-                if tk.address not in seen.tokens:
+                if tk.address not in seen_tokens:
                     new_tokens[tk.address] = tk
 
         touched_addrs = referenced_addresses({"transactions": batch_txs})
@@ -323,32 +317,30 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
         for addr in sorted(touched_addrs | set(new_tokens)):
             for c in contracts_by_addr.get(addr, ()):
                 key = (c.address, c.version)
-                if key not in seen.contracts:
+                if key not in seen_contracts:
                     new_contracts[key] = c
         for n in batch_nums:
             for c in contracts_by_creation.get(n, ()):
                 key = (c.address, c.version)
-                if key not in seen.contracts:
+                if key not in seen_contracts:
                     new_contracts[key] = c
 
         # Link adjustment: a creating block outside the post-insert window
-        # cannot be referenced, so the link is nulled at insert time.
-        def place(row, kind: str, key):
+        # cannot be referenced, so the link is nulled at insert time; ``seen``
+        # records the link the row goes in with.
+        def place(row, seen: dict, key):
             num = None if row.block_hash is None else number_of[row.block_hash]
             if num is not None and not window_lo <= num <= window_hi:
                 row = row._replace(block_hash=None)
                 num = None
-            if kind == "token":
-                seen.tokens[key] = num
-            else:
-                seen.contracts[key] = num
+            seen[key] = num
             return row
 
         refs = referenced_addresses(
             dict(blocks=batch_blocks, transactions=batch_txs, withdrawals=batch_wds,
                  tokens=new_tokens.values(), contracts=new_contracts.values())
         )
-        new_addrs = sorted(refs - seen.addresses)
+        new_addrs = sorted(refs - seen_addrs)
         address_rows = []
         for addr in new_addrs:
             base = balances.get(addr, 0)
@@ -356,15 +348,17 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
                 log.warning("address %s enters with negative balance %d; clamped", encode_hex(addr), base)
                 base = 0
             address_rows.append(AddressRow(addr, base))
-        seen.addresses.update(new_addrs)
+        seen_addrs.update(new_addrs)
         touched = ledger.touched_in_range(lo, hi)
         for addr, delta in touched.items():
             balances[addr] = balances.get(addr, 0) + delta
         ops = (
             *records(InsertRow, "addresses", address_rows),
             *records(InsertRow, "blocks", batch_blocks),
-            *records(InsertRow, "tokens", [place(new_tokens[a], "token", a) for a in sorted(new_tokens)]),
-            *records(InsertRow, "contracts", [place(new_contracts[k], "contract", k) for k in sorted(new_contracts)]),
+            *records(InsertRow, "tokens", [place(new_tokens[a], seen_tokens, a) for a in sorted(new_tokens)]),
+            *records(
+                InsertRow, "contracts", [place(new_contracts[k], seen_contracts, k) for k in sorted(new_contracts)]
+            ),
             *records(InsertRow, "withdrawals", batch_wds),
             *records(InsertRow, "transactions", batch_txs),
             *records(InsertRow, "token_transactions", batch_ttxs),
@@ -520,10 +514,8 @@ def _resolve(op) -> Callable[[Mutation], str]:
     raise ValueError(f"unknown mutation {type(op).__name__}")
 
 
-def render_sql(batch: Batch, dialect: str = "postgres") -> str:
+def render_sql(batch: Batch) -> str:
     """One transaction per batch file; one statement per mutation, in order."""
-    if dialect != "postgres":
-        raise WorkloadError(f"unsupported dialect {dialect!r}")
     try:
         statements = [_RENDERERS[op.__class__][op.table](op) for op in batch.ops]
     except KeyError:
@@ -569,18 +561,18 @@ def write_manifest(out_dir: str | Path, manifest: Manifest) -> None:
 
 
 @collector_paused
-def write_workload(ds: ChainDataset, cfg: WorkloadConfig, out_dir: str | Path, dialect: str = "postgres") -> Manifest:
+def write_workload(ds: ChainDataset, cfg: WorkloadConfig, out_dir: str | Path) -> Manifest:
     """Render the load and every batch into ``out_dir``: each script is
     appended to ``workload.sql`` as soon as it is rendered, then
     ``scripts.json`` and ``manifest.json`` are written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with ScriptWriter(out) as scripts:
-        scripts.add(script_name("load", 0), render_sql(gen_initial(ds, cfg), dialect))
+        scripts.add(script_name("load", 0), render_sql(gen_initial(ds, cfg)))
         pairs, manifest = gen_batches(ds, cfg)
         for pair in pairs:
             for batch in (pair.expire, pair.upsert):
                 if batch is not None:
-                    scripts.add(script_name(batch.kind, batch.index), render_sql(batch, dialect))
+                    scripts.add(script_name(batch.kind, batch.index), render_sql(batch))
     write_manifest(out, manifest)
     return manifest

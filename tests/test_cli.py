@@ -164,6 +164,13 @@ def test_probe_card_point_count(tmp_path):
     assert point["policy"] == "initial"
 
 
+def test_probe_card_refuses_max_tables_below_one_before_reading_the_export(tmp_path, capsys):
+    probe = tmp_path / "probe"
+    assert main(["probe-card", "--export", str(tmp_path / "none"), "--max-tables", "0", "--out", str(probe)]) == 1
+    assert capsys.readouterr().err == "error: max_tables must be >= 1, got 0\n"
+    assert not probe.exists()
+
+
 @pytest.mark.parametrize(
     "policy, digest",
     [

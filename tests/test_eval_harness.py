@@ -10,10 +10,10 @@ from chainbench.eval_harness import (
     LatencyError,
     PlanMeasurement,
     QErrorPoint,
-    drift_experiment,
     enumerate_subqueries,
     evaluate_state,
     measure_latency,
+    policy_catalogs,
     probe_columns,
     qerror,
     regret_matrix,
@@ -205,27 +205,42 @@ def test_regret_matrix_requires_reps_for_latency():
         PlanMeasurement("S1", "S1", c_r=12.5, reps=5)
 
 
+@pytest.mark.parametrize("max_tables", [0, -1])
+def test_enumeration_refuses_max_tables_below_one(max_tables):
+    with pytest.raises(ValueError, match=f"^max_tables must be >= 1, got {max_tables}$"):
+        enumerate_subqueries(q1_spj(), max_tables)
+
+
 def test_drift_single_state_policies_coincide():
+    # Each policy builds its own catalog on the first state: the two agree.
     ds = generate(SynthConfig(seed=20, n_blocks=30, mean_tx_per_block=10, address_pool=40, n_tokens=4))
     store = Store.from_dataset(ds)
-    q = q1_spj()
-    init = drift_experiment([("W1", store)], q, 2, "initial")
-    ref = drift_experiment([("W1", store)], q, 2, "refreshed")
-    assert [(p.subquery, p.estimated, p.actual, p.qerror) for p in init] == [
-        (p.subquery, p.estimated, p.actual, p.qerror) for p in ref
-    ]
+    subqueries = enumerate_subqueries(q1_spj(), 2)
+    columns = probe_columns(subqueries)
+    series = {}
+    for policy in ("initial", "refreshed"):
+        catalogs = policy_catalogs((policy,), "W1", store, None, 100, columns)
+        points = evaluate_state("W1", store, subqueries, catalogs)
+        series[policy] = [(p.subquery, p.estimated, p.actual, p.qerror) for p in points]
+    assert series["initial"] == series["refreshed"]
 
 
 def test_drift_unchanged_store_series_constant():
     ds = generate(SynthConfig(seed=20, n_blocks=30, mean_tx_per_block=10, address_pool=40, n_tokens=4))
     store = Store.from_dataset(ds)
-    states = [("W1", store), ("W2", store), ("W3", store)]
     q = SPJQuery.build(
         tables={"tk_tx": "token_transactions"},
         filters=[Filter("tk_tx", "value", "range", (10**9, 10**10))],
     )
+    subqueries = enumerate_subqueries(q, 1)
+    columns = probe_columns(subqueries)
     for policy in ("refreshed", "initial"):
-        points = drift_experiment(states, q, 1, policy)
+        initial, points = None, []
+        for label in ("W1", "W2", "W3"):
+            catalogs = policy_catalogs((policy,), label, store, initial, 100, columns)
+            initial = catalogs.get("initial")
+            points += evaluate_state(label, store, subqueries, catalogs)
+        assert len(points) == 3
         assert len({(p.estimated, p.actual, p.qerror) for p in points}) == 1
 
 

@@ -11,12 +11,10 @@ from pathlib import Path
 import pytest
 
 import chainbench
-from chainbench import eval_harness, reports, scenario, workload_gen
+from chainbench import reports, scenario, workload_gen
 from chainbench.cli import main
-from chainbench.eval_harness import drift_experiment
 from chainbench.gcpause import collector_paused
-from chainbench.memstore import BatchRejected, Store
-from chainbench.query_assets import q1_spj
+from chainbench.memstore import BatchRejected
 from chainbench.replay_driver import Hook, MemstoreTarget, ReplayError, SqlStubTarget, replay
 from chainbench.scenario import ExperimentManifest, run_scenario
 from chainbench.sqlstub import SqlParseError
@@ -84,11 +82,6 @@ def _write_workload(tmp_path, dataset, monkeypatch, seen):
     write_workload(dataset, WorkloadConfig(**_WORKLOAD), tmp_path / "workload")
 
 
-def _drift_experiment(tmp_path, dataset, monkeypatch, seen):
-    _spy(monkeypatch, eval_harness, "evaluate_state", seen)
-    drift_experiment([("W1", Store.from_dataset(dataset))], q1_spj(), 1, "refreshed")
-
-
 def _cli_main(tmp_path, dataset, monkeypatch, seen):
     # The run record is written after run_scenario has returned inside main,
     # so the spy sees main's own pause outlast the nested one.
@@ -100,8 +93,8 @@ def _cli_main(tmp_path, dataset, monkeypatch, seen):
 
 @pytest.mark.parametrize(
     "entry",
-    [_run_scenario, _replay, _write_workload, _drift_experiment, _cli_main],
-    ids=["run_scenario", "replay", "write_workload", "drift_experiment", "cli.main"],
+    [_run_scenario, _replay, _write_workload, _cli_main],
+    ids=["run_scenario", "replay", "write_workload", "cli.main"],
 )
 def test_an_entry_point_pauses_the_collector_and_restores_it(entry, prior, tmp_path, dataset, monkeypatch):
     seen = []

@@ -141,15 +141,16 @@ def test_slice_balances_roll_back(small_dataset):
     ds = small_dataset
     ledger = build_ledger(ds)
     sl = extract_slice(ds, 0, 29)
+    at_29 = ledger.balances_at(29)
     for row in sl.addresses:
-        assert row.eth_balance == ledger.balance_at(row.address, 29)
+        assert row.eth_balance == at_29.get(row.address, 0)
 
 
 def test_ledger_constant_for_inactive_address():
     ds = tiny_dataset()
     ledger = build_ledger(ds)
     quiet = addr(3)  # token contract: no value ever flows through it
-    assert ledger.balance_at(quiet, 0) == ledger.balance_at(quiet, 2) == ds.final_balances[quiet]
+    assert ledger.balances_at(0)[quiet] == ledger.balances_at(2)[quiet] == ds.final_balances[quiet]
 
 
 def test_ledger_single_transfer_delta():
@@ -157,16 +158,16 @@ def test_ledger_single_transfer_delta():
     ledger = build_ledger(ds)
     a1 = addr(1)
     # Before block 1's transfer of 50 out (and 20 back at block 2):
-    assert ledger.balance_at(a1, 0) == ds.final_balances[a1] + 50 - 20
+    assert ledger.balances_at(0)[a1] == ds.final_balances[a1] + 50 - 20
 
 
 def test_ledger_forward_replay(small_dataset):
     ds = small_dataset
     ledger = build_ledger(ds)
     first, last = ds.block_range
+    start, net = ledger.balances_at(first - 1), ledger.touched_in_range(first, last)
     for a in ds.final_balances:
-        start = ledger.balance_at(a, first - 1)
-        assert start + ledger.delta_in_range(a, first, last) == ds.final_balances[a]
+        assert start.get(a, 0) + net.get(a, 0) == ds.final_balances[a]
 
 
 def test_ledger_warns_on_inconsistent_snapshot():
@@ -185,18 +186,25 @@ def test_ledger_lookups_equal_a_naive_scan(seed, n_blocks, start):
         SynthConfig(seed=seed, n_blocks=n_blocks, start_number=start, mean_tx_per_block=4, address_pool=12, n_tokens=2)
     )
     ledger = build_ledger(ds)
+    # Every (block, delta) an address sees, read off the rows one at a time.
+    number = {b.hash: b.number for b in ds.blocks}
+    flows: dict[bytes, list[tuple[int, int]]] = {a: [] for a in ds.final_balances}
+    for t in ds.transactions:
+        flows.setdefault(t.from_address, []).append((number[t.block_hash], -t.value))
+        if t.to_address is not None:
+            flows.setdefault(t.to_address, []).append((number[t.block_hash], t.value))
+    for w in ds.withdrawals:
+        flows.setdefault(w.address, []).append((number[w.hash], w.amount))
+    flows[b"\xee" * 20] = []
     first, last = ds.block_range
     blocks = range(first - 2, last + 3)
-    addresses = sorted(set(ledger.deltas) | set(ds.final_balances)) + [b"\xee" * 20]
     for lo in blocks:
-        for a in addresses:
-            naive = ledger.final_balances.get(a, 0) - sum(d for b, d in ledger.deltas.get(a, ()) if b > lo)
-            assert ledger.balance_at(a, lo) == naive
+        at = ledger.balances_at(lo)
+        for a, entries in flows.items():
+            assert at.get(a, 0) == ds.final_balances.get(a, 0) - sum(d for b, d in entries if b > lo)
         for hi in blocks:
-            in_range = {a: sum(d for b, d in e if lo <= b <= hi) for a, e in ledger.deltas.items()}
+            in_range = {a: sum(d for b, d in entries if lo <= b <= hi) for a, entries in flows.items()}
             assert ledger.touched_in_range(lo, hi) == {a: d for a, d in in_range.items() if d}
-            for a in addresses:
-                assert ledger.delta_in_range(a, lo, hi) == in_range.get(a, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,18 +219,26 @@ def test_a_ledger_does_not_depend_on_row_order(seed, data):
         withdrawals=tuple(data.draw(st.permutations(ds.withdrawals))),
     )
     ledger, again = build_ledger(ds), build_ledger(shuffled)
-    assert again.deltas == ledger.deltas
-    assert all(entries == sorted(entries) for entries in again.deltas.values())
+    # Within a block the entries follow the rows; across blocks they ascend.
+    assert {blk: sorted(entries) for blk, entries in again.by_block.items()} == {
+        blk: sorted(entries) for blk, entries in ledger.by_block.items()
+    }
+    assert list(again.by_block) == list(ledger.by_block) == sorted(ledger.by_block)
     first, last = ds.block_range
     for lo in range(first - 1, last + 2):
+        assert again.balances_at(lo) == ledger.balances_at(lo)
         for hi in range(lo, last + 2):
             assert again.touched_in_range(lo, hi) == ledger.touched_in_range(lo, hi)
     assert sorted(again.consistency_warnings()) == sorted(ledger.consistency_warnings())
-    # A ledger given only its per-address deltas derives the same per-block view.
-    rebuilt = BalanceLedger(again.final_balances, again.final_block, again.first_block, again.deltas)
-    by_block = {blk: sorted(entries) for blk, entries in again.by_block.items()}
-    assert {blk: sorted(entries) for blk, entries in rebuilt.by_block.items()} == by_block
-    assert list(rebuilt.by_block) == list(again.by_block) == sorted(again.by_block)
+
+
+def _by_block(deltas: dict[bytes, dict[int, int]]) -> dict[int, list[tuple[bytes, int]]]:
+    """A ledger's per-block entries from drawn per-address deltas, blocks ascending."""
+    by_block: dict[int, list[tuple[bytes, int]]] = {}
+    for a, per_block in deltas.items():
+        for blk, d in per_block.items():
+            by_block.setdefault(blk, []).append((a, d))
+    return dict(sorted(by_block.items()))
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,12 +252,12 @@ def test_a_ledger_does_not_depend_on_row_order(seed, data):
     hi=st.integers(-1, 13),
 )
 def test_touched_in_range_drops_addresses_whose_deltas_cancel(deltas, lo, hi):
-    ledger = BalanceLedger({}, 12, 0, {a: sorted(per_block.items()) for a, per_block in deltas.items()})
+    ledger = BalanceLedger({}, 0, _by_block(deltas))
     in_range = {a: sum(d for b, d in per_block.items() if lo <= b <= hi) for a, per_block in deltas.items()}
     assert ledger.touched_in_range(lo, hi) == {a: d for a, d in in_range.items() if d}
+    at = ledger.balances_at(lo)
     for a in deltas:
-        assert ledger.delta_in_range(a, lo, hi) == in_range[a]
-        assert ledger.balance_at(a, lo) == -sum(d for b, d in deltas[a].items() if b > lo)
+        assert at.get(a, 0) == -sum(d for b, d in deltas[a].items() if b > lo)
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,25 +275,11 @@ def test_ledger_warnings_equal_a_per_address_walk(deltas, final, first_block):
     # before the first delta as well as after any block.
     trajectories = {a: sorted(per_block.items()) for a, per_block in deltas.items()}
     expected = per_address_warnings(final, first_block, trajectories)
-    from_deltas = BalanceLedger(final, 12, first_block, trajectories)
-    from_blocks = BalanceLedger(final, 12, first_block, by_block=from_deltas.by_block)
-    for ledger in (from_deltas, from_blocks):
-        warnings = ledger.consistency_warnings()
-        assert len(warnings) == len(expected)
-        assert set(warnings) == expected
-        # One walk from the last block down: the pairs come newest first.
-        assert [blk for _, blk in warnings] == sorted((blk for _, blk in warnings), reverse=True)
-
-
-def test_a_built_ledger_derives_trajectories_only_when_read():
-    ledger = build_ledger(tiny_dataset())
-    assert "deltas" not in vars(ledger)
-    ledger.consistency_warnings()
-    ledger.touched_in_range(0, 2)
-    ledger.balances_at(1)
-    assert "deltas" not in vars(ledger)
-    assert ledger.balance_at(addr(1), 0) == ledger.balances_at(0)[addr(1)]
-    assert "deltas" in vars(ledger)
+    warnings = BalanceLedger(final, first_block, _by_block(deltas)).consistency_warnings()
+    assert len(warnings) == len(expected)
+    assert set(warnings) == expected
+    # One walk from the last block down: the pairs come newest first.
+    assert [blk for _, blk in warnings] == sorted((blk for _, blk in warnings), reverse=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -371,6 +373,19 @@ _MALFORMED = (
     # the decoder refuses them all.
     ("blocks", "size", "²", "blocks.csv:2: column size: size: not a plain decimal integer: '²'"),
     ("blocks", "size", "١٢", "blocks.csv:2: column size: size: not a plain decimal integer: '١٢'"),
+    # The balance snapshot goes through the same codec.
+    (
+        "balances",
+        "address",
+        "0x" + "g" * 40,
+        "balances.csv:2: column address: address: non-hex digit in '0x" + "g" * 40 + "'",
+    ),
+    (
+        "balances",
+        "eth_balance",
+        "1.5",
+        "balances.csv:2: column eth_balance: eth_balance: not a plain decimal integer: '1.5'",
+    ),
 )
 
 
@@ -516,3 +531,47 @@ def test_a_nul_in_any_other_cell_is_refused_on_read(tmp_path):
     path.write_text(text.replace(",0x", ",0x\x00", 1), encoding="utf-8")
     with pytest.raises(ExportError, match=r"^blocks\.csv:2: column \w+: \w+: holds a NUL character$"):
         read_export(tmp_path)
+
+
+def _edit_balances(directory, edit) -> None:
+    path = directory / "balances.csv"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    path.write_text("\n".join(edit(lines)), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [lines[0], lines[1] + ",7", *lines[2:]], "balances.csv:2: expected 3 fields, got 4"),
+        (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]], "balances.csv:2: expected 3 fields, got 2"),
+        (
+            lambda lines: [lines[0], lines[1].replace(",", ",\x00", 1), *lines[2:]],
+            "balances.csv:2: column eth_balance: eth_balance: holds a NUL character",
+        ),
+        (
+            lambda lines: ["address,balance,as_of_block", *lines[1:]],
+            "table balances: bad header ['address', 'balance', 'as_of_block']",
+        ),
+    ],
+    ids=["extra-field", "missing-field", "nul", "header"],
+)
+def test_a_malformed_balances_file_is_refused_with_its_line(tmp_path, edit, message):
+    write_export(generate(SynthConfig(**_EXPORT_CONFIG)), tmp_path)
+    _edit_balances(tmp_path, edit)
+    with pytest.raises(ExportError) as info:
+        read_export(tmp_path)
+    assert str(info.value) == message
+
+
+def test_without_a_manifest_the_snapshot_block_is_the_last_rows(tmp_path):
+    ds = generate(SynthConfig(**_EXPORT_CONFIG))
+    write_export(ds, tmp_path)
+    (tmp_path / "manifest.json").unlink()
+    assert read_export(tmp_path) == ds
+    # Each row carries its block; the last row's is the snapshot's.
+    _edit_balances(tmp_path, lambda lines: [*lines[:-2], lines[-2].rsplit(",", 1)[0] + ",7", lines[-1]])
+    raw = read_export(tmp_path)
+    assert raw.final_block == 7
+    assert raw.final_balances == ds.final_balances
+    _edit_balances(tmp_path, lambda lines: lines[:1] + [""])
+    assert read_export(tmp_path).final_block == 0

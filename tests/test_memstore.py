@@ -43,7 +43,7 @@ def store():
 def test_apply_empty_batch(store):
     before = store.table_multisets()
     summary = memstore.apply(store, Batch(1, "upsert", 0, 0, ()))
-    assert summary.total() == 0
+    assert summary == memstore.MutationSummary()
     assert store.table_multisets() == before
 
 
@@ -129,13 +129,6 @@ def test_count_null_join_keys_never_match():
 def test_disconnected_query_rejected():
     with pytest.raises(ValueError, match="not connected"):
         SPJQuery.build(tables={"a": "addresses", "b": "blocks"})
-
-
-def test_snapshot_blocks_empty_and_loaded():
-    assert memstore.snapshot_blocks(Store()) == []
-    ds = tiny_dataset()
-    store = Store.from_dataset(ds)
-    assert memstore.snapshot_blocks(store) == [0, 1, 2]
 
 
 def test_store_copy_is_independent():

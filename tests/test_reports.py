@@ -6,7 +6,6 @@ from chainbench.eval_harness import QErrorPoint, regret_matrix
 from chainbench.reports import (
     accurate_subqueries,
     read_plan_measurements,
-    read_qerror_points,
     write_jsonl,
     write_matrix_csv,
     write_run_record,
@@ -26,7 +25,8 @@ def _points():
 def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "points.jsonl"
     write_jsonl(_points(), path)
-    assert read_qerror_points(path) == _points()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [QErrorPoint(**json.loads(line)) for line in lines] == _points()
 
 
 def test_accurate_subqueries_cutoff():

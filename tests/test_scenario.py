@@ -32,6 +32,32 @@ def test_manifest_validation_errors():
                 "policies": ["stale"],
             }
         )
+    with pytest.raises(ManifestError, match="^n_buckets must be >= 1, got 0$"):
+        ExperimentManifest.from_dict(
+            {
+                "kind": "window-drift",
+                "source": {"kind": "synth"},
+                "workload": {"init_blocks": 5, "granularity": 1},
+                "n_buckets": 0,
+            }
+        )
+
+
+def test_a_run_with_max_tables_below_one_is_refused_before_any_data(monkeypatch, tmp_path):
+    def no_data(source):
+        raise AssertionError("the dataset was built")
+
+    monkeypatch.setattr(scenario, "dataset_from_source", no_data)
+    manifest = ExperimentManifest.from_dict(
+        {
+            "kind": "window-drift",
+            "source": {"kind": "synth", "config": {"seed": 4, "n_blocks": 12}},
+            "workload": {"init_blocks": 8, "granularity": 2},
+            "max_tables": 0,
+        }
+    )
+    with pytest.raises(ValueError, match="^max_tables must be >= 1, got 0$"):
+        run_scenario(manifest, tmp_path)
 
 
 def test_reproducible_inputs_exclude_output_dir():

