@@ -84,7 +84,8 @@ class SliceSpec:
 
 @dataclass(frozen=True)
 class ChainDataset:
-    """The seven tables plus the balance snapshot at the final block."""
+    """The seven tables, as of block ``final_block``: the addresses table is
+    the balance snapshot, each address's balance at the end of that block."""
 
     blocks: tuple[Block, ...]
     addresses: tuple[AddressRow, ...]
@@ -93,7 +94,6 @@ class ChainDataset:
     tokens: tuple[Token, ...]
     token_transactions: tuple[TokenTransaction, ...]
     withdrawals: tuple[Withdrawal, ...]
-    final_balances: dict[bytes, int] = field(default_factory=dict)
     final_block: int = 0
 
     def table(self, name: str) -> tuple:
@@ -310,7 +310,7 @@ def _compared_rows(add, columns, identify, table: str, read: tuple[str, ...], in
 
 def validate_dataset(ds: ChainDataset) -> ValidationReport:
     """Check the dataset against every declared rule (byte lengths, value
-    ranges, primary, unique and foreign keys) and the three dataset-wide ones,
+    ranges, primary, unique and foreign keys) and the two dataset-wide ones,
     whose int cells are checked first: a block's number or timestamp, or a
     transaction's index or nonce, that is not an int is reported, and its
     row left out of those rules.
@@ -398,9 +398,6 @@ def validate_dataset(ds: ChainDataset) -> ValidationReport:
             if n1 != n0 + 1:
                 detail = f"sender {_shown(sender)} at block {number} index {index}: {n0} -> {n1}"
                 add("transactions", "nonce not consecutive", detail)
-    for address, balance in ds.final_balances.items():
-        if not (isinstance(balance, int) and 0 <= balance < WEI_MAX):
-            add("addresses", "final balance out of range", _shown(address))
     return report
 
 

@@ -38,31 +38,36 @@ from .eval_harness import (
 from .gcpause import collector_paused
 from .ingest_slice import load_export, write_export
 from .query_assets import load_workload, schema_sql
-from .replay_driver import ReplayError, connect_target, load_target_config, manifest_hash, replay
+from .replay_driver import ReplayError, connect_target, manifest_hash, replay
 from .scenario import POLICIES, load_manifest, run_scenario
 from .synth_chain import SynthConfig, generate
 from .workload_gen import WorkloadConfig, write_workload
 
 
+# Each synth flag and the SynthConfig field it sets; its default and type
+# are the field's default and that default's type.
+_SYNTH_FLAGS = (
+    ("--seed", "seed"),
+    ("--blocks", "n_blocks"),
+    ("--start-number", "start_number"),
+    ("--start-timestamp", "start_timestamp"),
+    ("--block-interval", "block_interval"),
+    ("--tx-per-block", "mean_tx_per_block"),
+    ("--pool", "address_pool"),
+    ("--zipf-s", "address_zipf_s"),
+    ("--tokens", "n_tokens"),
+    ("--token-zipf-s", "token_zipf_s"),
+    ("--token-tx-prob", "token_tx_prob"),
+    ("--contract-fraction", "contract_fraction"),
+    ("--withdrawal-rate", "withdrawal_rate"),
+    ("--initial-balance", "initial_balance"),
+    ("--token-value-drift", "token_value_drift"),
+    ("--token-value-mu0", "token_value_mu0"),
+)
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = SynthConfig(
-        seed=args.seed,
-        n_blocks=args.blocks,
-        start_number=args.start_number,
-        start_timestamp=args.start_timestamp,
-        block_interval=args.block_interval,
-        mean_tx_per_block=args.tx_per_block,
-        address_pool=args.pool,
-        address_zipf_s=args.zipf_s,
-        n_tokens=args.tokens,
-        token_zipf_s=args.token_zipf_s,
-        token_tx_prob=args.token_tx_prob,
-        contract_fraction=args.contract_fraction,
-        withdrawal_rate=args.withdrawal_rate,
-        initial_balance=args.initial_balance,
-        token_value_drift=args.token_value_drift,
-        token_value_mu0=args.token_value_mu0,
-    )
+    cfg = SynthConfig(**{name: getattr(args, name) for _, name in _SYNTH_FLAGS})
     ds = generate(cfg)
     manifest = write_export(ds, args.out)
     reports.write_run_record(args.out, "synth", {"config": cfg.__dict__})
@@ -107,23 +112,13 @@ def _cmd_gen_updates(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    if args.target_config:
-        target = connect_target(load_target_config(args.target_config))
-    else:
-        target = connect_target({"kind": args.target})
+    target = connect_target(args.target)
     if args.resume and not target.durable:
         raise ReplayError(
             f"cannot resume on target {target.kind}: it keeps no state between processes, "
             "so this process would start from an empty store; replay from the start instead"
         )
-    mode = "realtime" if args.realtime is not None else "max-speed"
-    report = replay(
-        target,
-        args.workload,
-        mode=mode,
-        scale=args.realtime if args.realtime is not None else 1.0,
-        from_checkpoint=args.resume,
-    )
+    report = replay(target, args.workload, realtime=args.realtime, from_checkpoint=args.resume)
     out_path = Path(args.report) if args.report else Path(args.workload) / "replay_report.json"
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -134,7 +129,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         {
             "workload_manifest_sha256": manifest_hash(args.workload),
             "target": target.kind,
-            "mode": mode,
+            "mode": "max-speed" if args.realtime is None else "realtime",
             "scale": args.realtime,
             "resume": args.resume,
         },
@@ -253,22 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset export")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--blocks", type=int, default=100)
-    p.add_argument("--start-number", type=int, default=0)
-    p.add_argument("--start-timestamp", type=int, default=1_700_000_000)
-    p.add_argument("--block-interval", type=int, default=12)
-    p.add_argument("--tx-per-block", type=int, default=100)
-    p.add_argument("--pool", type=int, default=500)
-    p.add_argument("--zipf-s", type=float, default=1.1)
-    p.add_argument("--tokens", type=int, default=40)
-    p.add_argument("--token-zipf-s", type=float, default=1.0)
-    p.add_argument("--token-tx-prob", type=float, default=0.6)
-    p.add_argument("--contract-fraction", type=float, default=0.2)
-    p.add_argument("--withdrawal-rate", type=float, default=2.0)
-    p.add_argument("--initial-balance", type=int, default=10**21)
-    p.add_argument("--token-value-drift", type=float, default=0.0)
-    p.add_argument("--token-value-mu0", type=float, default=9.5)
+    defaults = SynthConfig()
+    for flag, name in _SYNTH_FLAGS:
+        default = getattr(defaults, name)
+        p.add_argument(flag, dest=name, type=type(default), default=default)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -296,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="apply a workload directory to a target")
     p.add_argument("--workload", required=True)
     p.add_argument("--target", choices=("memstore", "sqlstub"), default="memstore")
-    p.add_argument("--target-config", help="JSON connection config (overrides --target)")
     p.add_argument("--realtime", type=float, metavar="SCALE", help="pace by timestamp gaps divided by SCALE")
     p.add_argument("--resume", action="store_true", help="resume from the checkpoint (durable targets only)")
     p.add_argument("--report", help="where to write the replay report JSON")

@@ -3,17 +3,17 @@
 Export format (bit-exact, round-trips through :func:`write_export` /
 :func:`read_export`): one UTF-8 CSV per table named ``blocks.csv``,
 ``addresses.csv``, ``transactions.csv``, ``contracts.csv``, ``tokens.csv``,
-``token_transactions.csv``, ``withdrawals.csv`` plus ``balances.csv``
-(address, eth_balance, as_of_block) and ``manifest.json`` with row counts and
-the block range. The balance snapshot is written and read as one more table,
-through the same codec. Header row carries the exact column names, RFC-4180
-quoting, hex fields in canonical ``0x...`` form, integers in plain decimal,
-null as the empty field, ``function_sighashes`` as ``|``-separated hex items.
+``token_transactions.csv``, ``withdrawals.csv`` plus ``manifest.json`` with
+row counts, the block range and the snapshot block, the block as of which
+``addresses.csv``'s balances hold: the addresses table is the one balance
+snapshot. Header row carries the exact column names, RFC-4180 quoting, hex
+fields in canonical ``0x...`` form, integers in plain decimal, null as the
+empty field, ``function_sighashes`` as ``|``-separated hex items.
 A row whose text holds a carriage return is quoted in full. Text holding a NUL
 character is refused, on write and on read, with an ``ExportError`` naming
 its table, row and column: Python 3.10's ``csv`` module can neither write nor
 read one, so no version accepts it. Each column has one encoder and one
-decoder, built once from ``SCHEMA`` and the snapshot's columns.
+decoder, built once from ``SCHEMA``.
 
 ``BalanceLedger`` prices any in-range state: ``build_ledger`` nets a dataset's
 flows per block and address into per-block entries, which ``touched_in_range``
@@ -143,11 +143,9 @@ def _decoder(col: str, kind: str) -> Callable[[str], object]:
     return non_null
 
 
-# Each export file's columns: the tables', and the balance snapshot's.
-_COLUMNS = {**SCHEMA, "balances": (("address", "address"), ("eth_balance", "int"), ("as_of_block", "int"))}
-# Per file: one encoder and one decoder per column, in column order.
-_ENCODERS = {table: tuple(_CSV_KINDS[kind.rstrip("?")][0] for _, kind in cols) for table, cols in _COLUMNS.items()}
-_DECODERS = {table: tuple(_decoder(col, kind) for col, kind in cols) for table, cols in _COLUMNS.items()}
+# Per table: one encoder and one decoder per column, in column order.
+_ENCODERS = {table: tuple(_CSV_KINDS[kind.rstrip("?")][0] for _, kind in cols) for table, cols in SCHEMA.items()}
+_DECODERS = {table: tuple(_decoder(col, kind) for col, kind in cols) for table, cols in SCHEMA.items()}
 # Per table with text columns: their positions.
 _TEXT_AT = {
     table: positions
@@ -157,7 +155,7 @@ _TEXT_AT = {
 
 
 def write_export(ds: ChainDataset, out_dir: str | Path) -> dict:
-    """Write the dataset as table CSVs plus balance snapshot and manifest.
+    """Write the dataset as table CSVs plus manifest.
 
     Returns the manifest dict (also written to ``manifest.json``). A text
     cell holding a NUL is refused before any file is written.
@@ -170,9 +168,7 @@ def write_export(ds: ChainDataset, out_dir: str | Path) -> dict:
                     raise ExportError(f"table {table}: row {number}: column {column}: holds a NUL character")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = {table: ds.table(table) for table in TABLE_NAMES}
-    files["balances"] = [(a, ds.final_balances[a], ds.final_block) for a in sorted(ds.final_balances)]
-    for table, rows in files.items():
+    for table in TABLE_NAMES:
         encoders = _ENCODERS[table]
         text_at = _TEXT_AT.get(table, ())
         with open(out / f"{table}.csv", "w", encoding="utf-8", newline="") as fh:
@@ -180,15 +176,15 @@ def write_export(ds: ChainDataset, out_dir: str | Path) -> dict:
             # Before Python 3.13 the writer leaves a lone "\r" unquoted, and it
             # reads back as a line end: a row with one is written fully quoted.
             quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-            writer.writerow([name for name, _ in _COLUMNS[table]])
-            for row in rows:
+            writer.writerow([name for name, _ in SCHEMA[table]])
+            for row in ds.table(table):
                 cells = ["" if value is None else encode(value) for encode, value in zip(encoders, row)]
                 if text_at and any("\r" in cells[i] for i in text_at):
                     quoted.writerow(cells)
                 else:
                     writer.writerow(cells)
     manifest = {
-        "tables": {table: len(files[table]) for table in TABLE_NAMES},
+        "tables": {table: len(ds.table(table)) for table in TABLE_NAMES},
         "block_range": list(ds.block_range) if ds.block_range else None,
         "snapshot_block": ds.final_block,
     }
@@ -198,15 +194,15 @@ def write_export(ds: ChainDataset, out_dir: str | Path) -> dict:
     return manifest
 
 
-def _read_table(src: Path, table: str, make: Callable[[list], object]) -> list:
-    """The rows of ``table``'s file in ``src``, each made by ``make`` from
-    its decoded values; a malformed file is refused with its file, line and
-    column."""
+def _read_table(src: Path, table: str) -> tuple:
+    """The rows of ``table``'s file in ``src``; a malformed file is refused
+    with its file, line and column."""
     path = src / f"{table}.csv"
     if not path.exists():
         raise ExportError(f"table {table}: file not found: {path}")
-    names = [name for name, _ in _COLUMNS[table]]
+    names = [name for name, _ in SCHEMA[table]]
     decoders = _DECODERS[table]
+    make = ROW_TYPES[table]._make
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(map(_MARK_NULS, fh))
@@ -225,19 +221,19 @@ def _read_table(src: Path, table: str, make: Callable[[list], object]) -> list:
                 reason = f"{column}: holds a NUL character" if _NUL_MARK in record[len(values)] else exc
                 raise ExportError(f"{path.name}:{lineno}: column {column}: {reason}") from exc
             rows.append(make(values))
-    return rows
+    return tuple(rows)
 
 
 def read_export(in_dir: str | Path) -> ChainDataset:
-    """Parse an export directory back into rows with exact integer values;
-    ``final_balances`` is the balance snapshot, valid at ``final_block``
-    (the export's last block)."""
+    """Parse an export directory back into rows with exact integer values.
+
+    ``final_block``, the block as of which the addresses' balances hold, is
+    ``manifest.json``'s ``snapshot_block``; without one it is the export's
+    last block number, or 0 when it has no blocks. Any other file in the
+    directory is ignored."""
     src = Path(in_dir)
-    tables = {table: tuple(_read_table(src, table, ROW_TYPES[table]._make)) for table in TABLE_NAMES}
-    snapshot = _read_table(src, "balances", tuple)
-    balances = {addr: bal for addr, bal, _ in snapshot}
-    # Without a manifest the snapshot's block is its last row's.
-    as_of = snapshot[-1][2] if snapshot else 0
+    tables = {table: _read_table(src, table) for table in TABLE_NAMES}
+    as_of = max((b.number for b in tables["blocks"]), default=0)
 
     manifest_path = src / "manifest.json"
     if manifest_path.exists():
@@ -245,7 +241,7 @@ def read_export(in_dir: str | Path) -> ChainDataset:
             manifest = json.load(fh)
         as_of = manifest.get("snapshot_block", as_of)
 
-    return ChainDataset(**tables, final_balances=balances, final_block=as_of)
+    return ChainDataset(**tables, final_block=as_of)
 
 
 def load_export(in_dir: str | Path, lo: int | None = None, hi: int | None = None) -> ChainDataset:
@@ -262,7 +258,7 @@ def load_export(in_dir: str | Path, lo: int | None = None, hi: int | None = None
 def _rollback_balances(ds: ChainDataset, hi: int, block_number: dict[bytes, int]) -> dict[bytes, int]:
     """Balances at block ``hi``, derived from the snapshot by undoing later
     flows; a row whose block is not in ``block_number`` is skipped."""
-    balances = dict(ds.final_balances)
+    balances = dict(ds.addresses)
     number = block_number.get
     for t in ds.transactions:
         num = number(t.block_hash)
@@ -337,17 +333,15 @@ def extract_slice(ds: ChainDataset, lo: int, hi: int) -> ChainDataset:
     )
     refs = referenced_addresses(tables)
     balances_at_hi = _rollback_balances(ds, hi, block_number)
-    final_balances: dict[bytes, int] = {}
     addresses = []
     for addr in sorted(refs):
         bal = balances_at_hi.get(addr, 0)
         if bal < 0:
             log.warning("balance for %s at block %d is %d; clamping to 0", encode_hex(addr), hi, bal)
             bal = 0
-        final_balances[addr] = bal
         addresses.append(AddressRow(addr, bal))
 
-    return ChainDataset(addresses=tuple(addresses), **tables, final_balances=final_balances, final_block=hi)
+    return ChainDataset(addresses=tuple(addresses), **tables, final_block=hi)
 
 
 class BalanceLedger:
@@ -366,11 +360,11 @@ class BalanceLedger:
 
     def __init__(
         self,
-        final_balances: dict[bytes, int],
+        snapshot: dict[bytes, int],
         first_block: int,
         by_block: dict[int, list[tuple[bytes, int]]],
     ) -> None:
-        self.final_balances = final_balances
+        self.snapshot = snapshot
         self.first_block = first_block
         self.by_block = by_block  # block -> [(address, delta)], blocks ascending
         self._blocks = list(by_block)  # sorted blocks with a delta
@@ -378,7 +372,7 @@ class BalanceLedger:
     def balances_at(self, block: int) -> dict[bytes, int]:
         """Every address's balance at the end of ``block``: the snapshot
         minus the deltas of the blocks after it."""
-        balances = dict(self.final_balances)
+        balances = dict(self.snapshot)
         blocks, by_block = self._blocks, self.by_block
         for i in range(bisect_right(blocks, block), len(blocks)):
             for addr, delta in by_block[blocks[i]]:
@@ -401,7 +395,7 @@ class BalanceLedger:
         last one down, keeping a running balance per address; the pairs come
         in descending block order."""
         bad: list[tuple[bytes, int]] = []
-        final = self.final_balances
+        final = self.snapshot
         running: dict[bytes, int] = {}
         for blk in reversed(self._blocks):
             for addr, delta in reversed(self.by_block[blk]):
@@ -448,7 +442,7 @@ def build_ledger(ds: ChainDataset) -> BalanceLedger:
         entries = [(addr, d) for addr, d in net[blk].items() if d]
         if entries:
             by_block[blk] = entries
-    ledger = BalanceLedger(dict(ds.final_balances), first, by_block)
+    ledger = BalanceLedger(dict(ds.addresses), first, by_block)
     for addr, blk in ledger.consistency_warnings():
         log.warning("ledger: balance of %s negative at block %d", encode_hex(addr), blk)
     return ledger

@@ -305,7 +305,6 @@ class Store:
                 sorted(self.token_txs.values(), key=lambda t: (t.transaction_hash, t.log_index))
             ),
             withdrawals=tuple(sorted(self.withdrawals.values(), key=lambda w: (w.hash, w.withdrawal_index))),
-            final_balances=dict(sorted(self.balances.items())),
             final_block=max(self.block_by_number) if self.block_by_number else 0,
         )
 

@@ -104,21 +104,13 @@ class SqlStubTarget:
             raise ReplayError(f"{name}: {exc}") from exc
 
 
-def connect_target(config: dict):
-    """Build a target from a connection config: {"kind": ...}."""
-    if "capabilities" in config:
-        raise ReplayError("target config key 'capabilities' is not supported: a config names only the target 'kind'")
-    kind = config.get("kind")
+def connect_target(kind: str):
+    """A new target of the named kind: ``memstore`` or ``sqlstub``."""
     if kind == "memstore":
         return MemstoreTarget()
     if kind == "sqlstub":
         return SqlStubTarget()
     raise ReplayError(f"no driver for target kind {kind!r}")
-
-
-def load_target_config(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 @dataclass(frozen=True)
@@ -270,19 +262,17 @@ def _run_hooks(hooks: Sequence[Hook], index: int, target, report: ReplayReport) 
 def replay(
     target,
     workload_dir: str | Path,
-    mode: str = "max-speed",
-    scale: float = 1.0,
+    realtime: float | None = None,
     from_checkpoint: bool = False,
     hooks: Sequence[Hook] = (),
     sleep: Callable[[float], None] = time.sleep,
 ) -> ReplayReport:
     """Apply load then every batch in order; checkpoint after each batch.
 
-    ``mode="realtime"`` sleeps the inter-batch first-block timestamp gap
-    divided by ``scale`` before each subsequent batch.
+    ``realtime=SCALE`` sleeps the inter-batch first-block timestamp gap
+    divided by ``SCALE`` before each subsequent batch; None applies them at
+    full speed.
     """
-    if mode not in ("max-speed", "realtime"):
-        raise ReplayError(f"unknown mode {mode!r}")
     wdir = Path(workload_dir)
     manifest = read_manifest(wdir)
     digest = manifest_hash(wdir)
@@ -342,7 +332,7 @@ def replay(
             _append_checkpoint(fd, ReplayCheckpoint(digest, completed, [], time.time()))
 
         # The load is never paced; each batch after it is.
-        delays = [0.0, *pacing_delays(manifest, scale)] if mode == "realtime" else repeat(0.0)
+        delays = repeat(0.0) if realtime is None else [0.0, *pacing_delays(manifest, realtime)]
         for (batch, names), delay in zip(manifest.units(), delays):
             if batch <= completed:
                 continue

@@ -379,6 +379,5 @@ def generate(cfg: SynthConfig) -> ChainDataset:
         tokens=tuple(tokens),
         token_transactions=tuple(token_txs),
         withdrawals=tuple(withdrawals),
-        final_balances=dict(balances),
         final_block=last_number,
     )

@@ -66,7 +66,7 @@ def dataset_digest(ds) -> str:
     for table, cols in SCHEMA.items():
         for row in ds.table(table):
             h.update(repr(tuple(getattr(row, name) for name, _ in cols)).encode())
-    h.update(repr(sorted(ds.final_balances.items())).encode())
+    h.update(repr(sorted(dict(ds.addresses).items())).encode())
     h.update(repr(ds.final_block).encode())
     return h.hexdigest()
 

@@ -72,13 +72,14 @@ def test_criterion_01_moving_window(scenario1_replay):
 
 def test_criterion_02_balance_round_trip(scenario1_replay):
     ds, cfg, store, windows, _ = scenario1_replay
+    snapshot = dict(ds.addresses)
     for address, balance in store.balances.items():
-        assert balance == ds.final_balances[address]
+        assert balance == snapshot[address]
     ledger = build_ledger(ds)
     first, last = ds.block_range
     start, net = ledger.balances_at(first - 1), ledger.touched_in_range(first, last)
-    for address in ds.final_balances:
-        assert start.get(address, 0) + net.get(address, 0) == ds.final_balances[address]
+    for address, balance in snapshot.items():
+        assert start.get(address, 0) + net.get(address, 0) == balance
     _report(2, f"{len(store.balances)} stored balances equal the generator snapshot exactly; ledger replay exact")
 
 

@@ -12,7 +12,7 @@ from chainbench.chain_model import (
 )
 from chainbench.synth_chain import SynthConfig, generate
 
-from util import addr, hsh, make_tx, tiny_dataset
+from util import addr, hsh, make_tx, tiny_dataset, with_balance
 
 
 def test_decode_hex_identity():
@@ -97,7 +97,6 @@ def test_validate_nonce_gap():
         ds,
         transactions=txs,
         addresses=ds.addresses + (AddressRow(a9, 100),),
-        final_balances={**ds.final_balances, a9: 100},
     )
     report = validate_dataset(ds2)
     assert any(v.rule == "nonce not consecutive" for v in report.violations)
@@ -112,8 +111,8 @@ def test_validate_decreasing_timestamps():
 
 def test_validate_negative_balance():
     ds = tiny_dataset()
-    report = validate_dataset(replace(ds, final_balances={**ds.final_balances, addr(1): -5}))
-    assert any(v.rule == "final balance out of range" for v in report.violations)
+    report = validate_dataset(with_balance(ds, addr(1), -5))
+    assert any((v.table, v.rule) == ("addresses", "eth_balance out of range") for v in report.violations)
 
 
 def test_synthetic_dataset_has_no_violations():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import logging
@@ -16,8 +15,9 @@ from chainbench.cli import main
 from chainbench.eval_harness import enumerate_subqueries, probe_columns
 from chainbench.ingest_slice import load_export, write_export
 from chainbench.query_assets import q1_spj
+from chainbench.synth_chain import SynthConfig
 
-from util import addr, read_scripts, tiny_dataset
+from util import addr, read_scripts, tiny_dataset, with_balance
 
 
 def _synth(tmp_path, name="export", blocks=40, extra=()):
@@ -39,6 +39,21 @@ def test_synth_writes_export_and_run_record(tmp_path):
     record = json.loads((out / "run.json").read_text())
     assert record["subcommand"] == "synth"
     assert record["inputs"]["config"]["seed"] == 5
+
+
+def test_synth_without_tuning_flags_builds_the_default_config(tmp_path, monkeypatch):
+    built = []
+
+    def generate(cfg):
+        built.append(cfg)
+        return ChainDataset((), (), (), (), (), (), ())
+
+    monkeypatch.setattr(chainbench.cli, "generate", generate)
+    assert main(["synth", "--out", str(tmp_path)]) == 0
+    (cfg,) = built
+    for name, value in vars(SynthConfig()).items():
+        assert type(getattr(cfg, name)) is type(value) and getattr(cfg, name) == value, name
+    assert json.loads((tmp_path / "run.json").read_text())["inputs"]["config"] == vars(SynthConfig())
 
 
 def test_ingest_ok(tmp_path, capsys):
@@ -108,6 +123,18 @@ def test_replay_subcommand(tmp_path):
     assert main(["replay", "--workload", str(wl), "--target", "memstore"]) == 0
     report = json.loads((wl / "replay_report.json").read_text())
     assert [entry["index"] for entry in report["applied"]] == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "flags, mode, scale", [((), "max-speed", None), (("--realtime", "1e9"), "realtime", 1e9)], ids=["max-speed", "realtime"]
+)
+def test_replay_records_its_pacing_in_run_json(tmp_path, flags, mode, scale):
+    out = _synth(tmp_path)
+    wl = tmp_path / "workload"
+    main(["gen-updates", "--export", str(out), "--init", "20", "--granularity", "10", "--out", str(wl)])
+    assert main(["replay", "--workload", str(wl), *flags]) == 0
+    inputs = json.loads((wl / "run.json").read_text())["inputs"]
+    assert (inputs["mode"], inputs["scale"]) == (mode, scale)
 
 
 @pytest.mark.parametrize("last_batch", [None, 1])
@@ -282,10 +309,9 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
 
 
 def _inconsistent_export(tmp_path):
-    """An export whose final balances leave an address negative mid-way."""
-    ds = tiny_dataset()
+    """An export whose balance snapshot leaves an address negative mid-way."""
     export = tmp_path / "inconsistent"
-    write_export(dataclasses.replace(ds, final_balances={**ds.final_balances, addr(1): 10}), export)
+    write_export(with_balance(tiny_dataset(), addr(1), 10), export)
     return export
 
 

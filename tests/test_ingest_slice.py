@@ -20,6 +20,7 @@ from chainbench.chain_model import (
     TokenTransaction,
     Transaction,
     Withdrawal,
+    encode_hex,
     validate_dataset,
 )
 from chainbench.ingest_slice import (
@@ -32,7 +33,7 @@ from chainbench.ingest_slice import (
 )
 from chainbench.synth_chain import SynthConfig, generate
 
-from util import addr, per_address_warnings, tiny_dataset
+from util import addr, per_address_warnings, tiny_dataset, with_balance
 
 
 def test_export_round_trip(small_dataset, tmp_path):
@@ -41,7 +42,6 @@ def test_export_round_trip(small_dataset, tmp_path):
     raw = read_export(tmp_path)
     for table in ("blocks", "addresses", "transactions", "contracts", "tokens", "token_transactions", "withdrawals"):
         assert raw.table(table) == ds.table(table), table
-    assert raw.final_balances == ds.final_balances
     assert raw.final_block == ds.final_block
 
 
@@ -53,7 +53,7 @@ def test_export_empty_dataset(tmp_path):
         lines = (tmp_path / f"{name}.csv").read_text().splitlines()
         assert len(lines) == 1  # header only
     raw = read_export(tmp_path)
-    assert raw.blocks == () and raw.final_balances == {}
+    assert raw.blocks == () and raw.addresses == () and raw.final_block == 0
 
 
 def test_missing_table_file(small_dataset, tmp_path):
@@ -150,7 +150,7 @@ def test_ledger_constant_for_inactive_address():
     ds = tiny_dataset()
     ledger = build_ledger(ds)
     quiet = addr(3)  # token contract: no value ever flows through it
-    assert ledger.balances_at(0)[quiet] == ledger.balances_at(2)[quiet] == ds.final_balances[quiet]
+    assert ledger.balances_at(0)[quiet] == ledger.balances_at(2)[quiet] == dict(ds.addresses)[quiet]
 
 
 def test_ledger_single_transfer_delta():
@@ -158,7 +158,7 @@ def test_ledger_single_transfer_delta():
     ledger = build_ledger(ds)
     a1 = addr(1)
     # Before block 1's transfer of 50 out (and 20 back at block 2):
-    assert ledger.balances_at(0)[a1] == ds.final_balances[a1] + 50 - 20
+    assert ledger.balances_at(0)[a1] == dict(ds.addresses)[a1] + 50 - 20
 
 
 def test_ledger_forward_replay(small_dataset):
@@ -166,14 +166,14 @@ def test_ledger_forward_replay(small_dataset):
     ledger = build_ledger(ds)
     first, last = ds.block_range
     start, net = ledger.balances_at(first - 1), ledger.touched_in_range(first, last)
-    for a in ds.final_balances:
-        assert start.get(a, 0) + net.get(a, 0) == ds.final_balances[a]
+    for a, balance in ds.addresses:
+        assert start.get(a, 0) + net.get(a, 0) == balance
 
 
 def test_ledger_warns_on_inconsistent_snapshot():
     ds = tiny_dataset()
     # Claim a1 ends with less than it spent: its pre-transfer balance goes negative.
-    bad = replace(ds, final_balances={**ds.final_balances, addr(1): 10})
+    bad = with_balance(ds, addr(1), 10)
     ledger = build_ledger(bad)
     warnings = ledger.consistency_warnings()
     assert any(a == addr(1) for a, _ in warnings)
@@ -188,7 +188,8 @@ def test_ledger_lookups_equal_a_naive_scan(seed, n_blocks, start):
     ledger = build_ledger(ds)
     # Every (block, delta) an address sees, read off the rows one at a time.
     number = {b.hash: b.number for b in ds.blocks}
-    flows: dict[bytes, list[tuple[int, int]]] = {a: [] for a in ds.final_balances}
+    snapshot = dict(ds.addresses)
+    flows: dict[bytes, list[tuple[int, int]]] = {a: [] for a in snapshot}
     for t in ds.transactions:
         flows.setdefault(t.from_address, []).append((number[t.block_hash], -t.value))
         if t.to_address is not None:
@@ -201,7 +202,7 @@ def test_ledger_lookups_equal_a_naive_scan(seed, n_blocks, start):
     for lo in blocks:
         at = ledger.balances_at(lo)
         for a, entries in flows.items():
-            assert at.get(a, 0) == ds.final_balances.get(a, 0) - sum(d for b, d in entries if b > lo)
+            assert at.get(a, 0) == snapshot.get(a, 0) - sum(d for b, d in entries if b > lo)
         for hi in blocks:
             in_range = {a: sum(d for b, d in entries if lo <= b <= hi) for a, entries in flows.items()}
             assert ledger.touched_in_range(lo, hi) == {a: d for a, d in in_range.items() if d}
@@ -290,7 +291,7 @@ def test_balances_at_and_rollback_equal_the_snapshot_minus_later_nets(seed, n_bl
     hi = data.draw(st.integers(first - 1, last + 1))
 
     def later_nets_undone(dataset):
-        balances = dict(dataset.final_balances)
+        balances = dict(dataset.addresses)
         for blk, entries in build_ledger(dataset).by_block.items():
             if blk > hi:
                 for a, d in entries:
@@ -317,10 +318,13 @@ def test_balances_at_and_rollback_equal_the_snapshot_minus_later_nets(seed, n_bl
     assert same(ingest_slice._rollback_balances(ds, hi, block_number), later_nets_undone(rest))
 
 
-# sha256 over every file an export writes (name, NUL, bytes; by name),
-# recorded before the CSV codec was compiled per column.
+# sha256 over every file an export writes (name, NUL, bytes; by name). The
+# loop below over the same export as written when it also held balances.csv
+# gives 6e4e3f5e6b979278dde06f16bebaae26b6ef0bee0844c83597fa9ee7eab4e0d0 for
+# all its files; this is that export's digest with balances.csv left out, so
+# the seven table CSVs and manifest.json keep their bytes.
 _EXPORT_CONFIG = dict(seed=19, n_blocks=40, mean_tx_per_block=6, address_pool=30, n_tokens=5)
-_EXPORT_DIGEST = "6e4e3f5e6b979278dde06f16bebaae26b6ef0bee0844c83597fa9ee7eab4e0d0"
+_EXPORT_DIGEST = "57f245b5f32fcb52fb461a47f0a011c22265838e91dcd30a333512779d88552d"
 
 
 def test_export_bytes_are_pinned(tmp_path):
@@ -373,19 +377,6 @@ _MALFORMED = (
     # the decoder refuses them all.
     ("blocks", "size", "²", "blocks.csv:2: column size: size: not a plain decimal integer: '²'"),
     ("blocks", "size", "١٢", "blocks.csv:2: column size: size: not a plain decimal integer: '١٢'"),
-    # The balance snapshot goes through the same codec.
-    (
-        "balances",
-        "address",
-        "0x" + "g" * 40,
-        "balances.csv:2: column address: address: non-hex digit in '0x" + "g" * 40 + "'",
-    ),
-    (
-        "balances",
-        "eth_balance",
-        "1.5",
-        "balances.csv:2: column eth_balance: eth_balance: not a plain decimal integer: '1.5'",
-    ),
 )
 
 
@@ -445,7 +436,6 @@ def _rows(table: str):
 _DATASETS = st.builds(
     ChainDataset,
     **{table: _rows(table) for table in SCHEMA},
-    final_balances=st.dictionaries(st.binary(min_size=20, max_size=20), st.integers(0, 2**256 - 1), max_size=3),
     final_block=st.integers(0, 2**40),
 )
 
@@ -485,7 +475,6 @@ _ROUND_TRIP_EXAMPLES = (
         ),
         token_transactions=(TokenTransaction(b"\x04" * 32, 0, b"\x05" * 20, 2**200),),
         withdrawals=(Withdrawal(b"\x01" * 32, 0, 4, b"\x02" * 20, 1),),
-        final_balances={b"\x02" * 20: 2**255, b"\x05" * 20: 0},
         final_block=2**40,
     ),
 )
@@ -533,8 +522,8 @@ def test_a_nul_in_any_other_cell_is_refused_on_read(tmp_path):
         read_export(tmp_path)
 
 
-def _edit_balances(directory, edit) -> None:
-    path = directory / "balances.csv"
+def _edit_addresses(directory, edit) -> None:
+    path = directory / "addresses.csv"
     lines = path.read_text(encoding="utf-8").split("\n")
     path.write_text("\n".join(edit(lines)), encoding="utf-8")
 
@@ -542,36 +531,43 @@ def _edit_balances(directory, edit) -> None:
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda lines: [lines[0], lines[1] + ",7", *lines[2:]], "balances.csv:2: expected 3 fields, got 4"),
-        (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]], "balances.csv:2: expected 3 fields, got 2"),
+        (lambda lines: [lines[0], lines[1] + ",7", *lines[2:]], "addresses.csv:2: expected 2 fields, got 3"),
+        (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]], "addresses.csv:2: expected 2 fields, got 1"),
         (
             lambda lines: [lines[0], lines[1].replace(",", ",\x00", 1), *lines[2:]],
-            "balances.csv:2: column eth_balance: eth_balance: holds a NUL character",
+            "addresses.csv:2: column eth_balance: eth_balance: holds a NUL character",
         ),
         (
-            lambda lines: ["address,balance,as_of_block", *lines[1:]],
-            "table balances: bad header ['address', 'balance', 'as_of_block']",
+            lambda lines: ["address,balance", *lines[1:]],
+            "table addresses: bad header ['address', 'balance']",
         ),
     ],
     ids=["extra-field", "missing-field", "nul", "header"],
 )
-def test_a_malformed_balances_file_is_refused_with_its_line(tmp_path, edit, message):
+def test_a_malformed_table_file_is_refused_with_its_line(tmp_path, edit, message):
     write_export(generate(SynthConfig(**_EXPORT_CONFIG)), tmp_path)
-    _edit_balances(tmp_path, edit)
+    _edit_addresses(tmp_path, edit)
     with pytest.raises(ExportError) as info:
         read_export(tmp_path)
     assert str(info.value) == message
 
 
-def test_without_a_manifest_the_snapshot_block_is_the_last_rows(tmp_path):
+def test_without_a_manifest_the_snapshot_block_is_the_last_blocks(tmp_path):
     ds = generate(SynthConfig(**_EXPORT_CONFIG))
     write_export(ds, tmp_path)
     (tmp_path / "manifest.json").unlink()
     assert read_export(tmp_path) == ds
-    # Each row carries its block; the last row's is the snapshot's.
-    _edit_balances(tmp_path, lambda lines: [*lines[:-2], lines[-2].rsplit(",", 1)[0] + ",7", lines[-1]])
-    raw = read_export(tmp_path)
-    assert raw.final_block == 7
-    assert raw.final_balances == ds.final_balances
-    _edit_balances(tmp_path, lambda lines: lines[:1] + [""])
-    assert read_export(tmp_path).final_block == 0
+    assert ds.final_block == ds.block_range[1]
+    write_export(ChainDataset((), (), (), (), (), (), ()), tmp_path / "empty")
+    (tmp_path / "empty" / "manifest.json").unlink()
+    assert read_export(tmp_path / "empty").final_block == 0
+
+
+def test_an_export_with_the_older_balances_file_reads_the_same(tmp_path):
+    # Exports once also wrote the snapshot as balances.csv (address,
+    # eth_balance, as_of_block): such a file is ignored, not refused.
+    ds = generate(SynthConfig(**_EXPORT_CONFIG))
+    write_export(ds, tmp_path)
+    rows = [f"{encode_hex(a)},{balance},{ds.final_block}" for a, balance in sorted(ds.addresses)]
+    (tmp_path / "balances.csv").write_text("\n".join(["address,eth_balance,as_of_block", *rows, ""]), encoding="utf-8")
+    assert read_export(tmp_path) == ds

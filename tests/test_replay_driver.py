@@ -150,7 +150,7 @@ def test_pacing_formula(workload):
 def test_realtime_mode_sleeps(workload):
     _, _, wdir = workload
     naps = []
-    replay(MemstoreTarget(), wdir, mode="realtime", scale=12.0, sleep=naps.append)
+    replay(MemstoreTarget(), wdir, realtime=12.0, sleep=naps.append)
     assert naps == [5.0, 5.0]
 
 
@@ -427,16 +427,10 @@ def test_checkpoint_mismatch_refuses(workload, tmp_path):
 
 
 def test_connect_target_kinds():
-    assert isinstance(connect_target({"kind": "memstore"}), MemstoreTarget)
-    assert isinstance(connect_target({"kind": "sqlstub"}), SqlStubTarget)
-    with pytest.raises(ReplayError, match="no driver"):
-        connect_target({"kind": "postgres"})
-
-
-def test_capability_overrides_from_config():
-    for capabilities in ({"can_refresh_stats": False}, {"can_fly": True}, {}):
-        with pytest.raises(ReplayError, match="'capabilities' is not supported"):
-            connect_target({"kind": "memstore", "capabilities": capabilities})
+    assert isinstance(connect_target("memstore"), MemstoreTarget)
+    assert isinstance(connect_target("sqlstub"), SqlStubTarget)
+    with pytest.raises(ReplayError, match="no driver for target kind 'postgres'"):
+        connect_target("postgres")
 
 
 def test_manifest_hash_stable(workload):

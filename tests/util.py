@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -446,7 +447,7 @@ def two_pass_parse_script(script: str) -> list[Mutation]:
 
 
 def per_address_warnings(
-    final_balances: dict[bytes, int], first_block: int, deltas: dict[bytes, list[tuple[int, int]]]
+    snapshot: dict[bytes, int], first_block: int, deltas: dict[bytes, list[tuple[int, int]]]
 ) -> set[tuple[bytes, int]]:
     """Where a ledger's balance dips below zero, one address at a time: from
     its snapshot balance back over its (block, delta) entries, newest first,
@@ -454,7 +455,7 @@ def per_address_warnings(
     and (address, first_block - 1) when it is negative before every delta."""
     bad = set()
     for address, entries in deltas.items():
-        balance = final_balances.get(address, 0)
+        balance = snapshot.get(address, 0)
         for block, delta in sorted(entries, reverse=True):
             if balance < 0:
                 bad.add((address, block))
@@ -541,8 +542,15 @@ def tiny_dataset() -> ChainDataset:
         tokens=(token,),
         token_transactions=(token_tx,),
         withdrawals=(withdrawal,),
-        final_balances=balances,
         final_block=2,
+    )
+
+
+def with_balance(ds: ChainDataset, address: bytes, balance) -> ChainDataset:
+    """The dataset with ``address``'s row in the addresses table, its
+    balance snapshot, set to ``balance``."""
+    return replace(
+        ds, addresses=tuple(row._replace(eth_balance=balance) if row.address == address else row for row in ds.addresses)
     )
 
 
