@@ -111,6 +111,20 @@ def _cmd_gen_updates(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_writable(path: Path) -> None:
+    """Refuse a report path that cannot be written before the replay runs; a
+    file made only to check it is removed again. The default report needs no
+    check: it lies in the workload directory, where ``replay`` creates its
+    checkpoint log before it applies any script."""
+    fresh = not path.exists()
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ReplayError(f"cannot write the report {path}: {exc.strerror}") from None
+    if fresh:
+        path.unlink()
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     target = connect_target(args.target)
     if args.resume and not target.durable:
@@ -118,6 +132,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             f"cannot resume on target {target.kind}: it keeps no state between processes, "
             "so this process would start from an empty store; replay from the start instead"
         )
+    if args.report:
+        _check_writable(Path(args.report))
     report = replay(target, args.workload, realtime=args.realtime, from_checkpoint=args.resume)
     out_path = Path(args.report) if args.report else Path(args.workload) / "replay_report.json"
     with open(out_path, "w", encoding="utf-8") as fh:

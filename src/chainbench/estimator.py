@@ -98,6 +98,10 @@ class StatsCatalog:
     columns: dict[tuple[str, str], ColumnStats] = field(default_factory=dict)
     # Columns that only join edges read: their exact distinct non-null count.
     distinct: dict[tuple[str, str], int] = field(default_factory=dict)
+    # Estimates already made from this catalog, by query: filled by
+    # ``eval_harness.evaluate_state``, so a catalog probed in many states
+    # (the ``initial`` policy's) estimates each query once.
+    estimates: dict[SPJQuery, float] = field(default_factory=dict, compare=False, repr=False)
 
     def stats(self, table: str, column: str) -> ColumnStats:
         try:

@@ -134,7 +134,9 @@ def evaluate_state(
     Points come per policy, in ``catalogs`` order, then per subquery. The
     exact count does not depend on the policy, so each distinct subquery is
     counted once; the counts share base relations, each filtered once for
-    this call and dropped when it returns.
+    this call and dropped when it returns. Each estimate is kept on its
+    catalog (``StatsCatalog.estimates``), so a catalog that serves several
+    policies or states estimates each subquery once.
     """
     relations: dict = {}
     actual: dict[SPJQuery, int] = {}
@@ -143,8 +145,11 @@ def evaluate_state(
             actual[sub] = memstore.count(store, sub, relations)
     points = []
     for policy, catalog in catalogs.items():
+        memo = catalog.estimates
         for sub in subqueries:
-            est = estimator.estimate(catalog, sub)
+            est = memo.get(sub)
+            if est is None:
+                est = memo[sub] = estimator.estimate(catalog, sub)
             points.append(
                 QErrorPoint(
                     state=label,

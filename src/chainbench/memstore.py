@@ -60,7 +60,8 @@ class _Record:
 
 
 class InsertRow(_Record, namedtuple("InsertRow", "table row")):
-    """Insert ``row``: its table's row type, or a plain tuple in ``SCHEMA`` order."""
+    """Insert ``row``, which must be its table's row type: the store refuses
+    a plain tuple."""
 
     __slots__ = ()
 

@@ -2,10 +2,11 @@
 
 Parses exactly the statement shapes the workload renderer produces (INSERT,
 balance UPDATE, block_hash NULL-out, keyed DELETE, BEGIN/COMMIT) into the
-in-memory store's mutation records, and applies them to plain column-tuple
-tables. It shares those record classes with the store but no table or index
-code, which is what makes SQL-text replay a meaningful independent check
-against structured replay. Each script is applied atomically.
+in-memory store's mutation records, and applies them to its own tables of
+rows keyed by primary key. It shares those record classes and ``ROW_TYPES``
+with the store but no table, index or key code, which is what makes SQL-text
+replay a meaningful independent check against structured replay. Each script
+is applied atomically.
 
 Keyed DELETE and NULL-out must name exactly the table's primary key, so each
 resolves with one lookup in the table's key dict; a write to a missing row,
@@ -22,12 +23,13 @@ contracts), the balance UPDATE, BEGIN, COMMIT and ``--`` comment lines, each
 followed by any whitespace. Each form types its positions (hex digits in a
 bytea, an optional sign and digits in an integer, ``''`` escapes in text, the
 bytea ARRAY) and has one converter per position, and is compiled at import
-into one function from its match to its record (an insert's row is a plain
-tuple in schema order) that reads only the form's groups and tests for NULL
-only where the column may be NULL. Text that no form takes, or a position
-whose converter fails (an odd number of hex digits, an integer too long to
-convert), is a ``SqlParseError`` that names the line and quotes the text from
-there.
+into one function from its match to its record (an insert's row is already
+its table's row type from ``ROW_TYPES``, so the store takes it as it is)
+that reads only the form's groups and tests for NULL only where the column
+may be NULL. Hex digits are decoded by ``binascii.unhexlify``, in C. Text
+that no form takes, or a position whose converter fails (an odd number of
+hex digits, an integer too long to convert), is a ``SqlParseError`` that
+names the line and quotes the text from there.
 
 The patterns are written unrolled, without the possessive quantifiers and
 atomic groups that need Python 3.11, and no input makes them backtrack
@@ -35,8 +37,10 @@ through alternative splits.
 """
 from __future__ import annotations
 
+import binascii
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 from .chain_model import DELETABLE_TABLES, PRIMARY_KEYS, ROW_TYPES, SCHEMA, SQL_TABLE_NAMES, WEI_MAX
@@ -61,16 +65,17 @@ def _unquote(text: str) -> str:
 
 
 def _bytea_array(text: str) -> tuple[bytes, ...]:
-    return tuple(bytes.fromhex(h) for h in _ARRAY_ITEM_RE.findall(text))
+    return tuple(map(binascii.unhexlify, _ARRAY_ITEM_RE.findall(text)))
 
 
 # Value kind -> (pattern with one group, converter of the group's text): the
 # column kinds, and the sign of a balance UPDATE. Converters raise ValueError
-# on an odd number of hex digits or an integer too long to convert.
+# on an odd number of hex digits (``binascii.Error`` is one) or an integer too
+# long to convert.
 _VALUE_FORMS = {
-    "hash": (_HEX, bytes.fromhex),
-    "address": (_HEX, bytes.fromhex),
-    "bytes": (_HEX, bytes.fromhex),
+    "hash": (_HEX, binascii.unhexlify),
+    "address": (_HEX, binascii.unhexlify),
+    "bytes": (_HEX, binascii.unhexlify),
     "int": (r"(-?[0-9]+)", int),
     "bool": (r"(TRUE|FALSE)", {"TRUE": True, "FALSE": False}.__getitem__),
     "text": (r"'([^']*(?:''[^']*)*)'", _unquote),
@@ -97,8 +102,8 @@ class _Form:
 
 
 def _keyed(record: str, table: str, n: int) -> str:
-    """Source of a record naming a table and a tuple of ``n`` values: an
-    insert's row or a keyed write's key."""
+    """Source of a record naming a table and a tuple of ``n`` values: a keyed
+    write's key."""
     return f"_new({record}, ({table!r}, ({'{}, ' * n})))"
 
 
@@ -110,7 +115,8 @@ def _forms() -> dict[str, list[_Form]]:
         kinds = tuple(kind for _, kind in columns)
         head = re.escape(f"{name} ({', '.join(col for col, _ in columns)}) VALUES (")
         values = ", ".join(map(_pattern, kinds))
-        inserts.append(_Form(head + values + r"\);", kinds, _keyed("InsertRow", table, len(kinds))))
+        row = f"_new({ROW_TYPES[table].__name__}, ({'{}, ' * len(kinds)}))"
+        inserts.append(_Form(head + values + r"\);", kinds, f"_new(InsertRow, ({table!r}, {row}))"))
         keys = tuple(dict(columns)[col] for col in PRIMARY_KEYS[table])
         where = " AND ".join(f"{col} = {_pattern(kind)}" for col, kind in zip(PRIMARY_KEYS[table], keys))
         if table in DELETABLE_TABLES:
@@ -131,13 +137,13 @@ def _forms() -> dict[str, list[_Form]]:
     }
 
 
-# What a builder's source names: the record classes, ``tuple.__new__``, which
-# builds a record without a Python-level call, and each value kind's converter
-# as ``_<kind>``.
+# What a builder's source names: the record classes and row types,
+# ``tuple.__new__``, which builds either without a Python-level call, and each
+# value kind's converter as ``_<kind>``.
 _BUILD_GLOBALS = {
     "__name__": __name__,
     "_new": tuple.__new__,
-    **{cls.__name__: cls for cls in (InsertRow, DeleteRow, NullBlockHash, UpdateBalance)},
+    **{cls.__name__: cls for cls in (InsertRow, DeleteRow, NullBlockHash, UpdateBalance, *ROW_TYPES.values())},
     **{f"_{kind}": convert for kind, (_, convert) in _VALUE_FORMS.items()},
 }
 
@@ -221,18 +227,19 @@ def _too_long(m: re.Match) -> str | None:
 def parse_script(script: str) -> list[Mutation]:
     """The store's mutation records of a script's statements, BEGIN, COMMIT
     and comment lines dropped: one match per statement, and the first text in
-    no rendered form is a ``SqlParseError``. An insert's row is a plain tuple
-    of its values in ``SCHEMA`` order."""
+    no rendered form is a ``SqlParseError``. An insert's row is its table's
+    row type from ``ROW_TYPES``; hex digits are decoded by ``unhexlify``."""
     records: list[Mutation] = []
+    append, match, builders = records.append, _RENDERED_RE.match, _BUILDERS
     pos, end = 0, len(script)
     while pos < end:
-        m = _RENDERED_RE.match(script, pos)
+        m = match(script, pos)
         if m is None:
             raise _refusal(script, pos)
-        build = _BUILDERS[m.lastindex]
+        build = builders[m.lastindex]
         if build is not None:
             try:
-                records.append(build(m))
+                append(build(m))
             except ValueError:  # an odd number of hex digits, or an integer too long to convert
                 raise _refusal(script, pos, _too_long(m)) from None
         pos = m.end()
@@ -240,22 +247,29 @@ def parse_script(script: str) -> list[Mutation]:
 
 
 def to_mutations(records: list[Mutation]) -> list[Mutation]:
-    """The records for store-backed targets: each insert's row retyped as its
-    table's row type, every other record passed through as it is."""
-    new = tuple.__new__
-    return [
-        new(InsertRow, (r.table, new(ROW_TYPES[r.table], r.row))) if r.__class__ is InsertRow else r for r in records
-    ]
+    """``records`` itself: ``parse_script`` already gives the store its row
+    types. It stays only while ``bench/bench_trace.py`` wraps it as a span."""
+    return records
+
+
+def _key_getter(table: str) -> Callable[[tuple], tuple]:
+    """The primary key of a ``table`` row as a plain tuple, read in C: a
+    one-column key as a one-item slice, since ``itemgetter`` of one position
+    gives the bare value."""
+    names = [name for name, _ in SCHEMA[table]]
+    positions = [names.index(col) for col in PRIMARY_KEYS[table]]
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
 
 
 class SqlStubEngine:
-    """Executes workload scripts against plain column-tuple tables."""
+    """Executes workload scripts against its own tables: per table, a dict
+    from the primary key as a plain tuple to the row."""
 
     def __init__(self) -> None:
         self.tables: dict[str, dict[tuple, tuple]] = {t: {} for t in SCHEMA}
-        self._key_pos = {
-            t: [[name for name, _ in cols].index(c) for c in PRIMARY_KEYS[t]] for t, cols in SCHEMA.items()
-        }
+        self._key_of = {t: _key_getter(t) for t in SCHEMA}
 
     def execute(self, script: str) -> None:
         """Parse and apply a whole script atomically."""
@@ -280,7 +294,7 @@ class SqlStubEngine:
 
     def _insert(self, s: InsertRow) -> tuple[dict, tuple, None]:
         table = self.tables[s.table]
-        key = tuple(map(s.row.__getitem__, self._key_pos[s.table]))
+        key = self._key_of[s.table](s.row)
         if key in table:
             raise SqlParseError(f"{s.table}: duplicate key {key!r}")
         table[key] = s.row
@@ -308,15 +322,16 @@ class SqlStubEngine:
         old = table.get(s.key)
         if old is None:
             raise SqlParseError(f"{s.table}: no such row {s.key!r}")
-        # Only tables whose block_hash may be NULL have a NULL-out form.
-        table[s.key] = tuple(ROW_TYPES[s.table]._make(old)._replace(block_hash=None))
+        # Only tables whose block_hash may be NULL have a NULL-out form, and
+        # only inserts and null-outs write their rows, which are typed.
+        table[s.key] = old._replace(block_hash=None)
         return table, s.key, old
 
     def table_multisets(self) -> dict[str, dict[tuple, int]]:
         out: dict[str, dict[tuple, int]] = {}
         for table, rows in self.tables.items():
             counts: dict[tuple, int] = {}
-            for row in rows.values():
+            for row in map(tuple, rows.values()):
                 counts[row] = counts.get(row, 0) + 1
             out[table] = counts
         return out

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
@@ -122,7 +122,7 @@ class Manifest:
             "granularity": self.granularity,
             "expire": self.expire,
             "batch_count": len(self.batches),
-            "batches": [asdict(b) for b in self.batches],
+            "batches": [dict(vars(b)) for b in self.batches],
         }
 
     @classmethod

@@ -11,8 +11,9 @@ It checks the ``test_generate_output_is_pinned`` digests (read from
 listing of every script ``write_workload`` writes, by name as its index
 names it, and of its ``manifest.json``, for each benchmark workload at seed
 7, and the sha256 of ``render_sql`` of one batch that holds every
-statement form with edge values (``util.edge_ops``), so the renderer's
-compiled source is checked on each version too. It prints one line per check
+statement form with edge values (``util.edge_ops``) and of the ``repr`` of
+``parse_script`` of that text, so the renderer's and the parser's compiled
+source are checked on each version too. It prints one line per check
 and exits 1 if any fails. ``test_workload_file_pins_hold`` runs the listing
 and render checks under pytest; ``test_generate_output_is_pinned`` covers the
 generate pins there.
@@ -35,6 +36,7 @@ from bench_workloads import WORKLOADS  # noqa: E402
 from util import edge_ops, read_scripts  # noqa: E402
 
 from chainbench.chain_model import SCHEMA  # noqa: E402
+from chainbench.sqlstub import parse_script  # noqa: E402
 from chainbench.synth_chain import SynthConfig, generate  # noqa: E402
 from chainbench.workload_gen import Batch, render_sql, write_workload  # noqa: E402
 
@@ -48,6 +50,11 @@ LISTINGS = {
 
 # sha256 of render_sql(Batch(1, "upsert", 0, 0, edge_ops())) in UTF-8.
 RENDER = "23b01ef11f9b4c32fd1cab3ad9c480aabe07dc6afd443efcbb26508feb07009f"
+
+# sha256 of repr(parse_script(...)) of that text in UTF-8: the repr names each
+# row's type, so it covers the compiled builders, the row types and the hex
+# decoding.
+PARSE = "f9d11d5f04d02f5fccb9a3b0ccef4e4638ff421e0c600f5df36c9e1c698aaf32"
 
 
 def generate_pins() -> tuple:
@@ -89,14 +96,15 @@ def generate_checks() -> Iterator[tuple[str, str, str]]:
 
 def workload_file_checks() -> Iterator[tuple[str, str, str]]:
     """(label, digest, pinned digest) of each ``write_workload`` listing pin
-    and of the ``render_sql`` pin."""
+    and of the ``render_sql`` and ``parse_script`` pins."""
     for name, digest in LISTINGS.items():
         w = WORKLOADS[name]
         with tempfile.TemporaryDirectory() as out:
             write_workload(generate(w.synth_config(7)), w.workload_config(), out)
             yield f"write_workload {name}", listing_digest(Path(out)), digest
-    got = hashlib.sha256(render_sql(Batch(1, "upsert", 0, 0, edge_ops())).encode()).hexdigest()
-    yield "render_sql every statement form", got, RENDER
+    text = render_sql(Batch(1, "upsert", 0, 0, edge_ops()))
+    yield "render_sql every statement form", hashlib.sha256(text.encode()).hexdigest(), RENDER
+    yield "parse_script every statement form", hashlib.sha256(repr(parse_script(text)).encode()).hexdigest(), PARSE
 
 
 def main() -> int:

@@ -160,6 +160,29 @@ def test_replay_resume_refuses_in_process_targets(tmp_path, capsys, target, last
     assert not (wl / "replay_report.json").exists()
 
 
+def test_replay_refuses_an_unwritable_report_path_before_replaying(tmp_path, capsys, monkeypatch):
+    out = _synth(tmp_path)
+    wl = tmp_path / "wl"
+    main(["gen-updates", "--export", str(out), "--init", "20", "--granularity", "10", "--out", str(wl)])
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["replay", "--workload", "wl", "--report", "nodir/r.json"]) == 1
+    assert "nodir/r.json" in capsys.readouterr().err
+    assert not (wl / "replay.ckpt.json").exists()
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_a_failed_replay_leaves_no_report_file(tmp_path, capsys):
+    out = _synth(tmp_path)
+    wl = tmp_path / "wl"
+    main(["gen-updates", "--export", str(out), "--init", "20", "--granularity", "10", "--out", str(wl)])
+    (wl / "scripts.json").unlink()
+    report = tmp_path / "r.json"
+    assert main(["replay", "--workload", str(wl), "--report", str(report)]) == 1
+    assert "gen-updates" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_run_queries_counts_q1(tmp_path, capsys):
     out = _synth(tmp_path)
     assert main(["run-queries", "--export", str(out), "--ids", "Q1,Q2"]) == 0

@@ -414,22 +414,16 @@ def _small_workloads(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(batches=_small_workloads())
-def test_a_parse_yields_the_batch_records_and_to_mutations_only_retypes_rows(batches):
+def test_a_parse_yields_the_batch_records_with_typed_rows_and_to_mutations_returns_them(batches):
     engine, store = SqlStubEngine(), Store()
     for batch in batches:
         script = render_sql(batch)
         records = parse_script(script)
         assert records == list(batch.ops)
-        assert all(type(r.row) is tuple for r in records if isinstance(r, InsertRow))
-        ops = to_mutations(records)
-        assert ops == records
-        for record, op in zip(records, ops):
-            if isinstance(record, InsertRow):
-                assert type(op.row) is ROW_TYPES[record.table]
-            else:
-                assert op is record
+        assert all(type(r.row) is ROW_TYPES[r.table] for r in records if isinstance(r, InsertRow))
+        assert to_mutations(records) is records
         engine.execute(script)
-        memstore.apply_ops(store, ops)
+        memstore.apply_ops(store, records)
     assert engine.table_multisets() == store.table_multisets()
 
 
