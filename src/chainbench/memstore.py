@@ -17,7 +17,7 @@ insert whose row is not its table's row type is a ``TypeError``.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
@@ -27,6 +27,7 @@ from .chain_model import (
     PRIMARY_KEYS,
     ROW_TYPES,
     SCHEMA,
+    UNIQUE_KEYS,
     WEI_MAX,
     AddressRow,
     ChainDataset,
@@ -213,11 +214,21 @@ class SPJQuery:
 _LOAD_ORDER = ("addresses", "blocks", "tokens", "contracts", "withdrawals", "transactions", "token_transactions")
 # Each column's position in its table's rows (SCHEMA order).
 _POSITION = {table: {name: i for i, (name, _) in enumerate(cols)} for table, cols in SCHEMA.items()}
+
+
 # Per table (addresses keep only their balances): the Store attribute holding
-# its rows by primary key, and the reverse index listing each row's key under
-# the value of its parent column, given by position, if the table has one.
+# its rows by primary key and, if the table has a parent column, its reverse
+# index, that column's position and the getter of a row's sibling key. The
+# index maps each parent to its children's sibling keys: the columns of the
+# first unique key holding the parent column, else of the primary key, less
+# the parent column.
+def _sibling_key(table: str, parent: str) -> Callable:
+    key = next((k for t, k in UNIQUE_KEYS if t == table and parent in k), PRIMARY_KEYS[table])
+    return itemgetter(*(_POSITION[table][c] for c in key if c != parent))
+
+
 _LAYOUT = {
-    table: (rows, index, None if parent is None else _POSITION[table][parent])
+    table: (rows, index, _POSITION[table][parent], _sibling_key(table, parent)) if parent else (rows, None, None, None)
     for table, rows, index, parent in (
         ("blocks", "blocks", None, None),
         ("transactions", "transactions", "tx_by_block", "block_hash"),
@@ -227,7 +238,7 @@ _LAYOUT = {
         ("withdrawals", "withdrawals", "wd_by_block", "hash"),
     )
 }
-_REVERSE_INDEXES = frozenset(index for _, index, _ in _LAYOUT.values() if index)
+_REVERSE_INDEXES = frozenset(index for _, index, _, _ in _LAYOUT.values() if index)
 _KEY_OF = {table: itemgetter(*(_POSITION[table][c] for c in columns)) for table, columns in PRIMARY_KEYS.items()}
 # The cells the write path reads, by position.
 _TX_HASH, _TX_INDEX, _TX_FROM, _TX_TO, _TX_BLOCK = itemgetter(
@@ -249,16 +260,15 @@ class Store:
         self.block_by_number: dict[int, bytes] = {}
         self.balances: dict[bytes, int] = {}
         self.transactions: dict[bytes, object] = {}
-        self.tx_slots: set[tuple[bytes, int]] = set()
-        self.tx_by_block: dict[bytes, set[bytes]] = {}
+        self.tx_by_block: dict[bytes, set[int]] = {}
         self.contracts: dict[tuple[bytes, int], object] = {}
         self.contracts_by_block: dict[bytes, set[tuple[bytes, int]]] = {}
         self.tokens: dict[bytes, object] = {}
         self.tokens_by_block: dict[bytes, set[bytes]] = {}
         self.token_txs: dict[tuple[bytes, int], object] = {}
-        self.ttx_by_tx: dict[bytes, set[tuple[bytes, int]]] = {}
+        self.ttx_by_tx: dict[bytes, set[int]] = {}
         self.withdrawals: dict[tuple[bytes, int], object] = {}
-        self.wd_by_block: dict[bytes, set[tuple[bytes, int]]] = {}
+        self.wd_by_block: dict[bytes, set[int]] = {}
 
     @classmethod
     def from_dataset(cls, ds: ChainDataset) -> "Store":
@@ -277,7 +287,7 @@ class Store:
 
     def rows(self, table: str) -> Iterable:
         if table == "addresses":
-            return (AddressRow(a, b) for a, b in self.balances.items())
+            return map(_new, repeat(AddressRow), self.balances.items())
         return getattr(self, _LAYOUT[table][0]).values()
 
     def column(self, table: str, name: str) -> Iterable:
@@ -312,14 +322,7 @@ class Store:
     def table_multisets(self) -> dict[str, dict[tuple, int]]:
         """Table contents as multisets of plain value tuples (never row
         types, whose repr differs), for engine-level comparison."""
-        out: dict[str, dict[tuple, int]] = {}
-        for table in SCHEMA:
-            counts: dict[tuple, int] = {}
-            for row in self.rows(table):
-                key = tuple(row)
-                counts[key] = counts.get(key, 0) + 1
-            out[table] = counts
-        return out
+        return {table: dict(Counter(map(tuple, self.rows(table)))) for table in SCHEMA}
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +331,8 @@ class Store:
 # A handler checks one op against its table's rules, in order, applies it and
 # returns its undo record: a function and its arguments, as one tuple. The undo
 # functions are unchecked row moves: a drop undoes an insert, a put a delete or
-# a null-out. A reverse index keeps a parent's set once it is empty.
+# a null-out. A reverse index drops a parent's entry with its last child, so a
+# parent is referenced exactly when it has an entry.
 
 
 def _link(index: dict, key, member) -> None:
@@ -337,6 +341,13 @@ def _link(index: dict, key, member) -> None:
         index[key] = {member}
     else:
         members.add(member)
+
+
+def _unlink(index: dict, key, member) -> None:
+    members = index[key]
+    members.discard(member)
+    if not members:
+        del index[key]
 
 
 # Block rows are few, and reading their cells by name keeps a row of another
@@ -351,36 +362,20 @@ def _drop_blocks(store: Store, row) -> None:
     del store.block_by_number[row.number]
 
 
-def _put_transactions(store: Store, row) -> None:
-    tx_hash, block_hash = row[_TX_HASH], row[_TX_BLOCK]
-    store.transactions[tx_hash] = row
-    store.tx_slots.add((block_hash, row[_TX_INDEX]))
-    _link(store.tx_by_block, block_hash, tx_hash)
-
-
-def _drop_transactions(store: Store, row) -> None:
-    tx_hash, block_hash = row[_TX_HASH], row[_TX_BLOCK]
-    del store.transactions[tx_hash]
-    store.tx_slots.discard((block_hash, row[_TX_INDEX]))
-    store.tx_by_block[block_hash].discard(tx_hash)
-
-
 def _put_row(store: Store, table: str, row) -> None:
-    """Put a contracts, tokens, token_transactions or withdrawals row; a token
-    or contract whose creating block has gone is under no parent."""
-    rows, index, parent = _LAYOUT[table]
-    key = _KEY_OF[table](row)
-    getattr(store, rows)[key] = row
+    """Put a row of a table with a parent column; a token or contract whose
+    creating block has gone is under no parent."""
+    rows, index, parent, sibling_key = _LAYOUT[table]
+    getattr(store, rows)[_KEY_OF[table](row)] = row
     if row[parent] is not None:
-        _link(getattr(store, index), row[parent], key)
+        _link(getattr(store, index), row[parent], sibling_key(row))
 
 
 def _drop_row(store: Store, table: str, row) -> None:
-    rows, index, parent = _LAYOUT[table]
-    key = _KEY_OF[table](row)
-    del getattr(store, rows)[key]
+    rows, index, parent, sibling_key = _LAYOUT[table]
+    del getattr(store, rows)[_KEY_OF[table](row)]
     if row[parent] is not None:
-        getattr(store, index)[row[parent]].discard(key)
+        _unlink(getattr(store, index), row[parent], sibling_key(row))
 
 
 def _wrong_row(table: str, row) -> TypeError:
@@ -427,7 +422,8 @@ def _insert_transactions(store: Store, op: InsertRow) -> tuple:
         raise ValueError("transactions: NULL hash")
     if tx_hash in store.transactions:
         raise ValueError(f"transactions: duplicate hash {encode_hex(tx_hash)}")
-    if (block_hash, index) in store.tx_slots:
+    slots = store.tx_by_block.get(block_hash)
+    if slots is not None and index in slots:
         raise ValueError(f"transactions: duplicate slot {index}")
     if block_hash not in store.blocks:
         raise ValueError(f"transactions: block_hash dangling {encode_hex(block_hash)}")
@@ -435,15 +431,14 @@ def _insert_transactions(store: Store, op: InsertRow) -> tuple:
         raise ValueError("transactions: from_address dangling")
     if to_address is not None and to_address not in store.balances:
         raise ValueError("transactions: to_address dangling")
-    # _put_transactions, inlined: this is a window batch's commonest insert.
-    store.transactions[tx_hash] = row
-    store.tx_slots.add((block_hash, index))
-    members = store.tx_by_block.get(block_hash)
-    if members is None:
-        store.tx_by_block[block_hash] = {tx_hash}
+    # _put_row, inlined: this is a window batch's commonest insert. The slot
+    # goes in first, so an unhashable index changes nothing.
+    if slots is None:
+        store.tx_by_block[block_hash] = {index}
     else:
-        members.add(tx_hash)
-    return _drop_transactions, store, row
+        slots.add(index)
+    store.transactions[tx_hash] = row
+    return _drop_row, store, "transactions", row
 
 
 def _insert_contracts(store: Store, op: InsertRow) -> tuple:
@@ -481,8 +476,8 @@ def _insert_token_transactions(store: Store, op: InsertRow) -> tuple:
     if row.__class__ is not TokenTransaction:
         raise _wrong_row("token_transactions", row)
     # The generic row move is too slow for the commonest insert of a window batch.
-    tx_hash = row[_TTX_HASH]
-    key = (tx_hash, row[_TTX_LOG])
+    tx_hash, log_index = row[_TTX_HASH], row[_TTX_LOG]
+    key = (tx_hash, log_index)
     if key in store.token_txs:
         raise ValueError("token_transactions: duplicate (transaction_hash, log_index)")
     if tx_hash not in store.transactions:
@@ -492,9 +487,9 @@ def _insert_token_transactions(store: Store, op: InsertRow) -> tuple:
     store.token_txs[key] = row
     members = store.ttx_by_tx.get(tx_hash)
     if members is None:
-        store.ttx_by_tx[tx_hash] = {key}
+        store.ttx_by_tx[tx_hash] = {log_index}
     else:
-        members.add(key)
+        members.add(log_index)
     return _drop_row, store, "token_transactions", row
 
 
@@ -518,7 +513,7 @@ def _delete_blocks(store: Store, op: DeleteRow) -> tuple:
     if row is None:
         raise ValueError("blocks: no such row")
     for label in ("transactions", "withdrawals", "tokens", "contracts"):
-        if getattr(store, _LAYOUT[label][1]).get(block_hash):
+        if block_hash in getattr(store, _LAYOUT[label][1]):
             raise ValueError(f"blocks: still referenced by {label}")
     _drop_blocks(store, row)
     return _put_blocks, store, row
@@ -529,14 +524,16 @@ def _delete_transactions(store: Store, op: DeleteRow) -> tuple:
     row = store.transactions.get(tx_hash)
     if row is None:
         raise ValueError("transactions: no such row")
-    if store.ttx_by_tx.get(tx_hash):
+    if tx_hash in store.ttx_by_tx:
         raise ValueError("transactions: still referenced by token_transactions")
-    # _drop_transactions, inlined: this is a window batch's commonest delete.
-    block_hash = row[_TX_BLOCK]
+    # _drop_row, inlined: this is a window batch's commonest delete.
     del store.transactions[tx_hash]
-    store.tx_slots.discard((block_hash, row[_TX_INDEX]))
-    store.tx_by_block[block_hash].discard(tx_hash)
-    return _put_transactions, store, row
+    block_hash = row[_TX_BLOCK]
+    slots = store.tx_by_block[block_hash]
+    slots.discard(row[_TX_INDEX])
+    if not slots:
+        del store.tx_by_block[block_hash]
+    return _put_row, store, "transactions", row
 
 
 def _delete_token_transactions(store: Store, op: DeleteRow) -> tuple:
@@ -545,7 +542,7 @@ def _delete_token_transactions(store: Store, op: DeleteRow) -> tuple:
     if row is None:
         raise ValueError("token_transactions: no such row")
     del store.token_txs[key]
-    store.ttx_by_tx[row[_TTX_HASH]].discard(key)
+    _unlink(store.ttx_by_tx, row[_TTX_HASH], row[_TTX_LOG])
     return _put_row, store, "token_transactions", row
 
 
@@ -572,13 +569,13 @@ def _update_balance(store: Store, op: UpdateBalance) -> tuple:
 
 def _null_out(store: Store, table: str, key) -> tuple:
     """Set a tokens or contracts row's block_hash to NULL; unlink it from its block."""
-    rows, index, parent = _LAYOUT[table]
+    rows, index, parent, sibling_key = _LAYOUT[table]
     row = getattr(store, rows).get(key)
     if row is None:
         raise ValueError(f"{table}: no such row")
     getattr(store, rows)[key] = row._replace(block_hash=None)
     if row[parent] is not None:
-        getattr(store, index)[row[parent]].discard(key)
+        _unlink(getattr(store, index), row[parent], sibling_key(row))
     return _put_row, store, table, row
 
 

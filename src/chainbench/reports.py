@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,7 +22,7 @@ ACCURACY_CUTOFF = 1.01
 def write_jsonl(records: Iterable, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            data = asdict(record) if hasattr(record, "__dataclass_fields__") else record
+            data = vars(record) if hasattr(record, "__dataclass_fields__") else record
             fh.write(json.dumps(data, sort_keys=True))
             fh.write("\n")
 

@@ -24,6 +24,7 @@ from .chain_model import (
     Transaction,
     Withdrawal,
 )
+from .gcpause import collector_paused
 
 _TWOPI = 2.0 * math.pi  # as random.gauss has it
 
@@ -108,6 +109,7 @@ def _poisson(draw, lam: float) -> int:
         k += 1
 
 
+@collector_paused
 def generate(cfg: SynthConfig) -> ChainDataset:
     """Produce a dataset for ``cfg``; equal configs yield identical datasets.
 

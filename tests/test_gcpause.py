@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import chainbench
-from chainbench import reports, scenario, workload_gen
+from chainbench import reports, scenario, synth_chain, workload_gen
 from chainbench.cli import main
 from chainbench.gcpause import collector_paused
 from chainbench.memstore import BatchRejected
@@ -82,6 +82,11 @@ def _write_workload(tmp_path, dataset, monkeypatch, seen):
     write_workload(dataset, WorkloadConfig(**_WORKLOAD), tmp_path / "workload")
 
 
+def _generate(tmp_path, dataset, monkeypatch, seen):
+    _spy(monkeypatch, synth_chain, "_poisson", seen)
+    generate(SynthConfig(**_SYNTH))
+
+
 def _cli_main(tmp_path, dataset, monkeypatch, seen):
     # The run record is written after run_scenario has returned inside main,
     # so the spy sees main's own pause outlast the nested one.
@@ -93,8 +98,8 @@ def _cli_main(tmp_path, dataset, monkeypatch, seen):
 
 @pytest.mark.parametrize(
     "entry",
-    [_run_scenario, _replay, _write_workload, _cli_main],
-    ids=["run_scenario", "replay", "write_workload", "cli.main"],
+    [_run_scenario, _replay, _write_workload, _generate, _cli_main],
+    ids=["run_scenario", "replay", "write_workload", "generate", "cli.main"],
 )
 def test_an_entry_point_pauses_the_collector_and_restores_it(entry, prior, tmp_path, dataset, monkeypatch):
     seen = []

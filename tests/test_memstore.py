@@ -440,9 +440,9 @@ _REFUSALS = {
 }
 
 
-def test_the_store_has_fourteen_containers():
+def test_the_store_has_thirteen_containers():
     store = Store.from_dataset(_TINY)
-    assert len(vars(store)) == 14
+    assert len(vars(store)) == 13
     assert all(containers(store).values())
 
 
@@ -541,6 +541,54 @@ def test_a_refused_op_anywhere_leaves_every_container_as_it_was(seed, data):
         assert raised.value.op_index == i
     assert containers(store) == before
     apply_ops(store, ops)
+
+
+def _rebuilt_reverse_indexes(store: Store) -> dict:
+    """Each reverse index as the rows give it: per parent, the part of its
+    children's keys that tells them apart, and no entry for a childless parent."""
+    wanted = {
+        "tx_by_block": (store.transactions, "block_hash", lambda t: t.transaction_index),
+        "wd_by_block": (store.withdrawals, "hash", lambda w: w.withdrawal_index),
+        "ttx_by_tx": (store.token_txs, "transaction_hash", lambda t: t.log_index),
+        "tokens_by_block": (store.tokens, "block_hash", lambda t: t.address),
+        "contracts_by_block": (store.contracts, "block_hash", lambda c: (c.address, c.version)),
+    }
+    rebuilt = {}
+    for name, (rows, parent, sibling_key) in wanted.items():
+        index = rebuilt[name] = {}
+        for row in rows.values():
+            if getattr(row, parent) is not None:
+                index.setdefault(getattr(row, parent), set()).add(sibling_key(row))
+    return rebuilt
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_every_reverse_index_follows_from_the_rows_after_accepted_and_refused_batches(seed, data):
+    ds = generate(SynthConfig(seed=seed, n_blocks=12, mean_tx_per_block=3, address_pool=12, n_tokens=3))
+    cfg = WorkloadConfig(init_blocks=6, granularity=2, expire=True)
+    batches = [gen_initial(ds, cfg)] + [b for pair in gen_batches(ds, cfg)[0] for b in (pair.expire, pair.upsert)]
+    store = Store()
+
+    def check():
+        for name, index in _rebuilt_reverse_indexes(store).items():
+            assert getattr(store, name) == index, name
+            assert all(getattr(store, name).values()), name
+
+    for batch in batches:
+        ops = batch.ops
+        if data.draw(st.booleans(), label="refused first"):
+            # The batch with one failing op put in: its prefix is applied, then undone.
+            i = data.draw(st.integers(0, len(ops)), label="index")
+            ahead = store.copy()
+            apply_ops(ahead, ops[:i])
+            failures = _failing_ops(ahead)
+            bad, error = failures[data.draw(st.sampled_from(sorted(failures)), label="failure")]
+            with pytest.raises(error):
+                apply_ops(store, [*ops[:i], bad, *ops[i:]])
+            check()
+        apply_ops(store, ops)
+        check()
 
 
 def test_every_structured_write_reaches_the_patched_apply_ops(monkeypatch):

@@ -466,11 +466,11 @@ def per_address_warnings(
 
 
 def containers(store: Store) -> dict:
-    """Copies of the store's containers, leaving out empty reverse-index sets."""
+    """Copies of the store's containers, each reverse-index set copied too."""
     state = {}
     for name, container in vars(store).items():
         if isinstance(container, dict) and any(isinstance(v, set) for v in container.values()):
-            state[name] = {k: set(v) for k, v in container.items() if v}
+            state[name] = {k: set(v) for k, v in container.items()}
         else:
             state[name] = container.copy()
     return state
