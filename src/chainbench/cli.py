@@ -36,7 +36,7 @@ from .eval_harness import (
     regret_matrix,
 )
 from .gcpause import collector_paused
-from .ingest_slice import load_export, write_export
+from .ingest_slice import ExportError, load_export, read_export, write_export
 from .query_assets import load_workload, schema_sql
 from .replay_driver import ReplayError, connect_target, manifest_hash, replay
 from .scenario import POLICIES, load_manifest, run_scenario
@@ -76,7 +76,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    ds = load_export(args.export)
+    ds = read_export(args.export)  # every row as read: a slice would drop orphans
+    if not ds.blocks:
+        raise ExportError("export has no blocks")
     report = validate_dataset(ds)
     for table in TABLE_NAMES:
         print(f"{table}: {len(ds.table(table))} rows")

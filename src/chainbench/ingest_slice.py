@@ -15,9 +15,14 @@ its table, row and column: Python 3.10's ``csv`` module can neither write nor
 read one, so no version accepts it. Each column has one encoder and one
 decoder, built once from ``SCHEMA``.
 
-``BalanceLedger`` prices any in-range state: ``build_ledger`` nets a dataset's
-flows per block and address into per-block entries, which ``touched_in_range``
-and ``balances_at`` read.
+``block_bundles`` is the one per-block view of a dataset: each block's row
+with its transactions, withdrawals, token transactions, the tokens and
+contracts it creates, and its net balance flow per address. Slicing reads
+it (``extract_slice`` keeps the bundles of a block range, and
+``slice_tables`` is their dependency closure), as do the ledger and
+``workload_gen``'s batches. ``BalanceLedger`` prices any in-range state from
+the bundles' nets: ``touched_in_range`` nets a block range and
+``balances_at`` gives every address's balance at a block.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ import csv
 import json
 import logging
 from bisect import bisect_left, bisect_right
-from operator import methodcaller
+from operator import attrgetter, methodcaller
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .chain_model import (
     BYTE_LENGTHS,
     AddressRow,
+    Block,
     ChainDataset,
     FormatError,
     ROW_TYPES,
@@ -255,86 +261,117 @@ def load_export(in_dir: str | Path, lo: int | None = None, hi: int | None = None
     return extract_slice(ds, first if lo is None else lo, last if hi is None else hi)
 
 
-def _rollback_balances(ds: ChainDataset, hi: int, block_number: dict[bytes, int]) -> dict[bytes, int]:
-    """Balances at block ``hi``, derived from the snapshot by undoing later
-    flows; a row whose block is not in ``block_number`` is skipped."""
-    balances = dict(ds.addresses)
-    number = block_number.get
+class BlockBundle(NamedTuple):
+    """One block's rows: its transactions in ``transaction_index`` order, its
+    withdrawals in ``withdrawal_index`` order, its token transactions in
+    transaction order and then ``log_index``, the tokens and contracts it
+    creates in dataset order, and its nonzero net balance flow per address
+    (transfer value in minus out, plus withdrawal credits)."""
+
+    block: Block
+    transactions: list
+    withdrawals: list
+    token_transactions: list
+    tokens: list
+    contracts: list
+    nets: list  # (address, nonzero net flow)
+
+
+def block_bundles(ds: ChainDataset) -> list[BlockBundle]:
+    """The dataset's rows grouped by block, in ascending block order, one pass
+    per table. A row whose block (or transaction) is not in the dataset is in
+    no bundle; of two blocks with one hash, only the first in block order has
+    one."""
+    bundles: dict[bytes, BlockBundle] = {}
+    for block in sorted(ds.blocks, key=attrgetter("number")):
+        bundles.setdefault(block.hash, BlockBundle(block, [], [], [], [], [], []))
+    orphans = BlockBundle(None, [], [], [], [], [], [])  # takes the rows in no bundle
+    of_transaction: dict[bytes, BlockBundle] = {}
     for t in ds.transactions:
-        num = number(t.block_hash)
-        if num is None or num <= hi:
-            continue
-        balances[t.from_address] = balances.get(t.from_address, 0) + t.value
-        if t.to_address is not None:
-            balances[t.to_address] = balances.get(t.to_address, 0) - t.value
+        bundle = of_transaction[t.hash] = bundles.get(t.block_hash, orphans)
+        bundle.transactions.append(t)
     for w in ds.withdrawals:
-        num = number(w.hash)
-        if num is None or num <= hi:
-            continue
-        balances[w.address] = balances.get(w.address, 0) - w.amount
-    return balances
+        bundles.get(w.hash, orphans).withdrawals.append(w)
+    for tt in ds.token_transactions:
+        of_transaction.get(tt.transaction_hash, orphans).token_transactions.append(tt)
+    for tk in ds.tokens:
+        bundles.get(tk.block_hash, orphans).tokens.append(tk)
+    for c in ds.contracts:
+        bundles.get(c.block_hash, orphans).contracts.append(c)
+
+    for _, transactions, withdrawals, token_txs, _, _, nets in bundles.values():
+        transactions.sort(key=attrgetter("transaction_index"))
+        withdrawals.sort(key=attrgetter("withdrawal_index"))
+        if len(token_txs) > 1:
+            position = {t.hash: i for i, t in enumerate(transactions)}
+            token_txs.sort(key=lambda tt: (position[tt.transaction_hash], tt.log_index))
+        net: dict[bytes, int] = {}
+        for t in transactions:
+            value = t.value
+            if value:
+                sender, receiver = t.from_address, t.to_address
+                net[sender] = net.get(sender, 0) - value
+                if receiver is not None:
+                    net[receiver] = net.get(receiver, 0) + value
+        for w in withdrawals:
+            net[w.address] = net.get(w.address, 0) + w.amount
+        nets.extend(entry for entry in net.items() if entry[1])
+    return list(bundles.values())
 
 
-def slice_closure(ds: ChainDataset, block_hashes: set[bytes], transactions, token_txs) -> tuple[tuple, tuple]:
-    """The tokens and contracts that a slice keeps, given the hashes of its
-    blocks, its transactions and its token transactions.
+def unlinked(row):
+    """A token or contract row with its ``block_hash`` link nulled."""
+    return row if row.block_hash is None else row._replace(block_hash=None)
 
-    A token or contract is kept when a kept row references it or a kept block
-    created it; one whose creating block is outside the slice gets
+
+def slice_tables(ds: ChainDataset, bundles: list[BlockBundle]) -> dict[str, tuple]:
+    """Every table but addresses of the slice made of ``bundles``: their rows
+    in block order, and the dependency closure.
+
+    A token or contract is kept, in dataset order, when a kept row references
+    it or a kept block created it; one whose creating block is not kept gets
     ``block_hash`` set to null.
     """
+    transactions = tuple(t for b in bundles for t in b.transactions)
+    token_txs = tuple(tt for b in bundles for tt in b.token_transactions)
+    kept = {b.block.hash for b in bundles}
     used_tokens = {tt.token_address for tt in token_txs}
-    tokens = []
-    for tk in ds.tokens:
-        created_here = tk.block_hash in block_hashes
-        if tk.address in used_tokens or created_here:
-            if tk.block_hash is not None and not created_here:
-                tk = tk._replace(block_hash=None)
-            tokens.append(tk)
+    touched = referenced_addresses({"transactions": transactions}) | used_tokens
 
-    touched = referenced_addresses({"transactions": transactions})
-    contracts = []
-    for c in ds.contracts:
-        created_here = c.block_hash in block_hashes
-        if c.address in touched or c.address in used_tokens or created_here:
-            if c.block_hash is not None and not created_here:
-                c = c._replace(block_hash=None)
-            contracts.append(c)
-    return tuple(tokens), tuple(contracts)
+    def closure(rows, referenced: set[bytes]) -> tuple:
+        return tuple(
+            row if row.block_hash in kept else unlinked(row)
+            for row in rows
+            if row.address in referenced or row.block_hash in kept
+        )
+
+    return dict(
+        blocks=tuple(b.block for b in bundles),
+        transactions=transactions,
+        contracts=closure(ds.contracts, touched),
+        tokens=closure(ds.tokens, used_tokens),
+        token_transactions=token_txs,
+        withdrawals=tuple(w for b in bundles for w in b.withdrawals),
+    )
 
 
 def extract_slice(ds: ChainDataset, lo: int, hi: int) -> ChainDataset:
-    """Restrict the export to blocks [lo, hi] plus the dependency closure.
-
-    Tokens and contracts are retained when referenced by a retained row or
-    created by a retained block; a retained token/contract whose creating
-    block falls outside the window gets ``block_hash`` set to null. The
-    addresses table covers every address referenced anywhere in the slice,
-    with balances rolled back from the snapshot to block ``hi``.
+    """Restrict the dataset to blocks [lo, hi] plus the dependency closure
+    (``slice_tables``). The addresses table covers every address referenced
+    anywhere in the slice, with its balance at block ``hi`` (the ledger's
+    ``balances_at``; a negative one is clamped to 0).
     """
     if lo > hi:
         raise ValueError(f"slice lo {lo} > hi {hi}")
-
-    blocks = tuple(b for b in ds.blocks if lo <= b.number <= hi)
-    if not blocks:
+    bundles = block_bundles(ds)
+    numbers = [b.block.number for b in bundles]
+    kept = bundles[bisect_left(numbers, lo) : bisect_right(numbers, hi)]
+    if not kept:
         raise ExportError("slice empty: no blocks in requested range")
-    block_hashes = {b.hash for b in blocks}
-    block_number = {b.hash: b.number for b in ds.blocks}
-
-    transactions = tuple(t for t in ds.transactions if t.block_hash in block_hashes)
-    tx_hashes = {t.hash for t in transactions}
-    withdrawals = tuple(w for w in ds.withdrawals if w.hash in block_hashes)
-    token_txs = tuple(tt for tt in ds.token_transactions if tt.transaction_hash in tx_hashes)
-
-    tokens, contracts = slice_closure(ds, block_hashes, transactions, token_txs)
-    tables = dict(
-        blocks=blocks, transactions=transactions, contracts=contracts, tokens=tokens,
-        token_transactions=token_txs, withdrawals=withdrawals,
-    )
-    refs = referenced_addresses(tables)
-    balances_at_hi = _rollback_balances(ds, hi, block_number)
+    tables = slice_tables(ds, kept)
+    balances_at_hi = bundle_ledger(ds, bundles).balances_at(hi)
     addresses = []
-    for addr in sorted(refs):
+    for addr in sorted(referenced_addresses(tables)):
         bal = balances_at_hi.get(addr, 0)
         if bal < 0:
             log.warning("balance for %s at block %d is %d; clamping to 0", encode_hex(addr), hi, bal)
@@ -347,8 +384,9 @@ def extract_slice(ds: ChainDataset, lo: int, hi: int) -> ChainDataset:
 class BalanceLedger:
     """Per-block balance deltas over a dataset's block range.
 
-    A block's delta for an address is incoming transfer value minus outgoing
-    transfer value plus withdrawal credits; the balance at the end of block
+    A block's delta for an address is its bundle's net: incoming transfer
+    value minus outgoing transfer value plus withdrawal credits (see
+    ``block_bundles``); the balance at the end of block
     ``b`` is the snapshot balance minus the deltas of the blocks after ``b``.
     Addresses absent from the snapshot start from 0 before deltas. Gas and
     fee flows are not in the schema and are deliberately not modelled.
@@ -409,40 +447,22 @@ class BalanceLedger:
         return bad
 
 
-def build_ledger(ds: ChainDataset) -> BalanceLedger:
-    """Derive per-block balance deltas so any in-range state can be priced.
+def bundle_ledger(ds: ChainDataset, bundles: list[BlockBundle]) -> BalanceLedger:
+    """The ledger of ``ds``'s balance snapshot and the nets of its bundles
+    (all of them, from ``block_bundles``)."""
+    first = bundles[0].block.number if bundles else ds.final_block
+    return BalanceLedger(dict(ds.addresses), first, {b.block.number: b.nets for b in bundles if b.nets})
 
-    The transfers and withdrawals are netted per block and address; each
-    block's nonzero nets, in ascending block order, are its entries.
-    """
-    block_number = {b.hash: b.number for b in ds.blocks}
-    rng = ds.block_range
-    first = rng[0] if rng else ds.final_block
-    net: dict[int, dict[bytes, int]] = {}  # block -> address -> net delta
-    for t in ds.transactions:
-        value = t.value
-        if value:
-            blk = block_number[t.block_hash]
-            per_addr = net.get(blk)
-            if per_addr is None:
-                per_addr = net[blk] = {}
-            sender, receiver = t.from_address, t.to_address
-            per_addr[sender] = per_addr.get(sender, 0) - value
-            if receiver is not None:
-                per_addr[receiver] = per_addr.get(receiver, 0) + value
-    for w in ds.withdrawals:
-        blk = block_number[w.hash]
-        per_addr = net.get(blk)
-        if per_addr is None:
-            per_addr = net[blk] = {}
-        per_addr[w.address] = per_addr.get(w.address, 0) + w.amount
 
-    by_block: dict[int, list[tuple[bytes, int]]] = {}
-    for blk in sorted(net):
-        entries = [(addr, d) for addr, d in net[blk].items() if d]
-        if entries:
-            by_block[blk] = entries
-    ledger = BalanceLedger(dict(ds.addresses), first, by_block)
+def log_consistency_warnings(ledger: BalanceLedger) -> BalanceLedger:
+    """Log each of the ledger's consistency warnings; return the ledger."""
     for addr, blk in ledger.consistency_warnings():
         log.warning("ledger: balance of %s negative at block %d", encode_hex(addr), blk)
     return ledger
+
+
+def build_ledger(ds: ChainDataset) -> BalanceLedger:
+    """Derive per-block balance deltas so any in-range state can be priced:
+    each block's entries are its bundle's nets. Each consistency warning is
+    logged."""
+    return log_consistency_warnings(bundle_ledger(ds, block_bundles(ds)))

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -47,7 +48,15 @@ from .chain_model import (
     referenced_addresses,
 )
 from .gcpause import collector_paused
-from .ingest_slice import build_ledger, extract_slice, slice_closure
+from .ingest_slice import (
+    BlockBundle,
+    block_bundles,
+    bundle_ledger,
+    extract_slice,
+    log_consistency_warnings,
+    slice_tables,
+    unlinked,
+)
 from .memstore import DeleteRow, InsertRow, Mutation, NullBlockHash, UpdateBalance, records
 
 log = logging.getLogger(__name__)
@@ -144,30 +153,11 @@ class Manifest:
         ]
 
 
-def _dataset_ops(ds: ChainDataset) -> tuple[Mutation, ...]:
-    """FK-safe insert sequence materializing a whole dataset state."""
-    number_of = {b.hash: b.number for b in ds.blocks}
-    withdrawals = sorted(ds.withdrawals, key=lambda r: (number_of[r.hash], r.withdrawal_index))
-    transactions = sorted(ds.transactions, key=lambda r: (number_of[r.block_hash], r.transaction_index))
-    tx_order = {t.hash: i for i, t in enumerate(transactions)}
-    return (
-        *records(InsertRow, "addresses", sorted(ds.addresses, key=attrgetter("address"))),
-        *records(InsertRow, "blocks", sorted(ds.blocks, key=attrgetter("number"))),
-        *records(InsertRow, "tokens", sorted(ds.tokens, key=attrgetter("address"))),
-        *records(InsertRow, "contracts", sorted(ds.contracts, key=attrgetter("address", "version"))),
-        *records(InsertRow, "withdrawals", withdrawals),
-        *records(InsertRow, "transactions", transactions),
-        *records(
-            InsertRow,
-            "token_transactions",
-            sorted(ds.token_transactions, key=lambda r: (tx_order[r.transaction_hash], r.log_index)),
-        ),
-    )
-
-
 def gen_initial(ds: ChainDataset, cfg: WorkloadConfig) -> Batch:
     """Load artifact: the first ``init_blocks`` blocks with closure and
-    balances extrapolated to the end of the initial window."""
+    balances extrapolated to the end of the initial window, inserted in an
+    FK-safe table order. The slice's blocks and their rows come in block
+    order, and its addresses in address order."""
     rng = ds.block_range
     if rng is None:
         raise WorkloadError("dataset has no blocks")
@@ -175,8 +165,17 @@ def gen_initial(ds: ChainDataset, cfg: WorkloadConfig) -> Batch:
     init_hi = first + cfg.init_blocks - 1
     if init_hi > last:
         raise WorkloadError(f"init_blocks {cfg.init_blocks} exceeds dataset ({last - first + 1} blocks)")
-    initial_state = extract_slice(ds, first, init_hi)
-    return Batch(index=0, kind="load", block_lo=first, block_hi=init_hi, ops=_dataset_ops(initial_state))
+    initial = extract_slice(ds, first, init_hi)
+    ops = (
+        *records(InsertRow, "addresses", initial.addresses),
+        *records(InsertRow, "blocks", initial.blocks),
+        *records(InsertRow, "tokens", sorted(initial.tokens, key=attrgetter("address"))),
+        *records(InsertRow, "contracts", sorted(initial.contracts, key=attrgetter("address", "version"))),
+        *records(InsertRow, "withdrawals", initial.withdrawals),
+        *records(InsertRow, "transactions", initial.transactions),
+        *records(InsertRow, "token_transactions", initial.token_transactions),
+    )
+    return Batch(index=0, kind="load", block_lo=first, block_hi=init_hi, ops=ops)
 
 
 def _keys(table: str, rows) -> Iterator[tuple]:
@@ -195,58 +194,25 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
     if init_hi >= last:
         raise WorkloadError("no blocks beyond the initial range: nothing to batch")
 
-    blocks_by_number = {b.number: b for b in ds.blocks}
-    number_of = {b.hash: b.number for b in ds.blocks}
-    txs_by_block: dict[int, list] = {}
-    for t in ds.transactions:
-        txs_by_block.setdefault(number_of[t.block_hash], []).append(t)
-    for lst in txs_by_block.values():
-        lst.sort(key=lambda t: t.transaction_index)
-    wds_by_block: dict[int, list] = {}
-    for w in ds.withdrawals:
-        wds_by_block.setdefault(number_of[w.hash], []).append(w)
-    for lst in wds_by_block.values():
-        lst.sort(key=lambda w: w.withdrawal_index)
-    ttx_by_tx: dict[bytes, list] = {}
-    for tt in ds.token_transactions:
-        ttx_by_tx.setdefault(tt.transaction_hash, []).append(tt)
-    for lst in ttx_by_tx.values():
-        lst.sort(key=lambda tt: tt.log_index)
+    bundles = block_bundles(ds)
+    numbers = [b.block.number for b in bundles]
+
+    def span(lo: int, hi: int) -> list[BlockBundle]:
+        return bundles[bisect_left(numbers, lo) : bisect_right(numbers, hi)]
+
+    ledger = log_consistency_warnings(bundle_ledger(ds, bundles))
     tokens_by_addr = {tk.address: tk for tk in ds.tokens}
     contracts_by_addr: dict[bytes, list] = {}
     for c in ds.contracts:
         contracts_by_addr.setdefault(c.address, []).append(c)
-    tokens_by_creation: dict[int, list] = {}
-    for tk in ds.tokens:
-        if tk.block_hash is not None:
-            tokens_by_creation.setdefault(number_of[tk.block_hash], []).append(tk)
-    contracts_by_creation: dict[int, list] = {}
-    for c in ds.contracts:
-        if c.block_hash is not None:
-            contracts_by_creation.setdefault(number_of[c.block_hash], []).append(c)
 
-    ledger = build_ledger(ds)
-    # The initial window's closure, as gen_initial's slice has it, read from
-    # the indexes above; its balances are not needed here.
-    init_nums = range(first, init_hi + 1)
-    init_blocks = [blocks_by_number[n] for n in init_nums if n in blocks_by_number]
-    init_txs = [t for n in init_nums for t in txs_by_block.get(n, ())]
-    init_ttxs = [tt for t in init_txs for tt in ttx_by_tx.get(t.hash, ())]
-    init_tokens, init_contracts = slice_closure(ds, {b.hash for b in init_blocks}, init_txs, init_ttxs)
-    init_wds = [w for n in init_nums for w in wds_by_block.get(n, ())]
-    init_addrs = referenced_addresses(
-        dict(blocks=init_blocks, transactions=init_txs, withdrawals=init_wds,
-             tokens=init_tokens, contracts=init_contracts)
-    )
-    # What the state holds so far: its addresses, and its tokens and
-    # contracts, each with its live creating-block number (None once nulled).
-    seen_addrs = init_addrs
-    seen_tokens: dict[bytes, int | None] = {
-        tk.address: (None if tk.block_hash is None else number_of[tk.block_hash]) for tk in init_tokens
-    }
-    seen_contracts: dict[tuple[bytes, int], int | None] = {
-        (c.address, c.version): (None if c.block_hash is None else number_of[c.block_hash]) for c in init_contracts
-    }
+    # What the state holds so far, starting from the initial window's closure
+    # as gen_initial's slice has it: its addresses, and its tokens and
+    # contracts, each with whether it still links to its creating block.
+    initial = slice_tables(ds, span(first, init_hi))
+    seen_addrs = referenced_addresses(initial)
+    seen_tokens = {tk.address: tk.block_hash is not None for tk in initial["tokens"]}
+    seen_contracts = {(c.address, c.version): c.block_hash is not None for c in initial["contracts"]}
     # Every address's balance at the end of the window's newest block: the
     # balances at the initial window's end, then each batch's net deltas.
     balances = ledger.balances_at(init_hi)
@@ -270,17 +236,15 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
         if cfg.expire:
             expire_lo = window_lo
             expire_hi = expire_lo + size - 1
-            exp_nums = range(expire_lo, min(expire_hi, window_hi) + 1)
-            exp_txs = [t for n in exp_nums for t in txs_by_block.get(n, ())]
-            exp_ttxs = [tt for t in exp_txs for tt in ttx_by_tx.get(t.hash, ())]
-            exp_wds = [w for n in exp_nums for w in wds_by_block.get(n, ())]
+            expiring = span(expire_lo, min(expire_hi, window_hi))
+            exp_ttxs = [tt for b in expiring for tt in b.token_transactions]
+            exp_txs = [t for b in expiring for t in b.transactions]
+            exp_wds = [w for b in expiring for w in b.withdrawals]
             # Null out token/contract links into the expiring blocks before the
             # block rows disappear, so no foreign key ever dangles.
-            nulled_tokens = sorted(
-                a for a, n in seen_tokens.items() if n is not None and expire_lo <= n <= expire_hi
-            )
+            nulled_tokens = sorted(tk.address for b in expiring for tk in b.tokens if seen_tokens.get(tk.address))
             nulled_contracts = sorted(
-                k for k, n in seen_contracts.items() if n is not None and expire_lo <= n <= expire_hi
+                key for b in expiring for c in b.contracts if seen_contracts.get(key := (c.address, c.version))
             )
             exp_ops = (
                 *records(DeleteRow, "token_transactions", _keys("token_transactions", exp_ttxs)),
@@ -288,53 +252,47 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
                 *records(DeleteRow, "withdrawals", _keys("withdrawals", exp_wds)),
                 *records(NullBlockHash, "tokens", zip(nulled_tokens)),
                 *records(NullBlockHash, "contracts", nulled_contracts),
-                *records(DeleteRow, "blocks", _keys("blocks", map(blocks_by_number.__getitem__, exp_nums))),
+                *records(DeleteRow, "blocks", _keys("blocks", [b.block for b in expiring])),
             )
-            seen_tokens.update(dict.fromkeys(nulled_tokens))
-            seen_contracts.update(dict.fromkeys(nulled_contracts))
+            seen_tokens.update(dict.fromkeys(nulled_tokens, False))
+            seen_contracts.update(dict.fromkeys(nulled_contracts, False))
             window_lo = expire_hi + 1
             expire_batch = Batch(index=index, kind="expire", block_lo=expire_lo, block_hi=expire_hi, ops=exp_ops)
 
-        batch_nums = range(lo, hi + 1)
+        batch = span(lo, hi)
         # An expire wider than the window empties it; the batch then starts it anew.
         window_lo, window_hi = min(window_lo, lo), hi
-        batch_blocks = [blocks_by_number[n] for n in batch_nums if n in blocks_by_number]
-        batch_txs = [t for n in batch_nums for t in txs_by_block.get(n, ())]
-        batch_wds = [w for n in batch_nums for w in wds_by_block.get(n, ())]
-        batch_ttxs = [tt for t in batch_txs for tt in ttx_by_tx.get(t.hash, ())]
+        batch_blocks = [b.block for b in batch]
+        batch_txs = [t for b in batch for t in b.transactions]
+        batch_wds = [w for b in batch for w in b.withdrawals]
+        batch_ttxs = [tt for b in batch for tt in b.token_transactions]
 
+        # A token or contract goes in linked only when this batch creates it:
+        # the window's older blocks inserted theirs already, so any other new
+        # one was created outside the window and goes in with its link nulled.
         new_tokens: dict[bytes, object] = {}
         for tt in batch_ttxs:
             if tt.token_address not in seen_tokens and tt.token_address not in new_tokens:
-                new_tokens[tt.token_address] = tokens_by_addr[tt.token_address]
-        for n in batch_nums:
-            for tk in tokens_by_creation.get(n, ()):
+                new_tokens[tt.token_address] = unlinked(tokens_by_addr[tt.token_address])
+        for b in batch:
+            for tk in b.tokens:
                 if tk.address not in seen_tokens:
                     new_tokens[tk.address] = tk
 
         touched_addrs = referenced_addresses({"transactions": batch_txs})
         new_contracts: dict[tuple[bytes, int], object] = {}
-        for addr in sorted(touched_addrs | set(new_tokens)):
+        for addr in touched_addrs | new_tokens.keys():
             for c in contracts_by_addr.get(addr, ()):
                 key = (c.address, c.version)
                 if key not in seen_contracts:
-                    new_contracts[key] = c
-        for n in batch_nums:
-            for c in contracts_by_creation.get(n, ()):
+                    new_contracts[key] = unlinked(c)
+        for b in batch:
+            for c in b.contracts:
                 key = (c.address, c.version)
                 if key not in seen_contracts:
                     new_contracts[key] = c
-
-        # Link adjustment: a creating block outside the post-insert window
-        # cannot be referenced, so the link is nulled at insert time; ``seen``
-        # records the link the row goes in with.
-        def place(row, seen: dict, key):
-            num = None if row.block_hash is None else number_of[row.block_hash]
-            if num is not None and not window_lo <= num <= window_hi:
-                row = row._replace(block_hash=None)
-                num = None
-            seen[key] = num
-            return row
+        seen_tokens.update((a, tk.block_hash is not None) for a, tk in new_tokens.items())
+        seen_contracts.update((k, c.block_hash is not None) for k, c in new_contracts.items())
 
         refs = referenced_addresses(
             dict(blocks=batch_blocks, transactions=batch_txs, withdrawals=batch_wds,
@@ -355,10 +313,8 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
         ops = (
             *records(InsertRow, "addresses", address_rows),
             *records(InsertRow, "blocks", batch_blocks),
-            *records(InsertRow, "tokens", [place(new_tokens[a], seen_tokens, a) for a in sorted(new_tokens)]),
-            *records(
-                InsertRow, "contracts", [place(new_contracts[k], seen_contracts, k) for k in sorted(new_contracts)]
-            ),
+            *records(InsertRow, "tokens", [new_tokens[a] for a in sorted(new_tokens)]),
+            *records(InsertRow, "contracts", [new_contracts[k] for k in sorted(new_contracts)]),
             *records(InsertRow, "withdrawals", batch_wds),
             *records(InsertRow, "transactions", batch_txs),
             *records(InsertRow, "token_transactions", batch_ttxs),

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from chainbench import estimator, memstore
 from chainbench.chain_model import TABLE_NAMES, ChainDataset
 from chainbench.cli import main
 from chainbench.eval_harness import enumerate_subqueries, probe_columns
-from chainbench.ingest_slice import load_export, write_export
+from chainbench.ingest_slice import load_export, read_export, write_export
 from chainbench.query_assets import q1_spj
 from chainbench.synth_chain import SynthConfig
 
@@ -60,6 +61,17 @@ def test_ingest_ok(tmp_path, capsys):
     out = _synth(tmp_path)
     assert main(["ingest", "--export", str(out), "--strict"]) == 0
     assert "0 violations" in capsys.readouterr().out
+
+
+def test_ingest_strict_refuses_a_transaction_whose_block_is_missing(tmp_path, capsys):
+    out = _synth(tmp_path, blocks=30)
+    ds = read_export(out)
+    orphan = ds.transactions[0]._replace(hash=b"\xee" * 32, block_hash=b"\xdd" * 32)
+    write_export(replace(ds, transactions=(*ds.transactions, orphan)), out)
+    assert main(["ingest", "--export", str(out), "--strict"]) == 1
+    printed = capsys.readouterr().out
+    assert f"transactions: {len(ds.transactions) + 1} rows" in printed
+    assert printed.endswith(f"transactions: block_hash dangling (0x{'ee' * 32})\n")
 
 
 @pytest.mark.parametrize("command", ("ingest", "slice"))

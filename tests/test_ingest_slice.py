@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import tempfile
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,7 @@ from chainbench.chain_model import (
 from chainbench.ingest_slice import (
     BalanceLedger,
     ExportError,
+    block_bundles,
     build_ledger,
     extract_slice,
     read_export,
@@ -33,7 +35,7 @@ from chainbench.ingest_slice import (
 )
 from chainbench.synth_chain import SynthConfig, generate
 
-from util import addr, per_address_warnings, tiny_dataset, with_balance
+from util import addr, filtered_slice, per_address_warnings, rollback_balances, tiny_dataset, with_balance
 
 
 def test_export_round_trip(small_dataset, tmp_path):
@@ -220,7 +222,8 @@ def test_a_ledger_does_not_depend_on_row_order(seed, data):
         withdrawals=tuple(data.draw(st.permutations(ds.withdrawals))),
     )
     ledger, again = build_ledger(ds), build_ledger(shuffled)
-    # Within a block the entries follow the rows; across blocks they ascend.
+    # Within a block the entries follow the block's rows in index order;
+    # across blocks they ascend.
     assert {blk: sorted(entries) for blk, entries in again.by_block.items()} == {
         blk: sorted(entries) for blk, entries in ledger.by_block.items()
     }
@@ -303,7 +306,7 @@ def test_balances_at_and_rollback_equal_the_snapshot_minus_later_nets(seed, n_bl
 
     block_number = {b.hash: b.number for b in ds.blocks}
     expected = later_nets_undone(ds)
-    assert same(ingest_slice._rollback_balances(ds, hi, block_number), expected)
+    assert same(rollback_balances(ds, hi, block_number), expected)
     assert same(build_ledger(ds).balances_at(hi), expected)
     # A row whose block is not in block_number is skipped: the result is the
     # dataset's without that block's transactions and withdrawals.
@@ -315,7 +318,77 @@ def test_balances_at_and_rollback_equal_the_snapshot_minus_later_nets(seed, n_bl
         withdrawals=tuple(w for w in ds.withdrawals if w.hash != gone.hash),
     )
     del block_number[gone.hash]
-    assert same(ingest_slice._rollback_balances(ds, hi, block_number), later_nets_undone(rest))
+    assert same(rollback_balances(ds, hi, block_number), later_nets_undone(rest))
+
+
+def _with_blocks_dropped(data, ds: ChainDataset) -> ChainDataset:
+    """``ds`` less a drawn set of its blocks: their rows, and tokens and
+    contracts they created, are left naming a block that is not there."""
+    dropped = set(data.draw(st.sets(st.sampled_from([b.hash for b in ds.blocks]), max_size=3)))
+    return replace(ds, blocks=tuple(b for b in ds.blocks if b.hash not in dropped))
+
+
+_SLICED = dict(mean_tx_per_block=4, address_pool=12, n_tokens=3, withdrawal_rate=0.5, token_tx_prob=0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), n_blocks=st.integers(1, 20), start=st.integers(0, 5), data=st.data())
+def test_a_slice_equals_the_filtered_slice_over_any_range(seed, n_blocks, start, data):
+    ds = generate(SynthConfig(seed=seed, n_blocks=n_blocks, start_number=start, **_SLICED))
+    ds = _with_blocks_dropped(data, ds)
+    bounds = st.integers(start - 3, start + n_blocks + 2)
+    lo, hi = data.draw(bounds), data.draw(bounds)
+
+    def outcome(cut):
+        try:
+            return cut(ds, lo, hi)
+        except ValueError as exc:  # ExportError too
+            return type(exc), str(exc)
+
+    assert outcome(extract_slice) == outcome(filtered_slice)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), n_blocks=st.integers(1, 20), data=st.data())
+def test_the_bundles_partition_every_row_whose_parent_exists(seed, n_blocks, data):
+    ds = _with_blocks_dropped(data, generate(SynthConfig(seed=seed, n_blocks=n_blocks, **_SLICED)))
+    # Row order within a block is the bundles' to restore.
+    shuffled = ("transactions", "withdrawals", "token_transactions")
+    ds = replace(ds, **{table: tuple(data.draw(st.permutations(ds.table(table)))) for table in shuffled})
+    bundles = block_bundles(ds)
+    blocks = {b.hash for b in ds.blocks}
+    kept_txs = {t.hash for t in ds.transactions if t.block_hash in blocks}
+    assert [b.block for b in bundles] == sorted(ds.blocks, key=lambda b: b.number)
+    for table, has_parent in (
+        ("transactions", lambda t: t.block_hash in blocks),
+        ("withdrawals", lambda w: w.hash in blocks),
+        ("token_transactions", lambda tt: tt.transaction_hash in kept_txs),
+        ("tokens", lambda tk: tk.block_hash in blocks),
+        ("contracts", lambda c: c.block_hash in blocks),
+    ):
+        in_bundles = [row for b in bundles for row in getattr(b, table)]
+        assert Counter(in_bundles) == Counter(filter(has_parent, ds.table(table))), table
+    for bundle in bundles:
+        block_hash = bundle.block.hash
+        assert all(t.block_hash == block_hash for t in bundle.transactions)
+        assert all(w.hash == block_hash for w in bundle.withdrawals)
+        assert all(r.block_hash == block_hash for r in (*bundle.tokens, *bundle.contracts))
+        position = {t.hash: i for i, t in enumerate(bundle.transactions)}
+        for order in (
+            [t.transaction_index for t in bundle.transactions],
+            [w.withdrawal_index for w in bundle.withdrawals],
+            [(position[tt.transaction_hash], tt.log_index) for tt in bundle.token_transactions],
+        ):
+            assert order == sorted(order)
+        assert bundle.tokens == [tk for tk in ds.tokens if tk.block_hash == block_hash]
+        assert bundle.contracts == [c for c in ds.contracts if c.block_hash == block_hash]
+        net = Counter()
+        for t in bundle.transactions:
+            net[t.from_address] -= t.value
+            net[t.to_address] += t.value
+        for w in bundle.withdrawals:
+            net[w.address] += w.amount
+        assert dict(bundle.nets) == {a: d for a, d in net.items() if d and a is not None}
 
 
 # sha256 over every file an export writes (name, NUL, bytes; by name). The

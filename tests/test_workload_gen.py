@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainbench import ingest_slice, memstore, workload_gen
+from chainbench import memstore, workload_gen
 from chainbench.chain_model import DELETABLE_TABLES, PRIMARY_KEYS, ROW_TYPES, SCHEMA, WEI_MAX, validate_dataset
 from chainbench.memstore import DeleteRow, InsertRow, NullBlockHash, Store, UpdateBalance
 from chainbench.sqlstub import SqlParseError, parse_script
@@ -24,7 +24,7 @@ from chainbench.workload_gen import (
     write_workload,
 )
 
-from util import addr, edge_ops, read_scripts, reference_render
+from util import addr, edge_ops, read_scripts, reference_render, rollback_balances
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +149,9 @@ def test_batches_and_manifest_are_pinned(init_blocks, granularity, expire):
 
 
 def test_one_write_workload_pass_slices_the_initial_window_once(monkeypatch, tmp_path):
-    # gen_batches seeds its visibility tracker from its own block indexes, so
-    # only gen_initial's load takes the (balance-rolling) initial slice.
+    # gen_batches seeds its visibility tracker from the initial window's
+    # closure over its own block bundles (slice_tables), so only gen_initial's
+    # load takes the (balance-pricing) initial slice.
     slices = []
     real = workload_gen.extract_slice
 
@@ -224,7 +225,7 @@ def test_an_entering_address_takes_the_ledgers_balance(seed, n_blocks, init, gra
     pairs, _ = gen_batches(ds, WorkloadConfig(1 + round(init * (n_blocks - 2)), granularity, expire))
     block_number = {b.hash: b.number for b in ds.blocks}
     for pair in pairs:
-        before = ingest_slice._rollback_balances(ds, pair.upsert.block_lo - 1, block_number)
+        before = rollback_balances(ds, pair.upsert.block_lo - 1, block_number)
         for op in pair.upsert.ops:
             if isinstance(op, InsertRow) and op.table == "addresses":
                 assert op.row.eth_balance == max(0, before.get(op.row.address, 0))

@@ -30,8 +30,10 @@ from chainbench.chain_model import (
     TokenTransaction,
     Transaction,
     Withdrawal,
+    referenced_addresses,
 )
 from chainbench.estimator import ColumnStats
+from chainbench.ingest_slice import ExportError
 from chainbench.memstore import DeleteRow, Filter, InsertRow, Mutation, NullBlockHash, SPJQuery, Store, UpdateBalance
 from chainbench.sqlstub import SqlParseError
 from chainbench.workload_gen import INDEX_FILE, WORKLOAD_FILE, Manifest, ScriptWriter, write_manifest
@@ -444,6 +446,65 @@ def two_pass_parse_script(script: str) -> list[Mutation]:
         if p is not None:
             parsed.append(p)
     return parsed
+
+
+def rollback_balances(ds: ChainDataset, hi: int, block_number: dict[bytes, int]) -> dict[bytes, int]:
+    """Balances at block ``hi``, derived from the snapshot by undoing later
+    flows row by row; a row whose block is not in ``block_number`` is skipped."""
+    balances = dict(ds.addresses)
+    number = block_number.get
+    for t in ds.transactions:
+        num = number(t.block_hash)
+        if num is None or num <= hi:
+            continue
+        balances[t.from_address] = balances.get(t.from_address, 0) + t.value
+        if t.to_address is not None:
+            balances[t.to_address] = balances.get(t.to_address, 0) - t.value
+    for w in ds.withdrawals:
+        num = number(w.hash)
+        if num is None or num <= hi:
+            continue
+        balances[w.address] = balances.get(w.address, 0) - w.amount
+    return balances
+
+
+def filtered_slice(ds: ChainDataset, lo: int, hi: int) -> ChainDataset:
+    """Blocks [lo, hi] with their closure, cut by filtering every table
+    against hash sets in dataset order, with balances rolled back row by row:
+    the slice as it was cut before the per-block view."""
+    if lo > hi:
+        raise ValueError(f"slice lo {lo} > hi {hi}")
+    blocks = tuple(b for b in ds.blocks if lo <= b.number <= hi)
+    if not blocks:
+        raise ExportError("slice empty: no blocks in requested range")
+    block_hashes = {b.hash for b in blocks}
+    transactions = tuple(t for t in ds.transactions if t.block_hash in block_hashes)
+    tx_hashes = {t.hash for t in transactions}
+    withdrawals = tuple(w for w in ds.withdrawals if w.hash in block_hashes)
+    token_txs = tuple(tt for tt in ds.token_transactions if tt.transaction_hash in tx_hashes)
+    used_tokens = {tt.token_address for tt in token_txs}
+    tokens = []
+    for tk in ds.tokens:
+        created_here = tk.block_hash in block_hashes
+        if tk.address in used_tokens or created_here:
+            if tk.block_hash is not None and not created_here:
+                tk = tk._replace(block_hash=None)
+            tokens.append(tk)
+    touched = referenced_addresses({"transactions": transactions})
+    contracts = []
+    for c in ds.contracts:
+        created_here = c.block_hash in block_hashes
+        if c.address in touched or c.address in used_tokens or created_here:
+            if c.block_hash is not None and not created_here:
+                c = c._replace(block_hash=None)
+            contracts.append(c)
+    tables = dict(
+        blocks=blocks, transactions=transactions, contracts=tuple(contracts), tokens=tuple(tokens),
+        token_transactions=token_txs, withdrawals=withdrawals,
+    )
+    balances = rollback_balances(ds, hi, {b.hash: b.number for b in ds.blocks})
+    addresses = tuple(AddressRow(a, max(0, balances.get(a, 0))) for a in sorted(referenced_addresses(tables)))
+    return ChainDataset(addresses=addresses, **tables, final_block=hi)
 
 
 def per_address_warnings(
