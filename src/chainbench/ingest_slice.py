@@ -15,14 +15,15 @@ its table, row and column: Python 3.10's ``csv`` module can neither write nor
 read one, so no version accepts it. Each column has one encoder and one
 decoder, built once from ``SCHEMA``.
 
-``block_bundles`` is the one per-block view of a dataset: each block's row
+``block_view`` groups a dataset by block once into bundles: each block's row
 with its transactions, withdrawals, token transactions, the tokens and
-contracts it creates, and its net balance flow per address. Slicing reads
-it (``extract_slice`` keeps the bundles of a block range, and
-``slice_tables`` is their dependency closure), as do the ledger and
-``workload_gen``'s batches. ``BalanceLedger`` prices any in-range state from
-the bundles' nets: ``touched_in_range`` nets a block range and
-``balances_at`` gives every address's balance at a block.
+contracts it creates, and its net balance flow per address. Slicing
+(``extract_slice`` keeps a block range's bundles; ``slice_tables`` is their
+closure), the ledger and ``workload_gen``'s load and batches read them, and
+take a dataset or its view, so a caller that cuts one dataset several times
+groups it once. ``BalanceLedger`` prices any in-range state from the bundles'
+nets: ``touched_in_range`` nets a block range and ``balances_at`` gives every
+address's balance at a block.
 """
 
 from __future__ import annotations
@@ -252,13 +253,21 @@ def read_export(in_dir: str | Path) -> ChainDataset:
 
 def load_export(in_dir: str | Path, lo: int | None = None, hi: int | None = None) -> ChainDataset:
     """The export's blocks [lo, hi] with their closure, as ``extract_slice``
-    cuts them; a bound left out is the export's first or last block."""
-    ds = read_export(in_dir)
-    block_range = ds.block_range
+    cuts them; a bound left out is the export's first or last block. An
+    export with a row no slice would keep (a transaction, withdrawal or token
+    transaction whose block or transaction is missing, or a token or contract
+    whose ``block_hash`` names no block) is refused."""
+    view = block_view(read_export(in_dir))
+    block_range = view.ds.block_range
     if block_range is None:
         raise ExportError("export has no blocks")
+    _, txs, wds, token_txs, tokens, contracts, _ = view.orphans
+    linked = sum(r.block_hash is not None for r in tokens), sum(r.block_hash is not None for r in contracts)
+    lost = zip(BlockBundle._fields[1:6], (len(txs), len(wds), len(token_txs), *linked))
+    if counts := ", ".join(f"{table}: {n} row{'s' * (n != 1)}" for table, n in lost if n):
+        raise ExportError(f"export rows name a block or transaction not in it ({counts}); `ingest --strict` lists them")
     first, last = block_range
-    return extract_slice(ds, first if lo is None else lo, last if hi is None else hi)
+    return extract_slice(view, first if lo is None else lo, last if hi is None else hi)
 
 
 class BlockBundle(NamedTuple):
@@ -277,11 +286,27 @@ class BlockBundle(NamedTuple):
     nets: list  # (address, nonzero net flow)
 
 
-def block_bundles(ds: ChainDataset) -> list[BlockBundle]:
-    """The dataset's rows grouped by block, in ascending block order, one pass
-    per table. A row whose block (or transaction) is not in the dataset is in
-    no bundle; of two blocks with one hash, only the first in block order has
-    one."""
+class BlockView(NamedTuple):
+    """A dataset, its bundles, their block numbers, and the rows in no bundle
+    (``orphans``, whose ``block`` is None)."""
+
+    ds: ChainDataset
+    bundles: list[BlockBundle]
+    numbers: list[int]
+    orphans: BlockBundle
+
+    def span(self, lo: int, hi: int) -> list[BlockBundle]:
+        """The bundles of blocks [lo, hi]."""
+        return self.bundles[bisect_left(self.numbers, lo) : bisect_right(self.numbers, hi)]
+
+
+def block_view(ds: ChainDataset | BlockView) -> BlockView:
+    """A view as it is, or a dataset's rows grouped by block, in ascending
+    block order, one pass per table. A row whose block (or transaction) is
+    not in the dataset is in no bundle; of two blocks with one hash, only the
+    first in block order has one."""
+    if isinstance(ds, BlockView):
+        return ds
     bundles: dict[bytes, BlockBundle] = {}
     for block in sorted(ds.blocks, key=attrgetter("number")):
         bundles.setdefault(block.hash, BlockBundle(block, [], [], [], [], [], []))
@@ -316,7 +341,8 @@ def block_bundles(ds: ChainDataset) -> list[BlockBundle]:
         for w in withdrawals:
             net[w.address] = net.get(w.address, 0) + w.amount
         nets.extend(entry for entry in net.items() if entry[1])
-    return list(bundles.values())
+    grouped = list(bundles.values())
+    return BlockView(ds, grouped, [b.block.number for b in grouped], orphans)
 
 
 def unlinked(row):
@@ -355,21 +381,20 @@ def slice_tables(ds: ChainDataset, bundles: list[BlockBundle]) -> dict[str, tupl
     )
 
 
-def extract_slice(ds: ChainDataset, lo: int, hi: int) -> ChainDataset:
-    """Restrict the dataset to blocks [lo, hi] plus the dependency closure
-    (``slice_tables``). The addresses table covers every address referenced
-    anywhere in the slice, with its balance at block ``hi`` (the ledger's
-    ``balances_at``; a negative one is clamped to 0).
+def extract_slice(source: ChainDataset | BlockView, lo: int, hi: int) -> ChainDataset:
+    """Restrict the dataset (or the view's) to blocks [lo, hi] plus the
+    dependency closure (``slice_tables``). The addresses table covers every
+    address referenced anywhere in the slice, with its balance at block
+    ``hi`` (the ledger's ``balances_at``; a negative one is clamped to 0).
     """
     if lo > hi:
         raise ValueError(f"slice lo {lo} > hi {hi}")
-    bundles = block_bundles(ds)
-    numbers = [b.block.number for b in bundles]
-    kept = bundles[bisect_left(numbers, lo) : bisect_right(numbers, hi)]
+    view = block_view(source)
+    ds, kept = view.ds, view.span(lo, hi)
     if not kept:
         raise ExportError("slice empty: no blocks in requested range")
     tables = slice_tables(ds, kept)
-    balances_at_hi = bundle_ledger(ds, bundles).balances_at(hi)
+    balances_at_hi = bundle_ledger(ds, view.bundles).balances_at(hi)
     addresses = []
     for addr in sorted(referenced_addresses(tables)):
         bal = balances_at_hi.get(addr, 0)
@@ -386,7 +411,7 @@ class BalanceLedger:
 
     A block's delta for an address is its bundle's net: incoming transfer
     value minus outgoing transfer value plus withdrawal credits (see
-    ``block_bundles``); the balance at the end of block
+    ``block_view``); the balance at the end of block
     ``b`` is the snapshot balance minus the deltas of the blocks after ``b``.
     Addresses absent from the snapshot start from 0 before deltas. Gas and
     fee flows are not in the schema and are deliberately not modelled.
@@ -449,7 +474,7 @@ class BalanceLedger:
 
 def bundle_ledger(ds: ChainDataset, bundles: list[BlockBundle]) -> BalanceLedger:
     """The ledger of ``ds``'s balance snapshot and the nets of its bundles
-    (all of them, from ``block_bundles``)."""
+    (all of them, from ``block_view``)."""
     first = bundles[0].block.number if bundles else ds.final_block
     return BalanceLedger(dict(ds.addresses), first, {b.block.number: b.nets for b in bundles if b.nets})
 
@@ -465,4 +490,4 @@ def build_ledger(ds: ChainDataset) -> BalanceLedger:
     """Derive per-block balance deltas so any in-range state can be priced:
     each block's entries are its bundle's nets. Each consistency warning is
     logged."""
-    return log_consistency_warnings(bundle_ledger(ds, block_bundles(ds)))
+    return log_consistency_warnings(bundle_ledger(ds, block_view(ds).bundles))

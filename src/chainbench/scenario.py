@@ -23,7 +23,7 @@ from . import memstore, reports
 from .chain_model import SliceSpec
 from .eval_harness import QErrorPoint, enumerate_subqueries, evaluate_state, policy_catalogs, probe_columns
 from .gcpause import collector_paused
-from .ingest_slice import extract_slice, load_export
+from .ingest_slice import block_view, extract_slice, load_export
 from .memstore import SPJQuery, Store
 from .query_assets import load_workload
 from .synth_chain import SynthConfig, generate
@@ -162,16 +162,20 @@ def run_scenario(manifest: ExperimentManifest, out_dir: str | Path) -> ScenarioR
             granularity=int(manifest.workload["granularity"]),
             expire=bool(manifest.workload.get("expire", False)),
         )
-        load = gen_initial(ds, cfg)
-        pairs, _ = gen_batches(ds, cfg)
+        # One grouping of the dataset by block serves the load and the
+        # batches; it is dropped before the first apply. The state holds what
+        # a batch inserted, so an applied batch is dropped before the next
+        # probe: the run holds its window, not its history. Each free falls
+        # outside the timed apply. ``ds`` stays: it still holds the rows an
+        # expire deletes, so none is freed inside one.
+        view = block_view(ds)
+        load = gen_initial(view, cfg)
+        pairs, _ = gen_batches(view, cfg)
+        del view
         store = Store()
         start = time.perf_counter()
         memstore.apply(store, load)
         result.timings.append({"batch": 0, "ms": (time.perf_counter() - start) * 1000.0})
-        # The state holds what a batch inserted, so an applied batch is
-        # dropped before the next probe: the run holds its window, not its
-        # history. Each free falls outside the timed apply. ``ds`` stays: it
-        # still holds the rows an expire deletes, so none is freed inside one.
         del load
         probe("W1", store)
         pairs.reverse()
@@ -184,11 +188,14 @@ def run_scenario(manifest: ExperimentManifest, out_dir: str | Path) -> ScenarioR
             result.timings.append({"batch": i, "ms": (time.perf_counter() - start) * 1000.0})
             del pair
             probe(f"W{i + 1}", store)
-    else:  # slice-compare
-        for i, entry in enumerate(manifest.slices):
-            spec = SliceSpec(int(entry["lo"]), int(entry["hi"]), entry.get("label") or f"S{i + 1}")
-            state = extract_slice(ds, spec.lo, spec.hi)
-            probe(spec.label, Store.from_dataset(state))
+    else:  # slice-compare: every slice is cut from one grouping, dropped before the first probe
+        view = block_view(ds)
+        entries = enumerate(manifest.slices, 1)
+        specs = [SliceSpec(int(s["lo"]), int(s["hi"]), s.get("label") or f"S{i}") for i, s in entries]
+        states = [extract_slice(view, spec.lo, spec.hi) for spec in specs][::-1]
+        del view
+        for spec in specs:
+            probe(spec.label, Store.from_dataset(states.pop()))
 
     reports.write_jsonl(result.points, report_dir / "qerror_points.jsonl")
     reports.write_series_csv(result.points, report_dir / "qerror_series.csv", omit_accurate=manifest.omit_accurate)

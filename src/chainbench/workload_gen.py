@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -49,8 +48,8 @@ from .chain_model import (
 )
 from .gcpause import collector_paused
 from .ingest_slice import (
-    BlockBundle,
-    block_bundles,
+    BlockView,
+    block_view,
     bundle_ledger,
     extract_slice,
     log_consistency_warnings,
@@ -153,19 +152,20 @@ class Manifest:
         ]
 
 
-def gen_initial(ds: ChainDataset, cfg: WorkloadConfig) -> Batch:
+def gen_initial(source: ChainDataset | BlockView, cfg: WorkloadConfig) -> Batch:
     """Load artifact: the first ``init_blocks`` blocks with closure and
     balances extrapolated to the end of the initial window, inserted in an
     FK-safe table order. The slice's blocks and their rows come in block
     order, and its addresses in address order."""
-    rng = ds.block_range
+    view = block_view(source)
+    rng = view.ds.block_range
     if rng is None:
         raise WorkloadError("dataset has no blocks")
     first, last = rng
     init_hi = first + cfg.init_blocks - 1
     if init_hi > last:
         raise WorkloadError(f"init_blocks {cfg.init_blocks} exceeds dataset ({last - first + 1} blocks)")
-    initial = extract_slice(ds, first, init_hi)
+    initial = extract_slice(view, first, init_hi)
     ops = (
         *records(InsertRow, "addresses", initial.addresses),
         *records(InsertRow, "blocks", initial.blocks),
@@ -184,8 +184,10 @@ def _keys(table: str, rows) -> Iterator[tuple]:
     return map(key, rows) if len(PRIMARY_KEYS[table]) > 1 else zip(map(key, rows))
 
 
-def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair], Manifest]:
+def gen_batches(source: ChainDataset | BlockView, cfg: WorkloadConfig) -> tuple[list[BatchPair], Manifest]:
     """Ordered update batches advancing the state beyond the initial window."""
+    view = block_view(source)
+    ds, bundles, span = view.ds, view.bundles, view.span
     rng = ds.block_range
     if rng is None:
         raise WorkloadError("dataset has no blocks")
@@ -193,12 +195,6 @@ def gen_batches(ds: ChainDataset, cfg: WorkloadConfig) -> tuple[list[BatchPair],
     init_hi = first + cfg.init_blocks - 1
     if init_hi >= last:
         raise WorkloadError("no blocks beyond the initial range: nothing to batch")
-
-    bundles = block_bundles(ds)
-    numbers = [b.block.number for b in bundles]
-
-    def span(lo: int, hi: int) -> list[BlockBundle]:
-        return bundles[bisect_left(numbers, lo) : bisect_right(numbers, hi)]
 
     ledger = log_consistency_warnings(bundle_ledger(ds, bundles))
     tokens_by_addr = {tk.address: tk for tk in ds.tokens}
@@ -477,7 +473,7 @@ def render_sql(batch: Batch) -> str:
     except KeyError:
         statements = [_resolve(op)(op) for op in batch.ops]
     head = f"-- {batch.kind} batch {batch.index}: blocks [{batch.block_lo}, {batch.block_hi}]\nBEGIN;\n"
-    return f"{head}{''.join(statements)}COMMIT;\n"
+    return "".join([head, *statements, "COMMIT;\n"])  # one copy of the text, not two
 
 
 class ScriptWriter:
@@ -524,8 +520,10 @@ def write_workload(ds: ChainDataset, cfg: WorkloadConfig, out_dir: str | Path) -
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with ScriptWriter(out) as scripts:
-        scripts.add(script_name("load", 0), render_sql(gen_initial(ds, cfg)))
-        pairs, manifest = gen_batches(ds, cfg)
+        view = block_view(ds)  # one grouping for the load and the batches
+        scripts.add(script_name("load", 0), render_sql(gen_initial(view, cfg)))
+        pairs, manifest = gen_batches(view, cfg)
+        del view
         for pair in pairs:
             for batch in (pair.expire, pair.upsert):
                 if batch is not None:

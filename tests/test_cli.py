@@ -74,6 +74,21 @@ def test_ingest_strict_refuses_a_transaction_whose_block_is_missing(tmp_path, ca
     assert printed.endswith(f"transactions: block_hash dangling (0x{'ee' * 32})\n")
 
 
+def test_gen_updates_refuses_a_transaction_whose_block_is_missing(tmp_path, capsys):
+    # Its whole-range slice would drop the row unseen; ingest --strict names it.
+    out = tmp_path / "export"
+    assert main(["synth", "--seed", "3", "--blocks", "30", "--out", str(out)]) == 0
+    ds = read_export(out)
+    orphan = ds.transactions[0]._replace(hash=b"\xee" * 32, block_hash=b"\xdd" * 32)
+    write_export(replace(ds, transactions=(*ds.transactions, orphan)), out)
+    capsys.readouterr()
+    assert main(["gen-updates", "--export", str(out), "--init", "10", "--out", str(tmp_path / "wl")]) == 1
+    assert capsys.readouterr().err == (
+        "error: export rows name a block or transaction not in it (transactions: 1 row); `ingest --strict` lists them\n"
+    )
+    assert not (tmp_path / "wl").exists()
+
+
 @pytest.mark.parametrize("command", ("ingest", "slice"))
 def test_an_export_with_no_blocks_is_refused(tmp_path, capsys, command):
     export = tmp_path / "empty"

@@ -27,15 +27,16 @@ from chainbench.chain_model import (
 from chainbench.ingest_slice import (
     BalanceLedger,
     ExportError,
-    block_bundles,
+    block_view,
     build_ledger,
     extract_slice,
+    load_export,
     read_export,
     write_export,
 )
 from chainbench.synth_chain import SynthConfig, generate
 
-from util import addr, filtered_slice, per_address_warnings, rollback_balances, tiny_dataset, with_balance
+from util import addr, filtered_slice, hsh, per_address_warnings, rollback_balances, tiny_dataset, with_balance
 
 
 def test_export_round_trip(small_dataset, tmp_path):
@@ -108,6 +109,47 @@ def test_extract_empty_slice_errors():
     ds = tiny_dataset()
     with pytest.raises(ExportError, match="slice empty"):
         extract_slice(ds, 50, 60)
+
+
+# One row per table that no slice keeps: its block (hsh(99)) or its transaction
+# (hsh(199)) is not in the dataset.
+_UNKEPT = {
+    "transactions": lambda ds: ds.transactions[0]._replace(hash=hsh(150), block_hash=hsh(99)),
+    "withdrawals": lambda ds: ds.withdrawals[0]._replace(hash=hsh(99)),
+    "token_transactions": lambda ds: ds.token_transactions[0]._replace(transaction_hash=hsh(199)),
+    "tokens": lambda ds: ds.tokens[0]._replace(address=addr(7), block_hash=hsh(99)),
+    "contracts": lambda ds: ds.contracts[0]._replace(address=addr(8), block_hash=hsh(99)),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_UNKEPT))
+def test_load_export_refuses_a_row_no_slice_keeps(tmp_path, table):
+    ds = tiny_dataset()
+    bad = replace(ds, **{table: (*ds.table(table), _UNKEPT[table](ds))})
+    write_export(bad, tmp_path)
+    message = f"export rows name a block or transaction not in it ({table}: 1 row); `ingest --strict` lists them"
+    with pytest.raises(ExportError) as refused:
+        load_export(tmp_path, 0, 1)
+    assert str(refused.value) == message
+    # In memory, a slice still leaves the row out, as before.
+    assert extract_slice(bad, 0, 2) == extract_slice(ds, 0, 2)
+
+
+def test_load_export_counts_every_unkept_row_and_keeps_an_unlinked_token(tmp_path):
+    ds = tiny_dataset()
+    unlinked = ds.tokens[0]._replace(address=addr(9), block_hash=None)
+    orphan = _UNKEPT["transactions"](ds)
+    write_export(replace(ds, tokens=(*ds.tokens, unlinked)), tmp_path / "unlinked")
+    assert load_export(tmp_path / "unlinked") == extract_slice(read_export(tmp_path / "unlinked"), 0, 2)
+    # The orphan's own token transaction is in no bundle either.
+    token_tx = ds.token_transactions[0]._replace(transaction_hash=orphan.hash, log_index=1)
+    write_export(
+        replace(ds, transactions=(*ds.transactions, orphan, orphan._replace(hash=hsh(151), nonce=9)),
+                token_transactions=(*ds.token_transactions, token_tx)),
+        tmp_path / "bad",
+    )
+    with pytest.raises(ExportError, match=r"\(transactions: 2 rows, token_transactions: 1 row\); `ingest --strict`"):
+        load_export(tmp_path / "bad")
 
 
 def test_slice_partition_covers_export(tmp_path):
@@ -355,7 +397,7 @@ def test_the_bundles_partition_every_row_whose_parent_exists(seed, n_blocks, dat
     # Row order within a block is the bundles' to restore.
     shuffled = ("transactions", "withdrawals", "token_transactions")
     ds = replace(ds, **{table: tuple(data.draw(st.permutations(ds.table(table)))) for table in shuffled})
-    bundles = block_bundles(ds)
+    bundles = block_view(ds).bundles
     blocks = {b.hash for b in ds.blocks}
     kept_txs = {t.hash for t in ds.transactions if t.block_hash in blocks}
     assert [b.block for b in bundles] == sorted(ds.blocks, key=lambda b: b.number)

@@ -4,9 +4,9 @@ import weakref
 
 import pytest
 
-from chainbench import estimator, memstore, scenario
+from chainbench import estimator, memstore, scenario, workload_gen
 from chainbench.chain_model import ChainDataset
-from chainbench.ingest_slice import ExportError, write_export
+from chainbench.ingest_slice import BlockView, ExportError, block_view, write_export
 from chainbench.scenario import (
     ExperimentManifest,
     ManifestError,
@@ -14,6 +14,7 @@ from chainbench.scenario import (
     run_scenario,
 )
 from chainbench.synth_chain import SynthConfig, generate
+from chainbench.workload_gen import WorkloadConfig, write_workload
 
 
 def test_manifest_validation_errors():
@@ -220,6 +221,86 @@ def test_every_probe_reaches_the_patched_refresh_count_and_evaluate_state(monkey
     # Only Q1's five filter columns get full statistics.
     assert calls.count(("refresh", 5)) == 3
     assert calls.count("count") == 3 * 5
+
+
+def test_each_run_reaches_the_patched_generators_once_through_one_view(monkeypatch, tmp_path):
+    # The bench tracer wraps gen_initial and gen_batches where scenario and
+    # workload_gen look them up; a drift run and write_workload each call
+    # both once, with one shared block view, and slice-compare cuts every
+    # slice from one view.
+    calls = []
+
+    def spy(site, real):
+        def wrapper(source, *args):
+            calls.append((site, source))
+            return real(source, *args)
+
+        return wrapper
+
+    for module in (scenario, workload_gen):
+        for name in ("gen_initial", "gen_batches"):
+            monkeypatch.setattr(module, name, spy(f"{module.__name__}.{name}", getattr(module, name)))
+    monkeypatch.setattr(scenario, "extract_slice", spy("extract_slice", scenario.extract_slice))
+    source = {"kind": "synth", "config": {"seed": 4, "n_blocks": 12, "mean_tx_per_block": 3, "address_pool": 12}}
+    drift = {"kind": "window-drift", "source": source, "workload": {"init_blocks": 8, "granularity": 2}, "max_tables": 1}
+    run_scenario(ExperimentManifest.from_dict(drift), tmp_path / "drift")
+    write_workload(generate(SynthConfig(**source["config"])), WorkloadConfig(8, 2, expire=True), tmp_path / "wl")
+    slices = [{"lo": 0, "hi": 5}, {"lo": 4, "hi": 11}, {"lo": 9, "hi": 9}]
+    compare = {"kind": "slice-compare", "source": source, "slices": slices, "max_tables": 1}
+    run_scenario(ExperimentManifest.from_dict(compare), tmp_path / "compare")
+    sites = [site for site, _ in calls]
+    assert sites == [
+        "chainbench.scenario.gen_initial",
+        "chainbench.scenario.gen_batches",
+        "chainbench.workload_gen.gen_initial",
+        "chainbench.workload_gen.gen_batches",
+        *["extract_slice"] * 3,
+    ]
+    views = [source for _, source in calls]
+    assert all(isinstance(view, BlockView) for view in views)
+    assert views[0] is views[1] and views[2] is views[3] and views[4] is views[5] is views[6]
+
+
+class _Bundles(list):
+    """A list a weak reference can follow."""
+
+
+_DRIFT = {"kind": "window-drift", "workload": {"init_blocks": 12, "granularity": 6, "expire": True}}
+_COMPARE = {"kind": "slice-compare", "slices": [{"lo": 0, "hi": 9}, {"lo": 5, "hi": 29}]}
+
+
+@pytest.mark.parametrize(
+    "kind, hook, reached",
+    [(_DRIFT, (memstore, "apply"), 7), (_COMPARE, (scenario, "policy_catalogs"), 2)],
+    ids=["drift-first-apply", "compare-first-probe"],
+)
+def test_a_run_drops_its_block_view_before_its_store_is_used(monkeypatch, tmp_path, kind, hook, reached):
+    # The grouping the load and the batches (or the slices) share is as large
+    # as the dataset's rows; held through the applies and probes, it would
+    # raise the run's peak memory. The collector is paused, so only reference
+    # counting frees it.
+    bundles: list[weakref.ref] = []
+    alive = []
+
+    def keep_ref(source):
+        view = block_view(source)
+        view = view._replace(bundles=_Bundles(view.bundles))
+        bundles.append(weakref.ref(view.bundles))
+        return view
+
+    def check(fn):
+        def wrapper(*args):
+            alive.append([ref() is not None for ref in bundles])
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(scenario, "block_view", keep_ref)
+    monkeypatch.setattr(*hook, check(getattr(*hook)))
+    source = {"kind": "synth", "config": {"seed": 4, "n_blocks": 30, "mean_tx_per_block": 4, "address_pool": 15}}
+    run_scenario(ExperimentManifest.from_dict({**kind, "source": source, "max_tables": 1}), tmp_path)
+    assert alive[0] == [False]
+    assert len(alive) == reached
 
 
 def test_a_drift_run_holds_no_applied_batch(monkeypatch, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chainbench import memstore, workload_gen
 from chainbench.chain_model import DELETABLE_TABLES, PRIMARY_KEYS, ROW_TYPES, SCHEMA, WEI_MAX, validate_dataset
+from chainbench.ingest_slice import block_view, extract_slice
 from chainbench.memstore import DeleteRow, InsertRow, NullBlockHash, Store, UpdateBalance
 from chainbench.sqlstub import SqlParseError, parse_script
 from chainbench.synth_chain import SynthConfig, generate
@@ -229,6 +230,47 @@ def test_an_entering_address_takes_the_ledgers_balance(seed, n_blocks, init, gra
         for op in pair.upsert.ops:
             if isinstance(op, InsertRow) and op.table == "addresses":
                 assert op.row.eth_balance == max(0, before.get(op.row.address, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=st.builds(
+        SynthConfig,
+        seed=st.integers(0, 2**16),
+        n_blocks=st.integers(2, 30),
+        start_number=st.integers(0, 5),
+        mean_tx_per_block=st.integers(0, 6),
+        address_pool=st.integers(2, 20),
+        n_tokens=st.integers(1, 4),
+        token_tx_prob=st.floats(0, 1),
+        contract_fraction=st.floats(0, 1),
+        withdrawal_rate=st.floats(0, 3),
+    ),
+    init=st.floats(0, 1),
+    granularity=st.integers(1, 6),
+    expire=st.booleans(),
+    data=st.data(),
+)
+def test_one_shared_block_view_cuts_as_the_dataset_does(config, init, granularity, expire, data):
+    # One view serves the load, the batches and every slice, in turn; each
+    # result equals the one a plain dataset gives, so no use alters the view.
+    ds = generate(config)
+    cfg = WorkloadConfig(1 + round(init * (config.n_blocks - 2)), granularity, expire)
+    view = block_view(ds)
+    assert block_view(view) is view
+    assert gen_initial(view, cfg) == gen_initial(ds, cfg)
+    assert gen_batches(view, cfg) == gen_batches(ds, cfg)
+    bounds = st.integers(config.start_number - 2, config.start_number + config.n_blocks + 1)
+
+    def outcome(source, lo, hi):
+        try:
+            return extract_slice(source, lo, hi)
+        except ValueError as exc:  # ExportError too
+            return type(exc), str(exc)
+
+    for _ in range(3):
+        lo, hi = data.draw(bounds), data.draw(bounds)
+        assert outcome(view, lo, hi) == outcome(ds, lo, hi)
 
 
 def test_render_empty_batch():
