@@ -69,19 +69,6 @@ def encode_hex(value: bytes) -> str:
     return "0x" + value.hex()
 
 
-@dataclass(frozen=True, slots=True)
-class SliceSpec:
-    """A contiguous block-number window [lo, hi] naming one database state."""
-
-    lo: int
-    hi: int
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"slice lo {self.lo} > hi {self.hi}")
-
-
 @dataclass(frozen=True)
 class ChainDataset:
     """The seven tables, as of block ``final_block``: the addresses table is

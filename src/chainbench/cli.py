@@ -168,11 +168,14 @@ class _CountExecutor:
 
 
 def _cmd_run_queries(args: argparse.Namespace) -> int:
-    ds = load_export(args.export)
-    store = memstore.Store.from_dataset(ds)
+    assets = load_workload(args.queries)
     wanted = set(args.ids.split(",")) if args.ids else None
+    unknown = sorted((wanted or set()) - {asset.id for asset in assets})
+    if unknown:
+        raise ValueError(f"unknown query id {', '.join(map(repr, unknown))}")
+    store = memstore.Store.from_dataset(load_export(args.export))
     rows = []
-    for asset in load_workload(args.queries):
+    for asset in assets:
         if wanted and asset.id not in wanted:
             continue
         if asset.spj is None:
@@ -195,7 +198,7 @@ def _cmd_run_queries(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe_card(args: argparse.Namespace) -> int:
-    assets = {a.id: a for a in load_workload(args.queries)}
+    assets = {a.id: a for a in load_workload()}
     asset = assets.get(args.query)
     if asset is None or asset.spj is None:
         raise ValueError(f"query {args.query!r} has no structured form to probe")
@@ -314,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=int)
     p.add_argument("--hi", type=int)
     p.add_argument("--query", default="Q1")
-    p.add_argument("--queries", help="directory of user query files")
     p.add_argument("--max-tables", type=int, default=3)
     p.add_argument("--policy", choices=POLICIES, default="refreshed")
     p.add_argument("--label", default="S1", help="state label for the emitted points")

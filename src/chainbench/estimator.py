@@ -52,10 +52,6 @@ class ColumnStats:
     def mcv_mass(self) -> float:
         return sum(f for _, f in self.mcv)
 
-    @property
-    def n_buckets(self) -> int:
-        return max(0, len(self.boundaries) - 1)
-
 
 def build_column_stats(values: list, n_buckets: int = 100, mcv_k: int = 10) -> ColumnStats:
     n_rows = len(values)

@@ -40,6 +40,8 @@ class PlanMeasurement:
     reps: int = 0
 
     def __post_init__(self) -> None:
+        if self.c_e is not None and self.c_e <= 0:
+            raise ValueError("estimated cost must be positive")
         if self.c_r is not None:
             if self.c_r <= 0:
                 raise ValueError("measured latency must be positive")

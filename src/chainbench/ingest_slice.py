@@ -479,15 +479,11 @@ def bundle_ledger(ds: ChainDataset, bundles: list[BlockBundle]) -> BalanceLedger
     return BalanceLedger(dict(ds.addresses), first, {b.block.number: b.nets for b in bundles if b.nets})
 
 
-def log_consistency_warnings(ledger: BalanceLedger) -> BalanceLedger:
-    """Log each of the ledger's consistency warnings; return the ledger."""
+def build_ledger(source: ChainDataset | BlockView) -> BalanceLedger:
+    """The dataset's (or the view's) ledger, each block's entries its bundle's
+    nets, so any in-range state can be priced; each consistency warning is logged."""
+    view = block_view(source)
+    ledger = bundle_ledger(view.ds, view.bundles)
     for addr, blk in ledger.consistency_warnings():
         log.warning("ledger: balance of %s negative at block %d", encode_hex(addr), blk)
     return ledger
-
-
-def build_ledger(ds: ChainDataset) -> BalanceLedger:
-    """Derive per-block balance deltas so any in-range state can be priced:
-    each block's entries are its bundle's nets. Each consistency warning is
-    logged."""
-    return log_consistency_warnings(bundle_ledger(ds, block_view(ds).bundles))

@@ -37,7 +37,8 @@ earlier versions wrote, so those still read. Nothing is fsynced: a
 checkpoint is as durable as the page cache.
 
 Between batches, registered hooks run synchronously on the replay thread;
-that is where drift probes and other experiments observe each state.
+that is where drift probes and other experiments observe each state. A hook
+that raises halts the replay with a ``ReplayError`` naming the batch.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ class Hook:
     """Between-batch callback: fn(batch_index, target)."""
 
     fn: Callable[[int, object], None]
-    continue_on_error: bool = False
 
 
 @dataclass
@@ -141,10 +141,9 @@ class ReplayCheckpoint:
 class ReplayReport:
     resumed_from: int | None
     applied: list[dict] = field(default_factory=list)  # {"index", "file", "ms"}: one per script
-    hook_errors: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"resumed_from": self.resumed_from, "applied": self.applied, "hook_errors": self.hook_errors}
+        return {"resumed_from": self.resumed_from, "applied": self.applied}
 
 
 def manifest_hash(workload_dir: str | Path) -> str:
@@ -247,15 +246,12 @@ def _append_checkpoint(fd: int, ckpt: ReplayCheckpoint) -> None:
         raise ReplayError("short write to the replay checkpoint log")
 
 
-def _run_hooks(hooks: Sequence[Hook], index: int, target, report: ReplayReport) -> None:
+def _run_hooks(hooks: Sequence[Hook], index: int, target) -> None:
     for hook in hooks:
         try:
             hook.fn(index, target)
         except Exception as exc:
-            if hook.continue_on_error:
-                report.hook_errors.append(f"batch {index}: {exc}")
-            else:
-                raise ReplayError(f"hook failed after batch {index}: {exc}", batch_index=index) from exc
+            raise ReplayError(f"hook failed after batch {index}: {exc}", batch_index=index) from exc
 
 
 @collector_paused
@@ -339,7 +335,7 @@ def replay(
             if delay > 0:
                 sleep(delay)
             run_unit(batch, names)
-            _run_hooks(hooks, batch, target, report)
+            _run_hooks(hooks, batch, target)
     finally:
         os.close(fd)
         os.close(scripts)

@@ -33,8 +33,8 @@ def read_plan_measurements(path: str | Path) -> list[PlanMeasurement]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            data = json.loads(line)
             try:
+                data = json.loads(line)
                 out.append(
                     PlanMeasurement(
                         plan_for=data["plan_for"],
@@ -44,7 +44,7 @@ def read_plan_measurements(path: str | Path) -> list[PlanMeasurement]:
                         reps=data.get("reps", 0),
                     )
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
 

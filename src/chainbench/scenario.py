@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import memstore, reports
-from .chain_model import SliceSpec
 from .eval_harness import QErrorPoint, enumerate_subqueries, evaluate_state, policy_catalogs, probe_columns
 from .gcpause import collector_paused
 from .ingest_slice import block_view, extract_slice, load_export
@@ -47,7 +46,6 @@ class ExperimentManifest:
     omit_accurate: bool = False
     workload: dict | None = None  # window-drift: init_blocks / granularity / expire
     slices: tuple[dict, ...] = ()  # slice-compare: {lo, hi, label}
-    query_dir: str | None = None
     output_dir: str | None = None
 
     @classmethod
@@ -67,18 +65,24 @@ class ExperimentManifest:
             omit_accurate=bool(data.get("omit_accurate", False)),
             workload=data.get("workload"),
             slices=tuple(data.get("slices", ())),
-            query_dir=data.get("query_dir"),
             output_dir=data.get("output_dir"),
         )
+        if not m.policies:
+            raise ManifestError("manifest needs at least one policy")
         for policy in m.policies:
             if policy not in POLICIES:
                 raise ManifestError(f"unknown policy {policy!r}")
+        if not m.queries:
+            raise ManifestError("manifest needs at least one query")
+        _spj_queries(m.queries)
+        if m.max_tables < 1:
+            raise ManifestError(f"max_tables must be >= 1, got {m.max_tables}")
         if m.n_buckets < 1:
             raise ManifestError(f"n_buckets must be >= 1, got {m.n_buckets}")
-        if m.kind == "window-drift" and not m.workload:
-            raise ManifestError("window-drift needs a 'workload' section")
-        if m.kind == "slice-compare" and not m.slices:
-            raise ManifestError("slice-compare needs a 'slices' list")
+        if m.kind == "window-drift":
+            _workload_config(m.workload)
+        else:
+            _slices(m.slices)
         return m
 
     def reproducible_inputs(self) -> dict:
@@ -110,16 +114,45 @@ def dataset_from_source(source: dict):
     raise ManifestError(f"unknown dataset source kind {kind!r}")
 
 
-def _spj_queries(manifest: ExperimentManifest) -> dict[str, SPJQuery]:
-    assets = {a.id: a for a in load_workload(manifest.query_dir)}
+# Each of the next three reads one manifest section: ``from_dict`` calls it to
+# check the section, ``run_scenario`` to use it.
+def _spj_queries(queries: tuple[str, ...]) -> dict[str, SPJQuery]:
+    assets = {a.id: a for a in load_workload()}
     out: dict[str, SPJQuery] = {}
-    for qid in manifest.queries:
+    for qid in queries:
         asset = assets.get(qid)
         if asset is None:
             raise ManifestError(f"unknown query id {qid!r}")
         if asset.spj is None:
             raise ManifestError(f"query {qid} has no structured form; it cannot be probed on the in-memory store")
         out[qid] = asset.spj
+    return out
+
+
+def _workload_config(workload: dict | None) -> WorkloadConfig:
+    if not workload:
+        raise ManifestError("window-drift needs a 'workload' section")
+    for key in ("init_blocks", "granularity"):
+        if key not in workload:
+            raise ManifestError(f"window-drift workload needs {key!r}")
+    return WorkloadConfig(int(workload["init_blocks"]), int(workload["granularity"]), bool(workload.get("expire")))
+
+
+def _slices(slices: tuple[dict, ...]) -> list[tuple[int, int, str]]:
+    """Each slice's (lo, hi, label); the n-th slice's label defaults to ``S<n>``."""
+    if not slices:
+        raise ManifestError("slice-compare needs a 'slices' list")
+    out: list[tuple[int, int, str]] = []
+    for i, entry in enumerate(slices, 1):
+        for key in ("lo", "hi"):
+            if key not in entry:
+                raise ManifestError(f"slice {i} needs {key!r}")
+        lo, hi, label = int(entry["lo"]), int(entry["hi"]), entry.get("label") or f"S{i}"
+        if lo > hi:
+            raise ManifestError(f"slice lo {lo} > hi {hi}")
+        if any(label == seen for *_, seen in out):
+            raise ManifestError(f"two slices are labelled {label!r}")
+        out.append((lo, hi, label))
     return out
 
 
@@ -132,17 +165,17 @@ class ScenarioResult:
 
 @collector_paused
 def run_scenario(manifest: ExperimentManifest, out_dir: str | Path) -> ScenarioResult:
+    spj_by_id = _spj_queries(manifest.queries)
+    subqueries = []
+    for qid in sorted(spj_by_id):
+        subqueries.extend(enumerate_subqueries(spj_by_id[qid], manifest.max_tables))
+    columns = probe_columns(subqueries)
+
     out = Path(out_dir)
     report_dir = out / "report"
     logs_dir = out / "logs"
     report_dir.mkdir(parents=True, exist_ok=True)
     logs_dir.mkdir(parents=True, exist_ok=True)
-
-    spj_by_id = _spj_queries(manifest)
-    subqueries = []
-    for qid in sorted(spj_by_id):
-        subqueries.extend(enumerate_subqueries(spj_by_id[qid], manifest.max_tables))
-    columns = probe_columns(subqueries)
 
     result = ScenarioResult()
     ds = dataset_from_source(manifest.source)
@@ -157,11 +190,7 @@ def run_scenario(manifest: ExperimentManifest, out_dir: str | Path) -> ScenarioR
         result.points.extend(evaluate_state(label, store, subqueries, catalogs))
 
     if manifest.kind == "window-drift":
-        cfg = WorkloadConfig(
-            init_blocks=int(manifest.workload["init_blocks"]),
-            granularity=int(manifest.workload["granularity"]),
-            expire=bool(manifest.workload.get("expire", False)),
-        )
+        cfg = _workload_config(manifest.workload)
         # One grouping of the dataset by block serves the load and the
         # batches; it is dropped before the first apply. The state holds what
         # a batch inserted, so an applied batch is dropped before the next
@@ -190,12 +219,11 @@ def run_scenario(manifest: ExperimentManifest, out_dir: str | Path) -> ScenarioR
             probe(f"W{i + 1}", store)
     else:  # slice-compare: every slice is cut from one grouping, dropped before the first probe
         view = block_view(ds)
-        entries = enumerate(manifest.slices, 1)
-        specs = [SliceSpec(int(s["lo"]), int(s["hi"]), s.get("label") or f"S{i}") for i, s in entries]
-        states = [extract_slice(view, spec.lo, spec.hi) for spec in specs][::-1]
+        slices = _slices(manifest.slices)
+        states = [extract_slice(view, lo, hi) for lo, hi, _ in slices][::-1]
         del view
-        for spec in specs:
-            probe(spec.label, Store.from_dataset(states.pop()))
+        for *_, label in slices:
+            probe(label, Store.from_dataset(states.pop()))
 
     reports.write_jsonl(result.points, report_dir / "qerror_points.jsonl")
     reports.write_series_csv(result.points, report_dir / "qerror_series.csv", omit_accurate=manifest.omit_accurate)

@@ -47,15 +47,7 @@ from .chain_model import (
     referenced_addresses,
 )
 from .gcpause import collector_paused
-from .ingest_slice import (
-    BlockView,
-    block_view,
-    bundle_ledger,
-    extract_slice,
-    log_consistency_warnings,
-    slice_tables,
-    unlinked,
-)
+from .ingest_slice import BlockView, block_view, build_ledger, extract_slice, slice_tables, unlinked
 from .memstore import DeleteRow, InsertRow, Mutation, NullBlockHash, UpdateBalance, records
 
 log = logging.getLogger(__name__)
@@ -152,19 +144,28 @@ class Manifest:
         ]
 
 
-def gen_initial(source: ChainDataset | BlockView, cfg: WorkloadConfig) -> Batch:
-    """Load artifact: the first ``init_blocks`` blocks with closure and
-    balances extrapolated to the end of the initial window, inserted in an
-    FK-safe table order. The slice's blocks and their rows come in block
-    order, and its addresses in address order."""
-    view = block_view(source)
-    rng = view.ds.block_range
+def _window(ds: ChainDataset, cfg: WorkloadConfig, batched: bool) -> tuple[int, int, int]:
+    """The first block, the initial window's last and the last block; refuses a dataset
+    without blocks or shorter than the window, and, if ``batched``, one with no block beyond it."""
+    rng = ds.block_range
     if rng is None:
         raise WorkloadError("dataset has no blocks")
     first, last = rng
     init_hi = first + cfg.init_blocks - 1
     if init_hi > last:
         raise WorkloadError(f"init_blocks {cfg.init_blocks} exceeds dataset ({last - first + 1} blocks)")
+    if batched and init_hi == last:
+        raise WorkloadError("no blocks beyond the initial range: nothing to batch")
+    return first, init_hi, last
+
+
+def gen_initial(source: ChainDataset | BlockView, cfg: WorkloadConfig) -> Batch:
+    """Load artifact: the first ``init_blocks`` blocks with closure and
+    balances extrapolated to the end of the initial window, inserted in an
+    FK-safe table order. The slice's blocks and their rows come in block
+    order, and its addresses in address order."""
+    view = block_view(source)
+    first, init_hi, _ = _window(view.ds, cfg, batched=False)
     initial = extract_slice(view, first, init_hi)
     ops = (
         *records(InsertRow, "addresses", initial.addresses),
@@ -187,16 +188,9 @@ def _keys(table: str, rows) -> Iterator[tuple]:
 def gen_batches(source: ChainDataset | BlockView, cfg: WorkloadConfig) -> tuple[list[BatchPair], Manifest]:
     """Ordered update batches advancing the state beyond the initial window."""
     view = block_view(source)
-    ds, bundles, span = view.ds, view.bundles, view.span
-    rng = ds.block_range
-    if rng is None:
-        raise WorkloadError("dataset has no blocks")
-    first, last = rng
-    init_hi = first + cfg.init_blocks - 1
-    if init_hi >= last:
-        raise WorkloadError("no blocks beyond the initial range: nothing to batch")
-
-    ledger = log_consistency_warnings(bundle_ledger(ds, bundles))
+    ds, span = view.ds, view.span
+    first, init_hi, last = _window(ds, cfg, batched=True)
+    ledger = build_ledger(view)
     tokens_by_addr = {tk.address: tk for tk in ds.tokens}
     contracts_by_addr: dict[bytes, list] = {}
     for c in ds.contracts:
@@ -516,7 +510,9 @@ def write_manifest(out_dir: str | Path, manifest: Manifest) -> None:
 def write_workload(ds: ChainDataset, cfg: WorkloadConfig, out_dir: str | Path) -> Manifest:
     """Render the load and every batch into ``out_dir``: each script is
     appended to ``workload.sql`` as soon as it is rendered, then
-    ``scripts.json`` and ``manifest.json`` are written."""
+    ``scripts.json`` and ``manifest.json`` are written. A dataset the generators refuse
+    is refused before any file is opened, so a workload already in ``out_dir`` stays."""
+    _window(ds, cfg, batched=True)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with ScriptWriter(out) as scripts:

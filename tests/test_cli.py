@@ -143,6 +143,24 @@ def test_gen_updates_moving_window_shape(tmp_path):
     assert manifest["initial"] == {"lo": 0, "hi": 999}
 
 
+@pytest.mark.parametrize(
+    "init, message",
+    [("40", "no blocks beyond the initial range: nothing to batch"), ("41", "init_blocks 41 exceeds dataset (40 blocks)")],
+)
+def test_a_refused_gen_updates_leaves_the_workload_in_out_as_it_was(tmp_path, capsys, init, message):
+    out = _synth(tmp_path)
+    wl = tmp_path / "wl"
+    assert main(["gen-updates", "--export", str(out), "--init", "20", "--granularity", "10", "--out", str(wl)]) == 0
+    before = {name: (wl / name).read_bytes() for name in ("workload.sql", "scripts.json", "manifest.json")}
+    capsys.readouterr()
+    assert main(["gen-updates", "--export", str(out), "--init", init, "--out", str(wl)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {name: (wl / name).read_bytes() for name in before} == before
+    fresh = tmp_path / "fresh"
+    assert main(["gen-updates", "--export", str(out), "--init", init, "--out", str(fresh)]) == 1
+    assert not (fresh / "workload.sql").exists()
+
+
 def test_replay_subcommand(tmp_path):
     out = _synth(tmp_path)
     wl = tmp_path / "workload"
@@ -218,6 +236,20 @@ def test_run_queries_counts_q1(tmp_path, capsys):
     assert q1_line.split("\t")[1].isdigit()
     q2_line = next(line for line in lines if line.startswith("Q2\t"))
     assert "SQL executor" in q2_line
+
+
+def test_run_queries_refuses_unknown_ids_by_name(tmp_path, capsys):
+    out = _synth(tmp_path)
+    capsys.readouterr()
+    for ids in ("Q99", "Q1,Q99"):
+        assert main(["run-queries", "--export", str(out), "--ids", ids]) == 1
+        assert capsys.readouterr() == ("", "error: unknown query id 'Q99'\n")
+    # A user query file makes its id known.
+    queries = tmp_path / "queries"
+    queries.mkdir()
+    (queries / "q99.sql").write_text("-- id: Q99\nSELECT 1;\n", encoding="utf-8")
+    assert main(["run-queries", "--export", str(out), "--queries", str(queries), "--ids", "Q99"]) == 0
+    assert capsys.readouterr().out == "Q99\t-\tneeds a SQL executor\n"
 
 
 def test_run_queries_median_mode(tmp_path, capsys):

@@ -203,6 +203,9 @@ def test_regret_matrix_missing_pair():
 def test_regret_matrix_requires_reps_for_latency():
     with pytest.raises(ValueError, match="reps"):
         PlanMeasurement("S1", "S1", c_r=12.5, reps=5)
+    for c_e in (0, -1.5):  # an estimated cost divides the regret matrix's cells
+        with pytest.raises(ValueError, match="^estimated cost must be positive$"):
+            PlanMeasurement("S1", "S1", c_e=c_e)
 
 
 @pytest.mark.parametrize("max_tables", [0, -1])

@@ -172,17 +172,6 @@ def test_hook_failure_halts(workload):
         replay(MemstoreTarget(), wdir, hooks=[Hook(explode)])
 
 
-def test_hook_failure_continue_flag(workload):
-    _, _, wdir = workload
-
-    def explode(i, target):
-        raise RuntimeError("noisy probe")
-
-    report = replay(MemstoreTarget(), wdir, hooks=[Hook(explode, continue_on_error=True)])
-    assert len(report.hook_errors) == 4
-    assert len(report.applied) == 7  # every file still applied
-
-
 class FailingTarget(MemstoreTarget):
     """Raises on the first attempt to apply a chosen batch file."""
 

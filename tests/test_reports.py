@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -49,6 +50,15 @@ def test_plan_measurements_reader_validates(tmp_path):
     path.write_text(json.dumps({"plan_for": "S1", "run_on": "S1", "c_r": 5.0, "reps": 3}) + "\n")
     with pytest.raises(ValueError, match="reps"):
         read_plan_measurements(path)
+    # A line that is not JSON, and an estimated cost of 0, are named by path and line.
+    good = json.dumps({"plan_for": "S1", "run_on": "S1", "c_e": 5.0})
+    for line, message in [
+        ("not json", r"Expecting value: line 1 column 1 \(char 0\)"),
+        (json.dumps({"plan_for": "S1", "run_on": "S2", "c_e": 0}), "estimated cost must be positive"),
+    ]:
+        path.write_text(f"{good}\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {message}$"):
+            read_plan_measurements(path)
 
 
 def test_sample_measurements_asset_round_trips():

@@ -42,6 +42,24 @@ def test_manifest_validation_errors():
                 "n_buckets": 0,
             }
         )
+    drift = {"kind": "window-drift", "source": {"kind": "synth"}, "workload": {"init_blocks": 5, "granularity": 1}}
+    compare = {"kind": "slice-compare", "source": {"kind": "synth"}}
+    refusals = [
+        ({**drift, "max_tables": 0}, "^max_tables must be >= 1, got 0$"),
+        ({**drift, "policies": []}, "^manifest needs at least one policy$"),
+        ({**drift, "queries": []}, "^manifest needs at least one query$"),
+        ({**drift, "workload": {"granularity": 1}}, "^window-drift workload needs 'init_blocks'$"),
+        ({**drift, "workload": {"init_blocks": 5}}, "^window-drift workload needs 'granularity'$"),
+        ({**compare, "slices": [{"hi": 20}]}, "^slice 1 needs 'lo'$"),
+        ({**compare, "slices": [{"lo": 0, "hi": 20}, {"lo": 30}]}, "^slice 2 needs 'hi'$"),
+        ({**compare, "slices": [{"lo": 21, "hi": 20}]}, "^slice lo 21 > hi 20$"),
+        # The first slice's default label is S1.
+        ({**compare, "slices": [{"lo": 0, "hi": 20}, {"lo": 30, "hi": 40, "label": "S1"}]}, "^two slices are labelled 'S1'$"),
+        ({**compare, "slices": [{"lo": 0, "hi": 20, "label": "a"}, {"lo": 30, "hi": 40, "label": "a"}]}, "^two slices are labelled 'a'$"),
+    ]
+    for data, message in refusals:
+        with pytest.raises(ManifestError, match=message):
+            ExperimentManifest.from_dict(data)
 
 
 def test_a_run_with_max_tables_below_one_is_refused_before_any_data(monkeypatch, tmp_path):
@@ -49,16 +67,16 @@ def test_a_run_with_max_tables_below_one_is_refused_before_any_data(monkeypatch,
         raise AssertionError("the dataset was built")
 
     monkeypatch.setattr(scenario, "dataset_from_source", no_data)
-    manifest = ExperimentManifest.from_dict(
-        {
-            "kind": "window-drift",
-            "source": {"kind": "synth", "config": {"seed": 4, "n_blocks": 12}},
-            "workload": {"init_blocks": 8, "granularity": 2},
-            "max_tables": 0,
-        }
+    # Built directly: from_dict refuses it already.
+    manifest = ExperimentManifest(
+        kind="window-drift",
+        source={"kind": "synth", "config": {"seed": 4, "n_blocks": 12}},
+        workload={"init_blocks": 8, "granularity": 2},
+        max_tables=0,
     )
     with pytest.raises(ValueError, match="^max_tables must be >= 1, got 0$"):
         run_scenario(manifest, tmp_path)
+    assert not (tmp_path / "report").exists() and not (tmp_path / "logs").exists()
 
 
 def test_reproducible_inputs_exclude_output_dir():
@@ -71,6 +89,12 @@ def test_reproducible_inputs_exclude_output_dir():
         }
     )
     assert "output_dir" not in m.reproducible_inputs()
+
+
+def test_reproducible_inputs_keep_slices_as_given():
+    slices = [{"lo": 0, "hi": 20}, {"lo": 30, "hi": 40, "label": ""}]
+    m = ExperimentManifest.from_dict({"kind": "slice-compare", "source": {"kind": "synth"}, "slices": slices})
+    assert m.reproducible_inputs()["slices"] == slices
 
 
 def test_dataset_from_export_source(tmp_path):
@@ -162,30 +186,28 @@ def test_window_drift_scenario_policies(tmp_path):
         assert point.estimated == w1_initial[sub].estimated  # same catalog on state one
 
 
-def test_unknown_query_id_rejected(tmp_path):
-    manifest = ExperimentManifest.from_dict(
-        {
-            "kind": "window-drift",
-            "source": {"kind": "synth", "config": {"seed": 1, "n_blocks": 10, "mean_tx_per_block": 2, "address_pool": 10, "n_tokens": 2}},
-            "workload": {"init_blocks": 5, "granularity": 5},
-            "queries": ["Q99"],
-        }
-    )
+def test_unknown_query_id_rejected():
     with pytest.raises(ManifestError, match="Q99"):
-        run_scenario(manifest, tmp_path / "out")
+        ExperimentManifest.from_dict(
+            {
+                "kind": "window-drift",
+                "source": {"kind": "synth", "config": {"seed": 1, "n_blocks": 10, "mean_tx_per_block": 2, "address_pool": 10, "n_tokens": 2}},
+                "workload": {"init_blocks": 5, "granularity": 5},
+                "queries": ["Q99"],
+            }
+        )
 
 
-def test_query_without_structured_form_rejected(tmp_path):
-    manifest = ExperimentManifest.from_dict(
-        {
-            "kind": "window-drift",
-            "source": {"kind": "synth", "config": {"seed": 1, "n_blocks": 10, "mean_tx_per_block": 2, "address_pool": 10, "n_tokens": 2}},
-            "workload": {"init_blocks": 5, "granularity": 5},
-            "queries": ["Q2"],
-        }
-    )
+def test_query_without_structured_form_rejected():
     with pytest.raises(ManifestError, match="structured form"):
-        run_scenario(manifest, tmp_path / "out")
+        ExperimentManifest.from_dict(
+            {
+                "kind": "window-drift",
+                "source": {"kind": "synth", "config": {"seed": 1, "n_blocks": 10, "mean_tx_per_block": 2, "address_pool": 10, "n_tokens": 2}},
+                "workload": {"init_blocks": 5, "granularity": 5},
+                "queries": ["Q2"],
+            }
+        )
 
 
 def test_every_probe_reaches_the_patched_refresh_count_and_evaluate_state(monkeypatch, tmp_path):
