@@ -15,19 +15,26 @@ contains / 0.995 not-contains) so their failure mode stays transparent.
 Join selectivity reads only the distinct count, so a probe builds histograms
 and most-common-value lists for the columns its filters read, and only the
 exact distinct count for a column that join edges alone read.
+
+A foreign-key join, an edge from a ``FOREIGN_KEYS`` column to its parent's
+one-column primary key, reads neither distinct count: its selectivity is
+1 / rows(parent). The store enforces the key, so the parent column holds
+rows(parent) distinct values and the child column a subset of them, and
+1 / max ndv is that same number. PostgreSQL applies the same rule since 9.6
+(``get_foreign_key_join_selectivity`` in ``costsize.c``).
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
+from typing import Iterable
 
-from .chain_model import PRIMARY_KEYS, SCHEMA
+from .chain_model import FOREIGN_KEYS, PRIMARY_KEYS, SCHEMA
 from .memstore import SPJQuery, Store
 
 
@@ -53,10 +60,16 @@ class ColumnStats:
         return sum(f for _, f in self.mcv)
 
 
-def build_column_stats(values: list, n_buckets: int = 100, mcv_k: int = 10) -> ColumnStats:
-    n_rows = len(values)
+def build_column_stats(
+    values: Iterable, n_buckets: int = 100, mcv_k: int = 10, n_rows: int | None = None
+) -> ColumnStats:
+    """Statistics of a column's cells, read once from any iterable. ``n_rows``
+    is the number of cells when the caller already knows it (a table's row
+    count); else the counts are summed."""
     counts = Counter(values)
     n_null = counts.pop(None, 0)
+    if n_rows is None:
+        n_rows = n_null + sum(counts.values())
     n = n_rows - n_null  # non-null values
     null_fraction = 1.0 - n / n_rows if n_rows else 0.0
     ndv = len(counts)
@@ -74,14 +87,14 @@ def build_column_stats(values: list, n_buckets: int = 100, mcv_k: int = 10) -> C
     buckets = min(n_buckets, n)
     ranks = [(j * n) // buckets - 1 for j in range(1, buckets + 1)]
     if ndv == n:  # every value distinct (hash columns): rank r is keys[r]
-        bounds = [keys[r] for r in ranks]
+        bounds = list(map(keys.__getitem__, ranks))
         top = range(min(mcv_k, ndv))
     else:
-        freq = [counts[k] for k in keys]
+        freq = list(map(counts.__getitem__, keys))
         cumulative = list(accumulate(freq))
         bounds = [keys[bisect_right(cumulative, r)] for r in ranks]
-        # nlargest is stable, so tied counts keep ascending value order.
-        top = heapq.nlargest(mcv_k, range(ndv), key=freq.__getitem__)
+        # A reversed sort is still stable, so tied counts keep ascending value order.
+        top = sorted(range(ndv), key=freq.__getitem__, reverse=True)[:mcv_k]
     boundaries = (keys[0], *bounds)
     mcv = tuple((keys[i], counts[keys[i]] / n) for i in top)
     return ColumnStats(n_rows, null_fraction, ndv, boundaries, mcv)
@@ -135,7 +148,9 @@ def refresh(
         row_counts={table: store.row_count(table) for table in SCHEMA},
     )
     for table, name in sorted(columns):
-        cat.columns[(table, name)] = build_column_stats(list(store.column(table, name)), n_buckets=n_buckets)
+        cat.columns[(table, name)] = build_column_stats(
+            store.column(table, name), n_buckets=n_buckets, n_rows=cat.row_counts[table]
+        )
     for table, name in sorted(distinct - columns):
         if PRIMARY_KEYS[table] == (name,):
             cat.distinct[(table, name)] = cat.row_counts[table]
@@ -213,8 +228,28 @@ def _filter_selectivity(stats: ColumnStats, op: str, value) -> float:
     raise ValueError(f"unknown filter op {op!r}")
 
 
+# Each foreign-key join, its two (table, column) sides in either order, to its
+# parent table. Every parent column is its table's whole primary key.
+_FK_PARENT = {
+    sides: parent
+    for child, column, parent in FOREIGN_KEYS
+    for key in [(parent, *PRIMARY_KEYS[parent])]
+    for sides in (((child, column), key), (key, (child, column)))
+}
+
+
+def foreign_key_parent(left: tuple[str, str], right: tuple[str, str]) -> str | None:
+    """The parent table if ``left = right`` joins a foreign key to its
+    parent's primary key, in either order; else None."""
+    return _FK_PARENT.get((left, right))
+
+
 def estimate(cat: StatsCatalog, q: SPJQuery) -> float:
-    """Estimated output cardinality of the join+filter; never negative."""
+    """Estimated output cardinality of the join+filter; never negative.
+
+    A foreign-key join reads its parent's row count and no distinct count;
+    any other join reads the distinct counts of both its columns.
+    """
     amap = q.alias_map
     result = 1.0
     for table in amap.values():
@@ -223,8 +258,10 @@ def estimate(cat: StatsCatalog, q: SPJQuery) -> float:
         stats = cat.stats(amap[f.alias], f.column)
         result *= _filter_selectivity(stats, f.op, f.value)
     for edge in q.joins:
-        left = cat.ndv(amap[edge.left_alias], edge.left_column)
-        top_ndv = max(left, cat.ndv(amap[edge.right_alias], edge.right_column))
+        left = (amap[edge.left_alias], edge.left_column)
+        right = (amap[edge.right_alias], edge.right_column)
+        parent = _FK_PARENT.get((left, right))
+        top_ndv = cat.row_counts[parent] if parent else max(cat.ndv(*left), cat.ndv(*right))
         result *= (1.0 / top_ndv) if top_ndv else 0.0
     return max(0.0, result)
 

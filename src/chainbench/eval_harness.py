@@ -112,15 +112,21 @@ class ProbeColumns(NamedTuple):
 
 
 def probe_columns(subqueries: Iterable[SPJQuery]) -> ProbeColumns:
-    """The columns a catalog must cover to estimate every one of ``subqueries``."""
+    """The columns a catalog must cover to estimate every one of ``subqueries``.
+
+    A foreign-key join reads its parent's row count
+    (``estimator.foreign_key_parent``), so its columns are in neither set
+    unless another edge or a filter reads them.
+    """
     filtered: set[tuple[str, str]] = set()
     joined: set[tuple[str, str]] = set()
     for q in subqueries:
         amap = q.alias_map
         filtered.update((amap[f.alias], f.column) for f in q.filters)
         for e in q.joins:
-            joined.add((amap[e.left_alias], e.left_column))
-            joined.add((amap[e.right_alias], e.right_column))
+            left, right = (amap[e.left_alias], e.left_column), (amap[e.right_alias], e.right_column)
+            if estimator.foreign_key_parent(left, right) is None:
+                joined.update((left, right))
     return ProbeColumns(frozenset(filtered), frozenset(joined - filtered))
 
 

@@ -668,53 +668,69 @@ def base_relation(store: Store, table: str, filters: Sequence[Filter]) -> list:
     """Rows of ``table`` that satisfy every filter: one alias's input to a join.
 
     The filters run one after another, each over the rows the previous one
-    kept, and read their cell by its ``SCHEMA`` position. SQL semantics: NULL
-    satisfies no predicate.
+    kept, and read their cell once, by its ``SCHEMA`` position. SQL
+    semantics: NULL satisfies no predicate.
     """
     rows = store.rows(table)
     for f in filters:
         i, op, value = _POSITION[table][f.column], f.op, f.value
         if op == "range":
             lo, hi = value
-            rows = [r for r in rows if r[i] is not None and lo <= r[i] <= hi]
+            rows = [r for r in rows if (v := r[i]) is not None and lo <= v <= hi]
         elif op == "eq":
-            rows = [r for r in rows if r[i] is not None and r[i] == value]
+            rows = [r for r in rows if (v := r[i]) is not None and v == value]
         elif op == "ne":
-            rows = [r for r in rows if r[i] is not None and r[i] != value]
+            rows = [r for r in rows if (v := r[i]) is not None and v != value]
         elif op == "is_true":
             rows = [r for r in rows if r[i] is True]
         elif op == "is_false":
             rows = [r for r in rows if r[i] is False]
         elif op == "contains":
-            rows = [r for r in rows if r[i] is not None and value in r[i]]
+            rows = [r for r in rows if (v := r[i]) is not None and value in v]
         elif op == "not_contains":
-            rows = [r for r in rows if r[i] is not None and value not in r[i]]
+            rows = [r for r in rows if (v := r[i]) is not None and value not in v]
         elif op == "ge":
-            rows = [r for r in rows if r[i] is not None and r[i] >= value]
+            rows = [r for r in rows if (v := r[i]) is not None and v >= value]
         else:  # le
-            rows = [r for r in rows if r[i] is not None and r[i] <= value]
+            rows = [r for r in rows if (v := r[i]) is not None and v <= value]
     return rows if filters else list(rows)
+
+
+def _hash_table(relations: dict, key: tuple, rows: list, position: int) -> dict:
+    """``rows`` by their non-null cell at ``position``: the build side of a
+    hash join, kept in ``relations`` under ``(key, position)``, where ``key``
+    is the rows' relation key."""
+    table = relations.get((key, position))
+    if table is None:
+        table = relations[(key, position)] = {}
+        for row in rows:
+            cell = row[position]
+            if cell is not None:
+                table.setdefault(cell, []).append(row)
+    return table
 
 
 def count(store: Store, q: SPJQuery, relations: dict | None = None) -> int:
     """Exact result cardinality of the join+filter, via hash joins.
 
     Each alias reads its base relation (``base_relation``). ``relations``
-    lets the counts of one probe call share them: it maps ``(table,
-    filters)``, the filters taken without their alias, to the relation, and
-    a relation missing from it is built and added. It must last for one
-    probe call (``eval_harness.evaluate_state``) on one frozen state and no
-    longer. Relations are never cached on the ``Store``: any mutation would
-    make them stale, and ``run-queries --median`` times repeated calls to
-    measure a full count.
+    lets the counts of one probe call share them and their hash tables: it
+    maps ``(table, filters)``, the filters taken without their alias, to the
+    relation, and that key plus a column position to the relation's rows by
+    their cell in that column. What is missing from it is built and added. It
+    must last for one probe call (``eval_harness.evaluate_state``) on one
+    frozen state and no longer. Relations are never cached on the ``Store``:
+    any mutation would make them stale, and ``run-queries --median`` times
+    repeated calls to measure a full count.
     """
     q.check()
     if relations is None:
         relations = {}
     filtered: dict[str, list] = {}
+    relation_key: dict[str, tuple] = {}
     for alias, table in q.tables:
         preds = tuple(f for f in q.filters if f.alias == alias)
-        key = (table, tuple((f.column, f.op, f.value) for f in preds))
+        key = relation_key[alias] = (table, tuple((f.column, f.op, f.value) for f in preds))
         if key not in relations:
             relations[key] = base_relation(store, table, preds)
         filtered[alias] = relations[key]
@@ -726,9 +742,10 @@ def count(store: Store, q: SPJQuery, relations: dict | None = None) -> int:
 
     # Grow a connected cover, one hash join per edge that adds a new alias;
     # edges between already-covered aliases become residual equality filters.
+    # The last step, if it is a hash join, only sums its bucket sizes.
     position = {aliases[0]: 0}
     covered = {aliases[0]}
-    tuples: list[tuple] = [(row,) for row in filtered[aliases[0]]]
+    tuples: list[tuple] = list(zip(filtered[aliases[0]]))
     pending = list(q.joins)
     while pending:
         progressed = False
@@ -748,21 +765,11 @@ def count(store: Store, q: SPJQuery, relations: dict | None = None) -> int:
                     old_alias, oc, new_alias, nc = edge.left_alias, lc, edge.right_alias, rc
                 else:
                     old_alias, oc, new_alias, nc = edge.right_alias, rc, edge.left_alias, lc
-                table: dict = {}
-                for row in filtered[new_alias]:
-                    key = row[nc]
-                    if key is None:
-                        continue
-                    table.setdefault(key, []).append(row)
-                oi = position[old_alias]
-                joined: list[tuple] = []
-                for t in tuples:
-                    key = t[oi][oc]
-                    if key is None:
-                        continue
-                    for row in table.get(key, ()):
-                        joined.append(t + (row,))
-                tuples = joined
+                table = _hash_table(relations, relation_key[new_alias], filtered[new_alias], nc)
+                keys = map(itemgetter(oc), map(itemgetter(position[old_alias]), tuples))
+                if not pending:  # None is never a key, so it finds no bucket
+                    return sum(map(len, map(table.__getitem__, filter(table.__contains__, keys))))
+                tuples = [t + (row,) for t, key in zip(tuples, keys) for row in table.get(key, ())]
                 position[new_alias] = len(position)
                 covered.add(new_alias)
             break

@@ -17,9 +17,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import memstore, reports
+from .chain_model import ChainDataset
 from .eval_harness import QErrorPoint, enumerate_subqueries, evaluate_state, policy_catalogs, probe_columns
 from .gcpause import collector_paused
 from .ingest_slice import block_view, extract_slice, load_export
@@ -55,13 +58,14 @@ class ExperimentManifest:
             raise ManifestError(f"unknown scenario kind {kind!r}")
         if "source" not in data:
             raise ManifestError("manifest needs a 'source'")
+        _source(data["source"])
         m = cls(
             kind=kind,
             source=data["source"],
             policies=tuple(data.get("policies", POLICIES)),
             queries=tuple(data.get("queries", ("Q1",))),
-            max_tables=int(data.get("max_tables", 3)),
-            n_buckets=int(data.get("n_buckets", 100)),
+            max_tables=_integer(data.get("max_tables", 3), "max_tables"),
+            n_buckets=_integer(data.get("n_buckets", 100), "n_buckets"),
             omit_accurate=bool(data.get("omit_accurate", False)),
             workload=data.get("workload"),
             slices=tuple(data.get("slices", ())),
@@ -105,17 +109,35 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
         return ExperimentManifest.from_dict(json.load(fh))
 
 
-def dataset_from_source(source: dict):
-    kind = source.get("kind")
+def dataset_from_source(source: dict) -> ChainDataset:
+    return _source(source)()
+
+
+def _integer(value, name: str) -> int:
+    """A manifest integer; ``name`` says where it sits."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ManifestError(f"{name} must be an integer, got {value!r}") from None
+
+
+# Each of the next four reads one manifest section: ``from_dict`` calls it to
+# check the section, ``run_scenario`` to use it.
+def _source(source: dict) -> Callable[[], ChainDataset]:
+    """What builds the source's dataset, once its kind and settings are checked."""
+    kind = source.get("kind") if isinstance(source, dict) else None
     if kind == "synth":
-        return generate(SynthConfig(**source.get("config", {})))
+        try:  # an unknown key is a TypeError, a bad value a ValueError or TypeError
+            return partial(generate, SynthConfig(**source.get("config", {})))
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"synth source config: {exc}") from None
     if kind == "export":
-        return load_export(source["dir"])
+        if "dir" not in source:
+            raise ManifestError("export source needs 'dir'")
+        return partial(load_export, source["dir"])
     raise ManifestError(f"unknown dataset source kind {kind!r}")
 
 
-# Each of the next three reads one manifest section: ``from_dict`` calls it to
-# check the section, ``run_scenario`` to use it.
 def _spj_queries(queries: tuple[str, ...]) -> dict[str, SPJQuery]:
     assets = {a.id: a for a in load_workload()}
     out: dict[str, SPJQuery] = {}
@@ -135,7 +157,10 @@ def _workload_config(workload: dict | None) -> WorkloadConfig:
     for key in ("init_blocks", "granularity"):
         if key not in workload:
             raise ManifestError(f"window-drift workload needs {key!r}")
-    return WorkloadConfig(int(workload["init_blocks"]), int(workload["granularity"]), bool(workload.get("expire")))
+    init_blocks, granularity = (
+        _integer(workload[key], f"window-drift workload {key!r}") for key in ("init_blocks", "granularity")
+    )
+    return WorkloadConfig(init_blocks, granularity, bool(workload.get("expire")))
 
 
 def _slices(slices: tuple[dict, ...]) -> list[tuple[int, int, str]]:
@@ -147,7 +172,8 @@ def _slices(slices: tuple[dict, ...]) -> list[tuple[int, int, str]]:
         for key in ("lo", "hi"):
             if key not in entry:
                 raise ManifestError(f"slice {i} needs {key!r}")
-        lo, hi, label = int(entry["lo"]), int(entry["hi"]), entry.get("label") or f"S{i}"
+        lo, hi = (_integer(entry[key], f"slice {i} {key!r}") for key in ("lo", "hi"))
+        label = entry.get("label") or f"S{i}"
         if lo > hi:
             raise ManifestError(f"slice lo {lo} > hi {hi}")
         if any(label == seen for *_, seen in out):

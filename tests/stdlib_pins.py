@@ -7,16 +7,18 @@ runs where pytest is not installed:
     python tests/stdlib_pins.py
 
 It checks the ``test_generate_output_is_pinned`` digests (read from
-``tests/test_synth_chain.py``), the sha256 of the ``sha256sum``-style
-listing of every script ``write_workload`` writes, by name as its index
-names it, and of its ``manifest.json``, for each benchmark workload at seed
-7, and the sha256 of ``render_sql`` of one batch that holds every
+``tests/test_synth_chain.py``), the ``test_full_catalog_is_pinned`` digests
+(read from ``tests/test_estimator.py``: every schema column's statistics,
+whose most-common-value tie order rests on a stable sort), the sha256 of the
+``sha256sum``-style listing of every script ``write_workload`` writes, by
+name as its index names it, and of its ``manifest.json``, for each benchmark
+workload at seed 7, and the sha256 of ``render_sql`` of one batch that holds every
 statement form with edge values (``util.edge_ops``) and of the ``repr`` of
 ``parse_script`` of that text, so the renderer's and the parser's compiled
 source are checked on each version too. It prints one line per check
 and exits 1 if any fails. ``test_workload_file_pins_hold`` runs the listing
-and render checks under pytest; ``test_generate_output_is_pinned`` covers the
-generate pins there.
+and render checks under pytest; ``test_generate_output_is_pinned`` and
+``test_full_catalog_is_pinned`` cover the generate and catalog pins there.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 from bench_workloads import WORKLOADS  # noqa: E402
-from util import edge_ops, read_scripts  # noqa: E402
+from util import edge_ops, full_catalog_digests, read_scripts  # noqa: E402
 
 from chainbench.chain_model import SCHEMA  # noqa: E402
 from chainbench.sqlstub import parse_script  # noqa: E402
@@ -57,14 +59,15 @@ RENDER = "23b01ef11f9b4c32fd1cab3ad9c480aabe07dc6afd443efcbb26508feb07009f"
 PARSE = "f9d11d5f04d02f5fccb9a3b0ccef4e4638ff421e0c600f5df36c9e1c698aaf32"
 
 
-def generate_pins() -> tuple:
-    """The ``_PINNED`` (config, digest) pairs of ``tests/test_synth_chain.py``."""
-    tree = ast.parse((ROOT / "tests" / "test_synth_chain.py").read_text(encoding="utf-8"))
+def pinned(module: str, name: str):
+    """The value a test module assigns to ``name`` at top level, read without
+    importing the module (which imports pytest)."""
+    tree = ast.parse((ROOT / "tests" / module).read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_PINNED"]:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
             # Literals and dict(...) calls only: no other name is bound.
-            return eval(compile(ast.Expression(node.value), "_PINNED", "eval"), {"__builtins__": {}, "dict": dict})
-    raise LookupError("_PINNED not found")
+            return eval(compile(ast.Expression(node.value), name, "eval"), {"__builtins__": {}, "dict": dict})
+    raise LookupError(f"{name} not found in {module}")
 
 
 def dataset_digest(ds) -> str:
@@ -89,9 +92,16 @@ def listing_digest(directory: Path) -> str:
 
 def generate_checks() -> Iterator[tuple[str, str, str]]:
     """(label, digest, pinned digest) of each ``generate`` pin."""
-    for config, digest in generate_pins():
+    for config, digest in pinned("test_synth_chain.py", "_PINNED"):
         label = f"generate seed={config['seed']} n_blocks={config['n_blocks']}"
         yield label, dataset_digest(generate(SynthConfig(**config))), digest
+
+
+def catalog_checks() -> Iterator[tuple[str, str, str]]:
+    """(label, digest, pinned digest) of each full-catalog pin."""
+    states = ("load", "after 3 batches")
+    for state, got, digest in zip(states, full_catalog_digests(), pinned("test_estimator.py", "_FULL_CATALOG")):
+        yield f"refresh full catalog, {state}", got, digest
 
 
 def workload_file_checks() -> Iterator[tuple[str, str, str]]:
@@ -109,9 +119,9 @@ def workload_file_checks() -> Iterator[tuple[str, str, str]]:
 
 def main() -> int:
     failed = 0
-    for label, got, pinned in chain(generate_checks(), workload_file_checks()):
-        failed += got != pinned
-        print(f"{'ok' if got == pinned else 'FAIL'} {label}: {got[:8]}")
+    for label, got, digest in chain(generate_checks(), catalog_checks(), workload_file_checks()):
+        failed += got != digest
+        print(f"{'ok' if got == digest else 'FAIL'} {label}: {got[:8]}")
     print(f"python {sys.version.split()[0]}: {'all pins hold' if not failed else f'{failed} pin(s) differ'}")
     return 1 if failed else 0
 

@@ -309,7 +309,7 @@ def test_probe_card_catalog_round_trip(tmp_path):
     assert hashlib.sha256(built).hexdigest() == "55692545eef64f532067c1a5e784087cffb1a24b6cb1c215286951251b24d2af"
     assert (tmp_path / "loaded" / "qerror_points.jsonl").read_bytes() == built
     data = json.loads(saved.read_text())
-    assert len(data["columns"]) == 5 and len(data["distinct"]) == 8
+    assert len(data["columns"]) == 5 and len(data["distinct"]) == 2
 
     # The older form, full statistics for every column the probe reads, still loads.
     store = memstore.Store.from_dataset(load_export(out, 10, 69))
@@ -319,6 +319,16 @@ def test_probe_card_catalog_round_trip(tmp_path):
     assert "distinct" not in json.loads(full.read_text())
     assert main([*probe, "--catalog", str(full), "--out", str(tmp_path / "full")]) == 0
     assert (tmp_path / "full" / "qerror_points.jsonl").read_bytes() == built
+
+    # So does the form saved before foreign-key joins read their parent's row
+    # count: a distinct count for each of the 8 columns Q1's edges join.
+    amap = q1_spj().alias_map
+    joined = {(amap[a], c) for e in q1_spj().joins for a, c in ((e.left_alias, e.left_column), (e.right_alias, e.right_column))}
+    assert len(joined) == 8
+    earlier = tmp_path / "earlier.json"
+    estimator.save_catalog(estimator.refresh(store, label="S", columns=columns.filtered, distinct=joined), earlier)
+    assert main([*probe, "--catalog", str(earlier), "--out", str(tmp_path / "earlier")]) == 0
+    assert (tmp_path / "earlier" / "qerror_points.jsonl").read_bytes() == built
 
 
 def test_probe_card_names_a_column_missing_from_the_catalog_unquoted(tmp_path, capsys):
@@ -376,6 +386,25 @@ def test_scenario_subcommand(tmp_path):
     assert (out / "report" / "qerror_series.csv").exists()
     assert (out / "logs" / "timing.json").exists()
     assert (out / "run.json").exists()
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ({"kind": "csv", "dir": "data"}, "unknown dataset source kind 'csv'"),
+        ({"kind": "export"}, "export source needs 'dir'"),
+        ({"kind": "synth", "config": {"n_blokcs": 10}}, "synth source config: SynthConfig.__init__() got an unexpected keyword argument 'n_blokcs'"),
+        ({"kind": "synth", "config": {"n_blocks": 12, "address_pool": 0}}, "synth source config: address_pool must be >= 1: every block draws its miner from it"),
+    ],
+)
+def test_a_scenario_with_a_bad_source_is_refused_before_any_directory(tmp_path, capsys, source, message):
+    manifest = {"kind": "window-drift", "source": source, "workload": {"init_blocks": 8, "granularity": 2}}
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    assert main(["scenario", "--manifest", str(mpath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_unknown_subcommand_usage_exit():

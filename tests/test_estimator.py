@@ -1,13 +1,12 @@
-import hashlib
-import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainbench import memstore
-from chainbench.chain_model import SCHEMA, AddressRow
+from chainbench.chain_model import FOREIGN_KEYS, PRIMARY_KEYS, SCHEMA, AddressRow
 from chainbench.estimator import (
     EstimateError,
     build_column_stats,
@@ -17,12 +16,20 @@ from chainbench.estimator import (
     refresh,
 )
 from chainbench.eval_harness import enumerate_subqueries, probe_columns
-from chainbench.memstore import Filter, InsertRow, SPJQuery, Store, apply_ops
+from chainbench.memstore import Filter, InsertRow, JoinEdge, SPJQuery, Store, apply_ops
 from chainbench.query_assets import q1_spj
 from chainbench.synth_chain import SynthConfig, generate
 from chainbench.workload_gen import WorkloadConfig, gen_batches, gen_initial
 
-from util import addr, make_block, make_tx, naive_column_stats
+from util import (
+    addr,
+    full_catalog_digests,
+    make_block,
+    make_tx,
+    max_ndv_estimate,
+    naive_column_stats,
+    random_spj,
+)
 
 
 @pytest.fixture(scope="module")
@@ -205,30 +212,27 @@ _CELLS = (
 @example(values=[3, None, 1], n_buckets=100, mcv_k=10)
 @example(values=[b"b", b"a", b"b", b"a", b"c"], n_buckets=2, mcv_k=1)
 def test_column_stats_match_the_naive_oracle(values, n_buckets, mcv_k):
-    assert build_column_stats(values, n_buckets, mcv_k) == naive_column_stats(values, n_buckets, mcv_k)
+    expected = naive_column_stats(values, n_buckets, mcv_k)
+    assert build_column_stats(values, n_buckets, mcv_k) == expected
+    # One pass over any iterable: counted from the cells, or told their number.
+    assert build_column_stats(iter(values), n_buckets, mcv_k) == expected
+    assert build_column_stats(iter(values), n_buckets, mcv_k, n_rows=len(values)) == expected
 
 
-def _catalog_digest(store) -> str:
-    return hashlib.sha256(json.dumps(catalog_to_dict(refresh(store)), sort_keys=True).encode()).hexdigest()
+# sha256 of every schema column's statistics on two states
+# (util.full_catalog_digests), recorded before refresh read each table once
+# and counted distinct values only. tests/stdlib_pins.py reads it too.
+_FULL_CATALOG = [
+    "8c91df3f50b758c686352bffb9da6f9f89e37bb5ea3349d4819b8203551b6b05",
+    "70f594f2642c5092386976685dc7d5e57939446362ec3e86be77805bb2c48e9b",
+]
 
 
 def test_full_catalog_is_pinned():
-    # sha256 of every schema column's statistics, recorded before refresh read
-    # each table once and counted distinct values only.
-    ds = generate(SynthConfig(seed=23, n_blocks=60, mean_tx_per_block=12, address_pool=60, n_tokens=6))
-    cfg = WorkloadConfig(init_blocks=30, granularity=5, expire=True)
-    store = Store()
-    memstore.apply(store, gen_initial(ds, cfg))
-    digests = [_catalog_digest(store)]
-    pairs, _ = gen_batches(ds, cfg)
-    for pair in pairs[:3]:
-        memstore.apply(store, pair.expire)
-        memstore.apply(store, pair.upsert)
-    digests.append(_catalog_digest(store))
-    assert digests == [
-        "8c91df3f50b758c686352bffb9da6f9f89e37bb5ea3349d4819b8203551b6b05",
-        "70f594f2642c5092386976685dc7d5e57939446362ec3e86be77805bb2c48e9b",
-    ]
+    assert full_catalog_digests() == _FULL_CATALOG
+    import stdlib_pins  # which reads the same digests without pytest
+
+    assert stdlib_pins.pinned("test_estimator.py", "_FULL_CATALOG") == _FULL_CATALOG
 
 
 @settings(max_examples=100, deadline=None)
@@ -281,3 +285,41 @@ def test_a_primary_key_distinct_count_equals_a_scan(seed, prefix, expire):
     assert split.distinct == scanned
     assert {("transactions", "hash"), ("tokens", "address"), ("addresses", "address")} <= set(scanned)
     assert split.columns == refresh(store, label="S", columns=columns.filtered).columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    prefix=st.integers(0, 6),
+    expire=st.booleans(),
+    query_seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=6),
+)
+def test_a_foreign_key_join_estimates_as_one_over_the_larger_ndv(seed, prefix, expire, query_seeds):
+    # A foreign-key join reads its parent's row count, and a probe's catalog
+    # holds no distinct count for it; the estimate is the one 1 / max(ndv)
+    # gives from full statistics, since the store enforces the key.
+    ds = generate(SynthConfig(seed=seed, n_blocks=24, mean_tx_per_block=5, address_pool=25, n_tokens=4))
+    cfg = WorkloadConfig(init_blocks=10, granularity=3, expire=expire)
+    store = Store()
+    memstore.apply(store, gen_initial(ds, cfg))
+    for pair in gen_batches(ds, cfg)[0][:prefix]:
+        if pair.expire is not None:
+            memstore.apply(store, pair.expire)
+        memstore.apply(store, pair.upsert)
+    full = refresh(store)
+    queries = enumerate_subqueries(q1_spj(), 3)
+    for s in query_seeds:
+        rng = random.Random(s)
+        q = random_spj(rng, max_tables=4)
+        # Either side of an edge may come first.
+        flip = [rng.random() < 0.5 for _ in q.joins]
+        joins = [JoinEdge(e.right_alias, e.right_column, e.left_alias, e.left_column) if f else e for e, f in zip(q.joins, flip)]
+        queries.append(replace(q, joins=tuple(joins)))
+    foreign = {frozenset({(child, col), (parent, *PRIMARY_KEYS[parent])}) for child, col, parent in FOREIGN_KEYS}
+    for q in queries:
+        columns = probe_columns([q])
+        split = refresh(store, columns=columns.filtered, distinct=columns.join_only)
+        assert estimate(split, q) == max_ndv_estimate(full, q), q
+        amap = q.alias_map
+        edges = [{(amap[e.left_alias], e.left_column), (amap[e.right_alias], e.right_column)} for e in q.joins]
+        assert set(split.distinct) == set().union(*(e for e in edges if e not in foreign)) - columns.filtered

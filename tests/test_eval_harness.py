@@ -105,8 +105,11 @@ def test_probe_columns_split_q1_by_role():
     cols = probe_columns([q1_spj()])
     assert ("transactions", "nonce") in cols.filtered
     assert ("addresses", "eth_balance") in cols.filtered
-    assert ("tokens", "address") in cols.join_only
-    assert len(cols.filtered) == 5 and len(cols.join_only) == 8
+    # Three of the four edges join a foreign key to its parent's primary key
+    # and read the parent's row count; only tx.to_address = c.address reads
+    # distinct counts.
+    assert cols.join_only == {("transactions", "to_address"), ("contracts", "address")}
+    assert len(cols.filtered) == 5 and len(cols.join_only) == 2
     assert not cols.filtered & cols.join_only
 
 

@@ -115,6 +115,46 @@ def test_count_join_order_insensitive(store):
         assert memstore.count(store, shuffled) == reference
 
 
+# Two aliases of one relation, each the build side of a hash join on its own
+# column: one shared hash table per relation would serve t2 t1's.
+_TWO_COLUMNS = SPJQuery.build(
+    tables={"a": "addresses", "t1": "transactions", "t2": "transactions"},
+    joins=[("t1", "from_address", "a", "address"), ("t2", "to_address", "a", "address")],
+)
+# A cycle whose last step is a residual edge: from a, hash joins to t1 and t2
+# (one table on one column, shared), then t1 = t2 on their block.
+_RESIDUAL_LAST = SPJQuery.build(
+    tables={"a": "addresses", "t1": "transactions", "t2": "transactions"},
+    joins=[
+        ("t1", "from_address", "a", "address"),
+        ("t2", "from_address", "a", "address"),
+        ("t1", "block_hash", "t2", "block_hash"),
+    ],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    prefix=st.integers(0, 6),
+    query_seeds=st.lists(st.integers(0, 2**32), max_size=6),
+    data=st.data(),
+)
+def test_counts_sharing_relations_and_hash_tables_equal_the_nested_loop_oracle(seed, prefix, query_seeds, data):
+    ds = generate(SynthConfig(seed=seed, n_blocks=24, mean_tx_per_block=5, address_pool=25, n_tokens=4))
+    cfg = WorkloadConfig(init_blocks=10, granularity=3, expire=True)
+    store = Store()
+    memstore.apply(store, gen_initial(ds, cfg))
+    for pair in gen_batches(ds, cfg)[0][:prefix]:
+        memstore.apply(store, pair.expire)
+        memstore.apply(store, pair.upsert)
+    queries = [random_spj(random.Random(s), max_tables=4) for s in query_seeds]
+    queries = data.draw(st.permutations([*queries, _TWO_COLUMNS, _RESIDUAL_LAST]))
+    relations: dict = {}
+    for q in queries:
+        assert memstore.count(store, q, relations) == nested_loop_count(store, q), q
+
+
 def test_count_null_join_keys_never_match():
     ds = tiny_dataset()
     store = Store.from_dataset(ds)

@@ -56,6 +56,18 @@ def test_manifest_validation_errors():
         # The first slice's default label is S1.
         ({**compare, "slices": [{"lo": 0, "hi": 20}, {"lo": 30, "hi": 40, "label": "S1"}]}, "^two slices are labelled 'S1'$"),
         ({**compare, "slices": [{"lo": 0, "hi": 20, "label": "a"}, {"lo": 30, "hi": 40, "label": "a"}]}, "^two slices are labelled 'a'$"),
+        # A manifest integer that is not one is named by its key.
+        ({**drift, "max_tables": "a"}, "^max_tables must be an integer, got 'a'$"),
+        ({**drift, "n_buckets": None}, "^n_buckets must be an integer, got None$"),
+        ({**drift, "workload": {"init_blocks": "x", "granularity": 1}}, "^window-drift workload 'init_blocks' must be an integer, got 'x'$"),
+        ({**drift, "workload": {"init_blocks": 5, "granularity": [1]}}, r"^window-drift workload 'granularity' must be an integer, got \[1\]$"),
+        ({**compare, "slices": [{"lo": "a", "hi": 3}]}, "^slice 1 'lo' must be an integer, got 'a'$"),
+        ({**compare, "slices": [{"lo": 0, "hi": 20}, {"lo": 30, "hi": "4.5"}]}, "^slice 2 'hi' must be an integer, got '4.5'$"),
+        # The source is checked here too, not when the run builds its dataset.
+        ({**drift, "source": {"kind": "csv"}}, "^unknown dataset source kind 'csv'$"),
+        ({**drift, "source": {"kind": "export"}}, "^export source needs 'dir'$"),
+        ({**drift, "source": {"kind": "synth", "config": {"n_blokcs": 10}}}, "^synth source config: .*'n_blokcs'$"),
+        ({**drift, "source": {"kind": "synth", "config": {"n_blocks": 0}}}, "^synth source config: n_blocks must be >= 1$"),
     ]
     for data, message in refusals:
         with pytest.raises(ManifestError, match=message):

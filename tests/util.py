@@ -7,6 +7,7 @@ check.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -32,11 +33,31 @@ from chainbench.chain_model import (
     Withdrawal,
     referenced_addresses,
 )
-from chainbench.estimator import ColumnStats
+from chainbench.estimator import ColumnStats, StatsCatalog, catalog_to_dict, estimate, refresh
 from chainbench.ingest_slice import ExportError
-from chainbench.memstore import DeleteRow, Filter, InsertRow, Mutation, NullBlockHash, SPJQuery, Store, UpdateBalance
+from chainbench.memstore import (
+    DeleteRow,
+    Filter,
+    InsertRow,
+    Mutation,
+    NullBlockHash,
+    SPJQuery,
+    Store,
+    UpdateBalance,
+    apply,
+)
 from chainbench.sqlstub import SqlParseError
-from chainbench.workload_gen import INDEX_FILE, WORKLOAD_FILE, Manifest, ScriptWriter, write_manifest
+from chainbench.synth_chain import SynthConfig, generate
+from chainbench.workload_gen import (
+    INDEX_FILE,
+    WORKLOAD_FILE,
+    Manifest,
+    ScriptWriter,
+    WorkloadConfig,
+    gen_batches,
+    gen_initial,
+    write_manifest,
+)
 
 
 def _oracle_matches(f: Filter, row) -> bool:
@@ -94,6 +115,39 @@ def naive_column_stats(values: list, n_buckets: int = 100, mcv_k: int = 10) -> C
     top = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:mcv_k]
     mcv = tuple((v, c / len(non_null)) for v, c in top) if non_null else ()
     return ColumnStats(n_rows, null_fraction, ndv, boundaries, mcv, bool_true_fraction)
+
+
+def max_ndv_estimate(cat: StatsCatalog, q: SPJQuery) -> float:
+    """``estimate`` with every join edge at 1 / max(ndv) of its two columns'
+    full statistics, foreign-key joins included: the join rule before those
+    read their parent's row count. The filters are left to ``estimate``."""
+    amap = q.alias_map
+    result = estimate(cat, replace(q, joins=()))
+    for e in q.joins:
+        left = cat.columns[(amap[e.left_alias], e.left_column)].ndv
+        top = max(left, cat.columns[(amap[e.right_alias], e.right_column)].ndv)
+        result *= (1.0 / top) if top else 0.0
+    return result
+
+
+def full_catalog_digests() -> list[str]:
+    """sha256 of every schema column's statistics (``refresh`` with no column
+    set, as JSON) on the load and after three expire+upsert batches of a
+    seed-23 window."""
+    ds = generate(SynthConfig(seed=23, n_blocks=60, mean_tx_per_block=12, address_pool=60, n_tokens=6))
+    cfg = WorkloadConfig(init_blocks=30, granularity=5, expire=True)
+    store = Store()
+    apply(store, gen_initial(ds, cfg))
+    digests = [_catalog_digest(store)]
+    for pair in gen_batches(ds, cfg)[0][:3]:
+        apply(store, pair.expire)
+        apply(store, pair.upsert)
+    digests.append(_catalog_digest(store))
+    return digests
+
+
+def _catalog_digest(store: Store) -> str:
+    return hashlib.sha256(json.dumps(catalog_to_dict(refresh(store)), sort_keys=True).encode()).hexdigest()
 
 
 def _connected_order(aliases: list[str], joins) -> list[str]:
